@@ -140,21 +140,22 @@ def _cmd_decompose(args):
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
-def _objective(args) -> WinPredicate:
-    return WinPredicate.from_token(args.objective)
-
-
-def _cmd_play(args):
+def _game_spec(args) -> GameSpec:
+    """The game the play, solve and verify subcommands share flags for."""
     g = _read_graph(args.graph)
     a, b = _parse_bias(args.bias)
-    spec = GameSpec(
+    return GameSpec(
         host=g,
         board_kind=args.board,
-        objective=_objective(args),
+        objective=WinPredicate.from_token(args.objective),
         maker_bias=a,
         breaker_bias=b,
         first=args.first,
     )
+
+
+def _cmd_play(args):
+    spec = _game_spec(args)
     result, text = play_to_transcript(spec, args.maker, args.breaker, seed=args.seed)
     _emit(text, args.out)
     if args.out:
@@ -162,16 +163,7 @@ def _cmd_play(args):
 
 
 def _cmd_solve(args):
-    g = _read_graph(args.graph)
-    a, b = _parse_bias(args.bias)
-    spec = GameSpec(
-        host=g,
-        board_kind=args.board,
-        objective=_objective(args),
-        maker_bias=a,
-        breaker_bias=b,
-        first=args.first,
-    )
+    spec = _game_spec(args)
     verdict = solve(spec, board_cap=args.cap)
     doc = {
         "winner": verdict.winner,
@@ -185,17 +177,8 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    g = _read_graph(args.graph)
-    a, b = _parse_bias(args.bias)
-    spec = GameSpec(
-        host=g,
-        board_kind=args.board,
-        objective=_objective(args),
-        maker_bias=a,
-        breaker_bias=b,
-        first=args.first,
-    )
-    maker = build_strategy(args.maker, g)
+    spec = _game_spec(args)
+    maker = build_strategy(args.maker, spec.host)
     res = verify_maker_strategy(spec, maker, node_budget=args.budget)
     doc = {
         "always_wins": res.always_wins,
@@ -235,19 +218,19 @@ def _cmd_sweep(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="makerbreaker")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="write a graph file")
+    p = sub.add_parser("generate", parents=[common, seeded], help="write a graph file")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("decompose", parents=[common], help="run a decomposition")
+    p = sub.add_parser("decompose", parents=[common, seeded], help="run a decomposition")
     p.add_argument("graph")
     p.add_argument("--mode", choices=("bfkm", "core", "robust", "key2"), required=True)
     p.add_argument("--delta", required=True)
@@ -261,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     game_common.add_argument("--bias", default="1:1")
     game_common.add_argument("--first", choices=("maker", "breaker"), default="maker")
 
-    p = sub.add_parser("play", parents=[game_common], help="play one game")
+    p = sub.add_parser("play", parents=[game_common, seeded], help="play one game")
     p.add_argument("graph")
     p.add_argument("--maker", required=True)
     p.add_argument("--breaker", required=True)
@@ -280,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", parents=[common], help="run a config file")
     p.add_argument("config")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sweep", parents=[common], help="sweep breaker bias")

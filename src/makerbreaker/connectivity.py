@@ -102,10 +102,6 @@ def _cut_from_residual(g: Graph, cap, adj, s):
     return frozenset(x for x in range(g.n) if 2 * x in reach and 2 * x + 1 not in reach)
 
 
-def _candidate_sources(g: Graph, count: int):
-    return range(min(count, g.n))
-
-
 def vertex_connectivity(g: Graph) -> int:
     """Standard vertex connectivity; complete graphs give n-1 by convention.
 
@@ -120,7 +116,7 @@ def vertex_connectivity(g: Graph) -> int:
     base, adj = _vertex_network(g)
     delta = min(len(g.neighbors(v)) for v in range(g.n))
     best = g.n - 1
-    for s in _candidate_sources(g, delta + 1):
+    for s in range(min(delta + 1, g.n)):
         nbrs = g.neighbors(s)
         for t in range(g.n):
             if t == s or t in nbrs:
@@ -140,7 +136,7 @@ def vertex_cut_below(g: Graph, threshold: int):
         return None
     base, adj = _vertex_network(g)
     delta = min(len(g.neighbors(v)) for v in range(g.n))
-    for s in _candidate_sources(g, min(threshold, delta + 1)):
+    for s in range(min(threshold, delta + 1, g.n)):
         nbrs = g.neighbors(s)
         for t in range(g.n):
             if t == s or t in nbrs:
@@ -210,7 +206,7 @@ def mader_subgraph(g: Graph, k):
         cut = vertex_cut_below(sub, target)
         if cut is None:
             return frozenset(current)
-        comps = _components_avoiding(sub, cut)
+        comps = connected_components(sub, frozenset(range(sub.n)) - cut)
         if not comps:
             return None
         best = None
@@ -223,23 +219,3 @@ def mader_subgraph(g: Graph, k):
             if best_key is None or key > best_key:
                 best, best_key = labels, key
         current = tuple(best)
-
-
-def _components_avoiding(g: Graph, banned):
-    seen = set(banned)
-    comps = []
-    for root in range(g.n):
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = {root}
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y in g.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    queue.append(y)
-        comps.append(comp)
-    return comps

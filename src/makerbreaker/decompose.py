@@ -36,6 +36,7 @@ from .graphs import (
     cut_edges,
     find_odd_cycle,
     frac_ceil,
+    gray_code_bipartitions,
     induced_subgraph,
     min_degree,
 )
@@ -251,45 +252,31 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
 
 def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
     """Enumerate all bipartitions of ``members`` by Gray code; return the
-    sparsest balanced one as (sideA, sideB, cut) plus the best cut value."""
+    sparsest balanced one as (sideA, sideB) plus the best cut value."""
     order = sorted(members)
     m = len(order)
     sub, _ = induced_subgraph(g, order)
-    side = [0] * m
-    size_a = m
-    cut = 0
+    lo = frac_ceil(min_side)
     best = None
     best_sides = None
-    for code in range(1, 1 << (m - 1)):
-        v = (code & -code).bit_length()  # vertex index 1..m-1 flips
-        old = side[v]
-        side[v] ^= 1
-        size_a += 1 if side[v] == 0 else -1
-        for u in sub.neighbors(v):
-            cut += 1 if side[u] == old else -1
-        if (
-            Fraction(size_a) >= min_side
-            and Fraction(m - size_a) >= min_side
-            and (best is None or cut < best)
-        ):
+    for side, _, ones, cut in gray_code_bipartitions(sub):
+        if lo <= ones <= m - lo and (best is None or cut < best):
             best = cut
             best_sides = side.copy()
     if best is None:
         return None, None
     if best * best >= n**3:
         return None, best
-    a = frozenset(order[i] for i in range(m) if best_sides[i] == 0)
-    b = frozenset(order[i] for i in range(m) if best_sides[i] == 1)
-    return (a, b, best), best
+    return _normalize_sides(order, [order[i] for i in range(m) if best_sides[i] == 0]), best
 
 
-def _balanced_cut_search(g: Graph, members, min_side: Fraction, n: int, rng, restarts):
+def _balanced_cut_search(g: Graph, members, min_side: Fraction, n: int, rng):
     """Local-search restarts that accept the first balanced cut below n^(3/2)."""
     order = sorted(members)
     m = len(order)
     lo = frac_ceil(min_side)
     best_seen = None
-    for _ in range(restarts):
+    for _ in range(DEFAULT_KL_RESTARTS):
         size_a = rng.randint(lo, m - lo)
         a = set(rng.sample(order, size_a))
         inside = {v: g.degree_into(v, a) for v in order}
@@ -342,18 +329,10 @@ def _normalize_sides(order, a):
     sb = frozenset(order) - sa
     if min(sb) < min(sa):
         sa, sb = sb, sa
-    cut = None  # caller recomputes if needed
-    return sa, sb, cut
+    return sa, sb
 
 
-def robust_partition(
-    g: Graph,
-    delta,
-    seed: int = 0,
-    *,
-    kl_restarts: int = DEFAULT_KL_RESTARTS,
-    exact_limit: int = EXACT_CUT_LIMIT,
-) -> RobustPartition:
+def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
     """Split parts along sparse balanced cuts, then relocate low-degree vertices.
 
     A part splits while it admits a cut with both sides at least delta*n and
@@ -386,14 +365,14 @@ def robust_partition(
             if Fraction(2) * min_side > len(part):
                 final_best.append(None)
                 continue
-            if len(part) <= exact_limit:
+            if len(part) <= EXACT_CUT_LIMIT:
                 found, best = _balanced_cut_exact(g, part, min_side, n)
             else:
-                found, best = _balanced_cut_search(g, part, min_side, n, rng, kl_restarts)
+                found, best = _balanced_cut_search(g, part, min_side, n, rng)
             if found is None:
                 final_best.append(best)
                 continue
-            a, b, _ = found
+            a, b = found
             for v in part:
                 own = a if v in a else b
                 loss = g.degree_into(v, part) - g.degree_into(v, own)

@@ -156,7 +156,12 @@ def legal_moves(spec: GameSpec, pos: Position) -> list:
     return sorted(board - pos.maker - pos.breaker)
 
 
-def _apply(spec, pos, player, elements, *, allow_short=False) -> Position:
+def apply_moves(
+    spec: GameSpec, pos: Position, player: str, elements, *, allow_short=False
+) -> Position:
+    """The position after ``player`` claims ``elements``.  ``allow_short``
+    also accepts a nonempty batch shorter than the bias, as when Maker wins
+    partway through a turn."""
     if player != pos.to_move:
         raise IllegalMoveError(f"it is {pos.to_move}'s turn, not {player}'s")
     elements = tuple(elements)
@@ -186,14 +191,6 @@ def _apply(spec, pos, player, elements, *, allow_short=False) -> Position:
     )
 
 
-def apply_moves(spec: GameSpec, pos: Position, player: str, elements) -> Position:
-    return _apply(spec, pos, player, elements)
-
-
-def _maker_graph(spec: GameSpec, maker_claims) -> Graph:
-    return Graph(spec.host.n, maker_claims)
-
-
 def _triangle(g: Graph):
     for u, v in sorted(g.edges):
         common = g.neighbors(u) & g.neighbors(v)
@@ -206,7 +203,7 @@ def maker_win_witness(spec: GameSpec, maker_claims):
     """The witness if Maker's claims satisfy the objective, else None."""
     obj = spec.objective
     if spec.board_kind == EDGES:
-        claimed = _maker_graph(spec, maker_claims)
+        claimed = Graph(spec.host.n, maker_claims)
         if obj.kind == "odd-cycle":
             res = find_odd_cycle(claimed)
             return res if isinstance(res, OddCycleWitness) else None
@@ -307,13 +304,11 @@ def play(spec: GameSpec, maker: Strategy, breaker: Strategy, seed: int = 0) -> G
             if mover == MAKER:
                 rounds += 1
                 for i in range(len(proposal)):
-                    probe = _apply(spec, pos, MAKER, proposal[: i + 1], allow_short=True)
+                    probe = apply_moves(spec, pos, MAKER, proposal[: i + 1], allow_short=True)
                     witness = maker_win_witness(spec, probe.maker)
                     if witness is not None:
                         return GameResult(MAKER, witness, rounds, probe, "objective")
-                pos = _apply(spec, pos, MAKER, proposal)
-            else:
-                pos = apply_moves(spec, pos, BREAKER, proposal)
+            pos = apply_moves(spec, pos, mover, proposal)
         except IllegalMoveError:
             winner = BREAKER if mover == MAKER else MAKER
             return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
@@ -465,7 +460,7 @@ def replay_transcript(spec: GameSpec, record: TranscriptRecord) -> GameResult:
         elements = tuple(parse_element(spec, t) for t in tokens)
         if player == MAKER:
             rounds += 1
-        pos = _apply(spec, pos, player, elements, allow_short=True)
+        pos = apply_moves(spec, pos, player, elements, allow_short=True)
         if player == MAKER:
             witness = maker_win_witness(spec, pos.maker)
             if witness is not None:

@@ -5,6 +5,13 @@ class DomainError(ValueError):
     """An argument is outside the operation's domain (bad vertex, empty graph, ...)."""
 
 
+def require(mapping, key, context: str):
+    """``mapping[key]``, or a DomainError saying that ``context`` needs ``key``."""
+    if key not in mapping:
+        raise DomainError(f"{context} needs {key!r}")
+    return mapping[key]
+
+
 class PreconditionError(ValueError):
     """The input graph does not satisfy the hypotheses the routine requires."""
 

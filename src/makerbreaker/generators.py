@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .graphs import Graph
 
 
@@ -105,17 +105,30 @@ FAMILIES = (
 
 def generate(family: str, params: dict, seed: int = 0) -> Graph:
     """Dispatch by family name; compositions recurse into child generator specs."""
+    context = f"generator {family!r}"
+
+    def param(key):
+        return require(params, key, context)
+
     if family == "gnp":
-        return gnp(int(params["n"]), float(params["p"]), seed)
+        return gnp(int(param("n")), float(param("p")), seed)
     if family == "complete_multipartite":
-        return complete_multipartite([int(s) for s in params["sizes"]])
+        return complete_multipartite([int(s) for s in param("sizes")])
     if family == "odd_cycle_blowup":
-        return odd_cycle_blowup(int(params["length"]), int(params["m"]))
+        return odd_cycle_blowup(int(param("length")), int(param("m")))
     if family == "random_regular":
-        return random_regular(int(params["n"]), int(params["d"]), seed)
+        return random_regular(int(param("n")), int(param("d")), seed)
     if family in ("union", "join"):
-        left, right = params["left"], params["right"]
-        g1 = generate(left["family"], left.get("params", {}), left.get("seed", 2 * seed + 1))
-        g2 = generate(right["family"], right.get("params", {}), right.get("seed", 2 * seed + 2))
+        left, right = param("left"), param("right")
+        g1 = generate(
+            require(left, "family", context),
+            left.get("params", {}),
+            left.get("seed", 2 * seed + 1),
+        )
+        g2 = generate(
+            require(right, "family", context),
+            right.get("params", {}),
+            right.get("seed", 2 * seed + 2),
+        )
         return disjoint_union(g1, g2) if family == "union" else join(g1, g2)
     raise DomainError(f"unknown generator family {family!r}")

@@ -247,29 +247,61 @@ def shortest_path(g: Graph, u: int, v: int):
     return None
 
 
-def connected_components(g: Graph) -> list[frozenset]:
-    """Components as frozensets, ordered by smallest member."""
-    seen = [False] * g.n
+def connected_components(g: Graph, members=None) -> list[frozenset]:
+    """Components of the subgraph of g induced on ``members`` (default: every
+    vertex), as frozensets ordered by smallest member."""
+    if members is None:
+        seen = [False] * g.n
+    else:
+        # vertices outside ``members`` start out seen, so the search skips them
+        seen = [True] * g.n
+        for v in members:
+            seen[v] = False
     comps = []
     for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = True
-        comp = {root}
-        queue = [root]
-        while queue:
-            x = queue.pop()
+        comp = [root]
+        for x in comp:  # grows while it is read: a breadth-first search
             for y in g.neighbors(x):
                 if not seen[y]:
                     seen[y] = True
-                    comp.add(y)
-                    queue.append(y)
+                    comp.append(y)
         comps.append(frozenset(comp))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
+
+
+def gray_code_bipartitions(g: Graph):
+    """Every bipartition of V(g) with vertex 0 on side 0, each exactly once.
+
+    Consecutive bipartitions differ in one vertex (binary-reflected Gray
+    code), so the counts are kept incrementally.  Yields ``(side, cross, ones,
+    cut)`` for each bipartition, starting with the one where side 1 is empty:
+    ``side[v]`` is v's side, ``cross[v]`` the number of v's neighbors on the
+    other side, ``ones`` the size of side 1 and ``cut`` the number of crossing
+    edges.  ``side`` and ``cross`` are updated in place; copy them to keep
+    them.  g needs at least one vertex.
+    """
+    n = g.n
+    side = [0] * n
+    cross = [0] * n
+    ones = cut = 0
+    yield side, cross, ones, cut
+    for code in range(1, 1 << (n - 1)):
+        v = (code & -code).bit_length()  # flips vertex 1..n-1, never 0
+        side[v] ^= 1
+        ones += 1 if side[v] else -1
+        for u in g.neighbors(v):
+            cross[u] += 1 if side[u] != side[v] else -1
+        d = g.degree(v)
+        cut += d - 2 * cross[v]
+        cross[v] = d - cross[v]
+        yield side, cross, ones, cut
 
 
 # -- text format --------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -25,7 +25,7 @@ from .engine import (
     format_transcript,
     play,
 )
-from .errors import DomainError
+from .errors import DomainError, require
 from .graphs import Graph, OddCycleWitness
 from .generators import generate
 from .strategies import (
@@ -83,23 +83,20 @@ def parse_ident(ident: str) -> tuple[str, dict]:
 _core_cache: dict = {}
 
 
-def _cached_chromatic_core(g, delta, b, force, seed):
-    key = ("chromatic", g.fingerprint(), Fraction(delta), b, bool(force), seed)
+def _cached_core(key: tuple, extract, *args, **kwargs):
+    """``extract(*args, **kwargs)``, computed once per ``key`` in this process."""
     if key not in _core_cache:
-        _core_cache[key] = extract_chromatic_core(g, delta, b, force=force, seed=seed)
-    return _core_cache[key]
-
-
-def _cached_bipartite_core(g, delta, force):
-    key = ("bipartite", g.fingerprint(), Fraction(delta), bool(force))
-    if key not in _core_cache:
-        _core_cache[key] = extract_bipartite_core(g, delta, force=force)
+        _core_cache[key] = extract(*args, **kwargs)
     return _core_cache[key]
 
 
 def build_strategy(ident: str, g: Graph):
     """Construct the strategy named by a stable identifier string."""
     name, kw = parse_ident(ident)
+
+    def param(key):
+        return require(kw, key, f"strategy {name!r}")
+
     if name == "random":
         return RandomStrategy()
     if name == "bipartite-guard":
@@ -109,17 +106,20 @@ def build_strategy(ident: str, g: Graph):
     if name == "connectivity":
         return ConnectivityMaker(g)
     if name == "dense-edge":
-        core = _cached_bipartite_core(g, kw["delta"], kw.get("force", False))
-        return DenseEdgeMaker(g, kw["delta"], core=core)
+        delta, force = param("delta"), kw.get("force", False)
+        key = ("bipartite", g.fingerprint(), Fraction(delta), bool(force))
+        core = _cached_core(key, extract_bipartite_core, g, delta, force=force)
+        return DenseEdgeMaker(g, delta, core=core)
     if name == "connected-edge":
         return ConnectedEdgeMaker(
-            g, int(kw["b"]), k_prime=kw.get("k"), seed=int(kw.get("seed", 0))
+            g, int(param("b")), k_prime=kw.get("k"), seed=int(kw.get("seed", 0))
         )
     if name == "dense-vertex":
-        core = _cached_chromatic_core(
-            g, kw["delta"], int(kw["b"]), kw.get("force", False), int(kw.get("seed", 0))
-        )
-        return DenseVertexMaker(g, kw["delta"], int(kw["b"]), core=core)
+        delta, b = param("delta"), int(param("b"))
+        force, seed = kw.get("force", False), int(kw.get("seed", 0))
+        key = ("chromatic", g.fingerprint(), Fraction(delta), b, bool(force), seed)
+        core = _cached_core(key, extract_chromatic_core, g, delta, b, force=force, seed=seed)
+        return DenseVertexMaker(g, delta, b, core=core)
     raise DomainError(f"unknown strategy {name!r}")
 
 
@@ -155,6 +155,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"unknown experiment config key(s): {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise DomainError(f"experiment config needs key(s): {', '.join(missing)}")
         return cls(**data)
 
     def predicate(self) -> WinPredicate:

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .connectivity import edge_connectivity
 from .decompose import (
+    EXACT_CUT_LIMIT,
     BipartiteCore,
     _below_degree_floor,
     core_graph,
@@ -41,9 +42,11 @@ from .errors import DomainError
 from .graphs import (
     Graph,
     OddCycleWitness,
+    connected_components,
     cut_edges,
     find_odd_cycle,
     frac_ceil,
+    gray_code_bipartitions,
     induced_subgraph,
 )
 
@@ -114,31 +117,6 @@ def sample_uniform_vertices(g: Graph, count: int, rng: random.Random) -> frozens
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _components_of_claims(vertices, edges) -> list[frozenset]:
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = set()
-    comps = []
-    for root in sorted(vertices):
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def _unclaimed(spec: GameSpec, pos: Position) -> list:
     return sorted(set(spec.board()) - pos.claimed())
 
@@ -167,11 +145,10 @@ class ConnectivityMaker(Strategy):
 
     def _pick(self, claimed, maker_edges) -> tuple | None:
         available = self.pool - claimed
-        scope_edges = [e for e in maker_edges if e[0] in self.vertices and e[1] in self.vertices]
-        comps = _components_of_claims(self.vertices, scope_edges)
+        comps = connected_components(Graph(self.g.n, maker_edges), self.vertices)
         best_cut = None
         if len(comps) > 1:
-            for comp in sorted(comps, key=min):
+            for comp in comps:
                 cut = sorted(
                     e for e in available if (e[0] in comp) != (e[1] in comp)
                 )
@@ -238,7 +215,7 @@ def _maker_two_coloring(host: Graph, spec: GameSpec, pos: Position):
     if isinstance(coloring, OddCycleWitness):
         return None
     comp_id = {}
-    for i, comp in enumerate(_components_of_claims(relevant, claimed.edges)):
+    for i, comp in enumerate(connected_components(claimed, relevant)):
         for v in comp:
             comp_id[v] = i
     if spec.board_kind == EDGES:
@@ -282,14 +259,15 @@ class BipartiteGuardBreaker(Strategy):
                             danger.append(w)
                             break
                         seen_colors[comp] = col
+        flagged = set(danger)
         if spec.board_kind == EDGES:
             rest = sorted(
-                (e for e in free if e not in set(danger)),
+                (e for e in free if e not in flagged),
                 key=lambda e: (-(host.degree(e[0]) + host.degree(e[1])), e),
             )
         else:
             rest = sorted(
-                (w for w in free if w not in set(danger)),
+                (w for w in free if w not in flagged),
                 key=lambda w: (-host.degree(w), w),
             )
         ranked = sorted(danger) + rest
@@ -311,10 +289,10 @@ class CutAttackBreaker(Strategy):
         need = min(spec.bias_of(pos.to_move), len(free))
         host = spec.host
         if spec.board_kind == EDGES:
-            comps = _components_of_claims(range(host.n), pos.maker)
+            comps = connected_components(Graph(host.n, pos.maker))
             best_cut = None
             if len(comps) > 1:
-                for comp in sorted(comps, key=min):
+                for comp in comps:
                     cut = sorted(
                         e for e in free if (e[0] in comp) != (e[1] in comp)
                     )
@@ -328,10 +306,7 @@ class CutAttackBreaker(Strategy):
                     batch.append(e)
             return tuple(batch)
         comp_of = {}
-        claimed_edges = [
-            (u, v) for u, v in host.edges if u in pos.maker and v in pos.maker
-        ]
-        for i, comp in enumerate(_components_of_claims(pos.maker, claimed_edges)):
+        for i, comp in enumerate(connected_components(host, pos.maker)):
             for v in comp:
                 comp_of[v] = i
 
@@ -342,60 +317,67 @@ class CutAttackBreaker(Strategy):
         return tuple(ranked[:need])
 
 
-# -- witness-edge maker for the dense edge game ------------------------------------
+# -- special-edge makers for the edge games --------------------------------------
 
 
-class DenseEdgeMaker(Strategy):
-    """Stage I: claim the witness edge inside side A of the bipartite core.
-    Stage II: connectivity play restricted to the core's crossing edges."""
+class _SpecialEdgeMaker(Strategy):
+    """Stage I: claim ``special_edge``, filling the rest of the turn with
+    ``inner``'s moves.  Stage II: play ``inner`` alone.  With no special edge
+    the maker starts in stage II.  Subclasses set both attributes."""
 
     position_pure = True
-
-    def __init__(self, g: Graph, delta, *, force: bool = False, core: BipartiteCore | None = None):
-        self.g = g
-        self.delta = Fraction(delta)
-        self.core = core if core is not None else extract_bipartite_core(g, delta, force=force)
-        self.witness_edge = self.core.witness_edge
-        pool = frozenset(cut_edges(g, self.core.a, self.core.b))
-        self.inner = ConnectivityMaker(g, pool=pool, vertices=self.core.a | self.core.b)
-        self.ident = f"dense-edge(delta={self.delta})"
-        self.stage_trace = []
 
     def reset(self, spec, seed):
         self.stage_trace = []
 
     def propose(self, spec, pos):
-        if self.witness_edge not in pos.maker:
-            self.stage_trace.append("I")
-            if self.witness_edge in pos.breaker:
-                return None  # cannot happen when Maker moves first
-            need = min(spec.bias_of(pos.to_move), len(spec.board()) - len(pos.claimed()))
-            batch = [self.witness_edge]
-            if need > 1:
-                probe = Position(
-                    maker=pos.maker | {self.witness_edge},
-                    breaker=pos.breaker,
-                    to_move=pos.to_move,
-                    log=pos.log,
-                )
-                extra = self.inner.propose(spec, probe)
-                batch.extend((extra or ())[: need - 1])
-            return tuple(batch) if len(batch) == need else None
-        self.stage_trace.append("II")
-        return self.inner.propose(spec, pos)
+        edge = self.special_edge
+        if edge is None or edge in pos.maker:
+            self.stage_trace.append("II")
+            return self.inner.propose(spec, pos)
+        self.stage_trace.append("I")
+        if edge in pos.breaker:
+            return None  # cannot happen when Maker moves first
+        need = min(spec.bias_of(pos.to_move), len(spec.board()) - len(pos.claimed()))
+        batch = [edge]
+        if need > 1:
+            probe = Position(
+                maker=pos.maker | {edge},
+                breaker=pos.breaker,
+                to_move=pos.to_move,
+                log=pos.log,
+            )
+            extra = self.inner.propose(spec, probe)
+            batch.extend((extra or ())[: need - 1])
+        return tuple(batch) if len(batch) == need else None
+
+
+class DenseEdgeMaker(_SpecialEdgeMaker):
+    """Stage I: claim the witness edge inside side A of the bipartite core.
+    Stage II: connectivity play restricted to the core's crossing edges."""
+
+    def __init__(self, g: Graph, delta, *, force: bool = False, core: BipartiteCore | None = None):
+        self.g = g
+        self.delta = Fraction(delta)
+        self.core = core if core is not None else extract_bipartite_core(g, delta, force=force)
+        self.witness_edge = self.special_edge = self.core.witness_edge
+        pool = frozenset(cut_edges(g, self.core.a, self.core.b))
+        self.inner = ConnectivityMaker(g, pool=pool, vertices=self.core.a | self.core.b)
+        self.ident = f"dense-edge(delta={self.delta})"
+        self.stage_trace = []
 
 
 # -- case-split maker for the connected edge game ----------------------------------
 
 
-def _spanning_bipartition_search(g: Graph, k_prime, rng, enum_limit=20):
+def _spanning_bipartition_search(g: Graph, k_prime, rng):
     """A bipartition whose crossing subgraph is spanning and edge-connected.
 
-    Exact Gray-code enumeration up to ``enum_limit`` vertices; beyond that, an
-    annealing max-cut pass whose result is connectivity-checked.  Returns
-    (sides, achieved_k) or None.  With k_prime None the search maximizes the
-    achieved connectivity; otherwise it accepts the first bipartition at or
-    above k_prime.
+    Exact Gray-code enumeration up to ``EXACT_CUT_LIMIT`` vertices; beyond
+    that, an annealing max-cut pass whose result is connectivity-checked.
+    Returns (sides, achieved_k) or None.  With k_prime None the search
+    maximizes the achieved connectivity; otherwise it accepts the first
+    bipartition at or above k_prime.
     """
     n = g.n
     if n < 2 or g.m == 0:
@@ -413,27 +395,10 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng, enum_limit=20):
     if any(g.degree(v) == 0 for v in range(n)):
         return None
 
-    if n <= enum_limit:
-        side = [0] * n
-        cross = [0] * n
-        zero_cross = n
+    if n <= EXACT_CUT_LIMIT:
         best = None
-        for code in range(1, 1 << (n - 1)):
-            v = (code & -code).bit_length()
-            side[v] ^= 1
-            for u in g.neighbors(v):
-                was_zero = cross[u] == 0
-                cross[u] += 1 if side[u] != side[v] else -1
-                if was_zero and cross[u] > 0:
-                    zero_cross -= 1
-                elif not was_zero and cross[u] == 0:
-                    zero_cross += 1
-            if cross[v] == 0:
-                zero_cross -= 1
-            cross[v] = g.degree(v) - cross[v]
-            if cross[v] == 0:
-                zero_cross += 1
-            if zero_cross > 0:
+        for side, cross, _, _ in gray_code_bipartitions(g):
+            if 0 in cross:
                 continue
             lam = achieved(side)
             if lam == 0:
@@ -460,13 +425,11 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng, enum_limit=20):
     return frozenset(i for i in range(n) if side[i] == 0), lam
 
 
-class ConnectedEdgeMaker(Strategy):
+class ConnectedEdgeMaker(_SpecialEdgeMaker):
     """Case split at construction: if a spanning bipartite edge-connected
     subgraph exists, claim an edge inside one of its sides and then play
     connectivity on the subgraph; otherwise play connectivity on the whole
     host and rely on every such dense spanning subgraph being non-bipartite."""
-
-    position_pure = True
 
     def __init__(self, g: Graph, b: int, *, k_prime: int | None = None, seed: int = 0):
         if b < 1:
@@ -475,9 +438,6 @@ class ConnectedEdgeMaker(Strategy):
             raise DomainError("host is bipartite; the odd cycle game is unwinnable")
         self.g = g
         self.b = b
-        log2n = math.log2(g.n) if g.n > 1 else 0.0
-        self.required_connectivity = 100 * log2n * b * math.log2(b) if b > 1 else 0.0
-        self.actual_connectivity = edge_connectivity(g) if g.n >= 2 else 0
         rng = random.Random(seed)
         found = _spanning_bipartition_search(g, k_prime, rng)
         if found is not None:
@@ -501,29 +461,6 @@ class ConnectedEdgeMaker(Strategy):
         self.inner = ConnectivityMaker(g, pool=self.pool)
         self.ident = f"connected-edge(b={b})"
         self.stage_trace = []
-
-    def reset(self, spec, seed):
-        self.stage_trace = []
-
-    def propose(self, spec, pos):
-        if self.case == 1 and self.special_edge not in pos.maker:
-            self.stage_trace.append("I")
-            if self.special_edge in pos.breaker:
-                return None
-            need = min(spec.bias_of(pos.to_move), len(spec.board()) - len(pos.claimed()))
-            batch = [self.special_edge]
-            if need > 1:
-                probe = Position(
-                    maker=pos.maker | {self.special_edge},
-                    breaker=pos.breaker,
-                    to_move=pos.to_move,
-                    log=pos.log,
-                )
-                extra = self.inner.propose(spec, probe)
-                batch.extend((extra or ())[: need - 1])
-            return tuple(batch) if len(batch) == need else None
-        self.stage_trace.append("II")
-        return self.inner.propose(spec, pos)
 
 
 # -- component merging (the auxiliary connection game) ------------------------------
@@ -562,9 +499,7 @@ def merge_components(h: Graph, pos: Position, state: MergePlan):
     """
     claimed = pos.claimed()
     maker = pos.maker
-    comps = _components_of_claims(
-        maker, [(u, v) for u, v in h.edges if u in maker and v in maker]
-    )
+    comps = connected_components(h, maker)
     if len(comps) <= 1:
         state.last_case = "connected"
         return ()
@@ -577,7 +512,7 @@ def merge_components(h: Graph, pos: Position, state: MergePlan):
             return (targets[0],)
         return None
 
-    comp = min(comps, key=min)
+    comp = comps[0]
     anchor = None
     for x in sorted(comp):
         if x in state.anchor_pairs and state.anchor_pairs[x] in comp:
@@ -625,7 +560,7 @@ def merge_components(h: Graph, pos: Position, state: MergePlan):
         state.last_case = "connected"
         return ()
     far = None
-    for other in sorted(comps, key=min):
+    for other in comps:
         if other is not comp and other <= outside:
             far = other
             break

@@ -75,6 +75,11 @@ class TestDecompose:
         doc = json.loads(out.read_text())
         assert doc["mode"] == "key2" and doc["chi_floor"] == 4
 
+    def test_missing_generator_parameter_is_clean(self, capsys):
+        assert run_cli("generate", "--family", "gnp", "--param", "n=5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'p'" in err
+
     def test_precondition_failure_is_clean(self, tripartite_file, capsys):
         code = run_cli("decompose", str(tripartite_file), "--mode", "core", "--delta", "2/3")
         assert code == 1
@@ -112,6 +117,13 @@ class TestPlay:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_missing_strategy_parameter_is_clean(self, tripartite_file, capsys):
+        code = run_cli("play", str(tripartite_file), "--maker", "dense-edge",
+                       "--breaker", "random")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'delta'" in err
+
 
 class TestSolveVerify:
     def test_solve_json(self, tmp_path, capsys):
@@ -136,6 +148,15 @@ class TestSolveVerify:
                        "--maker", "connectivity") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["always_wins"] is True and doc["counter"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "--format", "csv"), ("verify", "--maker", "connectivity", "--seed", "1")],
+    )
+    def test_flags_of_other_subcommands_are_rejected(self, tripartite_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv[0], str(tripartite_file), *argv[1:])
+        assert exc.value.code == 2
 
 
 class TestExperimentAndSweep:
@@ -173,3 +194,11 @@ class TestExperimentAndSweep:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert [row["breaker_bias"] for row in summary] == [1, 2]
         assert (out_dir / "bias-2.json").exists()
+
+    def test_unknown_config_key_is_clean(self, config_file, capsys):
+        cfg = json.loads(config_file.read_text())
+        cfg["trails"] = 5
+        config_file.write_text(json.dumps(cfg))
+        assert run_cli("experiment", str(config_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "trails" in err

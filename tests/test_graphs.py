@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,11 @@ from makerbreaker.errors import DomainError
 from makerbreaker.graphs import (
     Graph,
     OddCycleWitness,
+    connected_components,
     cut_edges,
     find_odd_cycle,
     format_graph,
+    gray_code_bipartitions,
     induced_subgraph,
     min_degree,
     parse_graph,
@@ -144,6 +147,37 @@ class TestShortestPath:
             if path is not None:
                 assert path[0] == 0 and path[-1] == v
                 assert all(g.has_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
+
+
+class TestConnectedComponents:
+    @settings(max_examples=150)
+    @given(random_graphs(), st.data())
+    def test_matches_networkx_outside_a_banned_set(self, g, data):
+        banned = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        members = set(range(g.n)) - banned
+        h = nx.Graph()
+        h.add_nodes_from(members)
+        h.add_edges_from((u, v) for u, v in g.edges if u in members and v in members)
+        expected = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+        assert connected_components(g, members) == expected
+        if not banned:
+            assert connected_components(g) == expected
+
+
+class TestGrayCodeBipartitions:
+    @settings(max_examples=150)
+    @given(random_graphs())
+    def test_visits_each_bipartition_once_with_exact_counts(self, g):
+        visited = []
+        for side, cross, ones, cut in gray_code_bipartitions(g):
+            assert side[0] == 0
+            visited.append(tuple(side))
+            assert ones == sum(side)
+            assert cut == sum(1 for u, v in g.edges if side[u] != side[v])
+            assert cross == [
+                sum(1 for u in g.neighbors(v) if side[u] != side[v]) for v in range(g.n)
+            ]
+        assert len(visited) == len(set(visited)) == 2 ** (g.n - 1)
 
 
 class TestTextFormat:
