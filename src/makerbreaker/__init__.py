@@ -11,7 +11,6 @@ from .graphs import (  # noqa: F401
     induced_subgraph,
     min_degree,
     parse_graph,
-    shortest_path,
     verify_odd_cycle,
 )
 from .coloring import chromatic_number, is_k_colorable  # noqa: F401
@@ -41,7 +40,6 @@ from .engine import (  # noqa: F401
     Strategy,
     WinPredicate,
     apply_moves,
-    evaluate,
     legal_moves,
     play,
 )

@@ -32,7 +32,7 @@ from .harness import (
     run_experiment,
     sweep_bias,
 )
-from .solver import solve, verify_maker_strategy
+from .solver import SOLVE_BOARD_CAP, VERIFY_NODE_BUDGET, solve, verify_maker_strategy
 
 
 def _read_graph(path: str):
@@ -252,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[game_common], help="optimal-play winner")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=18)
+    p.add_argument("--cap", type=int, default=SOLVE_BOARD_CAP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", parents=[game_common], help="exhaust breaker replies")
     p.add_argument("graph")
     p.add_argument("--maker", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=VERIFY_NODE_BUDGET)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("experiment", parents=[common], help="run a config file")

@@ -2,15 +2,18 @@
 
 Boards are either the edge set or the vertex set of a host graph.  Maker
 claims ``a`` elements per turn, Breaker ``b``; the final turn of the board may
-be short.  Maker's win is detected after every individual claim, so witnesses
-always reflect the earliest winning prefix, and all winning predicates are
-monotone in Maker's claim set.  A strategy that cannot (or will not) produce a
-legal batch forfeits; the forfeit convention applies to both players.
+be short.  ``apply_moves`` is the one place a turn is checked and applied:
+Maker's win is detected after every individual claim and ends the turn there,
+so witnesses always reflect the earliest winning prefix, and all winning
+predicates are monotone in Maker's claim set.  A strategy that cannot (or will
+not) produce a legal batch forfeits; the forfeit convention applies to both
+players.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coloring import is_k_colorable
 from .connectivity import edge_connectivity
@@ -97,10 +100,19 @@ class GameSpec:
                 f"objective {self.objective.kind!r} is not playable on {self.board_kind}"
             )
 
-    def board(self) -> tuple:
+    # Built on first use and kept, so that building a spec stays cheap.
+    @cached_property
+    def _board(self) -> tuple:
         if self.board_kind == EDGES:
             return tuple(sorted(self.host.edges))
         return tuple(range(self.host.n))
+
+    @cached_property
+    def board_set(self) -> frozenset:
+        return frozenset(self._board)
+
+    def board(self) -> tuple:
+        return self._board
 
     def bias_of(self, player: str) -> int:
         return self.maker_bias if player == MAKER else self.breaker_bias
@@ -131,12 +143,6 @@ class ClaimSetWitness:
 
 
 @dataclass(frozen=True)
-class EvalResult:
-    status: str  # "maker-won" | "undecided" | "board-exhausted"
-    witness: object = None
-
-
-@dataclass(frozen=True)
 class GameResult:
     winner: str
     witness: object
@@ -148,7 +154,7 @@ class GameResult:
 
 
 def legal_moves(spec: GameSpec, pos: Position) -> list:
-    board = set(spec.board())
+    board = spec.board_set
     if pos.maker & pos.breaker:
         raise DomainError("maker and breaker claims overlap")
     if not pos.maker <= board or not pos.breaker <= board:
@@ -156,39 +162,55 @@ def legal_moves(spec: GameSpec, pos: Position) -> list:
     return sorted(board - pos.maker - pos.breaker)
 
 
-def apply_moves(
-    spec: GameSpec, pos: Position, player: str, elements, *, allow_short=False
-) -> Position:
-    """The position after ``player`` claims ``elements``.  ``allow_short``
-    also accepts a nonempty batch shorter than the bias, as when Maker wins
-    partway through a turn."""
+def batch_size(spec: GameSpec, pos: Position) -> int:
+    """How many elements the player to move claims: the bias, or whatever is
+    left on the last turn of the board."""
+    unclaimed = len(spec.board_set) - len(pos.maker) - len(pos.breaker)
+    return min(spec.bias_of(pos.to_move), unclaimed)
+
+
+def apply_moves(spec: GameSpec, pos: Position, player: str, elements) -> tuple:
+    """Check and apply one turn of ``player``; returns (position, witness).
+
+    The batch must hold ``batch_size`` distinct unclaimed board elements.
+    Maker's claims are applied one at a time and the turn ends at the first
+    one that wins: the position and its log keep only that prefix, and the
+    witness is returned (None otherwise).  So a Maker batch may be short
+    only when it wins.
+    """
     if player != pos.to_move:
         raise IllegalMoveError(f"it is {pos.to_move}'s turn, not {player}'s")
     elements = tuple(elements)
-    board = set(spec.board())
-    claimed = pos.claimed()
-    unclaimed = len(board) - len(claimed)
-    need = min(spec.bias_of(player), unclaimed)
+    need = batch_size(spec, pos)
     if len(set(elements)) != len(elements):
         dup = next(e for e in elements if elements.count(e) > 1)
         raise IllegalMoveError(f"duplicate element {dup!r} in one turn", element=dup)
-    if len(elements) != need and not (allow_short and 0 < len(elements) < need):
+    if len(elements) > need:
+        raise IllegalMoveError(f"{player} may claim {need} element(s), got {len(elements)}")
+    for el in elements:
+        if el not in spec.board_set:
+            raise IllegalMoveError(f"element {el!r} is not on the board", element=el)
+        if el in pos.maker or el in pos.breaker:
+            raise IllegalMoveError(f"element {el!r} is already claimed", element=el)
+    maker, witness = pos.maker, None
+    if player == MAKER:
+        for i, el in enumerate(elements):
+            maker = maker | {el}
+            witness = maker_win_witness(spec, maker)
+            if witness is not None:
+                elements = elements[: i + 1]
+                break
+    if witness is None and len(elements) != need:
         raise IllegalMoveError(
             f"{player} must claim exactly {need} element(s), got {len(elements)}"
         )
-    for el in elements:
-        if el not in board:
-            raise IllegalMoveError(f"element {el!r} is not on the board", element=el)
-        if el in claimed:
-            raise IllegalMoveError(f"element {el!r} is already claimed", element=el)
-    new_maker = pos.maker | set(elements) if player == MAKER else pos.maker
-    new_breaker = pos.breaker | set(elements) if player == BREAKER else pos.breaker
+    breaker = pos.breaker | set(elements) if player == BREAKER else pos.breaker
     return Position(
-        maker=frozenset(new_maker),
-        breaker=frozenset(new_breaker),
+        maker=maker,
+        breaker=breaker,
         to_move=BREAKER if player == MAKER else MAKER,
         log=pos.log + ((player, elements),),
-    )
+    ), witness
 
 
 def _triangle(g: Graph):
@@ -250,15 +272,6 @@ def maker_win_witness(spec: GameSpec, maker_claims):
     raise DomainError(f"unhandled objective {obj.kind!r}")
 
 
-def evaluate(spec: GameSpec, pos: Position) -> EvalResult:
-    witness = maker_win_witness(spec, pos.maker)
-    if witness is not None:
-        return EvalResult("maker-won", witness)
-    if len(pos.claimed()) == len(spec.board()):
-        return EvalResult("board-exhausted")
-    return EvalResult("undecided")
-
-
 class Strategy:
     """Decision procedure owned by one player for one game.
 
@@ -284,34 +297,31 @@ def play(spec: GameSpec, maker: Strategy, breaker: Strategy, seed: int = 0) -> G
     maker.reset(spec, 2 * seed)
     breaker.reset(spec, 2 * seed + 1)
     pos = Position.initial(spec)
-    board = spec.board()
     rounds = 0
-    while True:
-        unclaimed = len(board) - len(pos.claimed())
-        if unclaimed == 0:
-            final = evaluate(spec, pos)
-            if final.status == "maker-won":
-                return GameResult(MAKER, final.witness, rounds, pos, "objective")
-            return GameResult(BREAKER, None, rounds, pos, "exhausted")
+    while len(pos.claimed()) < len(spec.board_set):
         mover = pos.to_move
         strategy = maker if mover == MAKER else breaker
         proposal = strategy.propose(spec, pos)
         if proposal is None:
             winner = BREAKER if mover == MAKER else MAKER
             return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
-        proposal = tuple(proposal)
+        if mover == MAKER:
+            rounds += 1
         try:
-            if mover == MAKER:
-                rounds += 1
-                for i in range(len(proposal)):
-                    probe = apply_moves(spec, pos, MAKER, proposal[: i + 1], allow_short=True)
-                    witness = maker_win_witness(spec, probe.maker)
-                    if witness is not None:
-                        return GameResult(MAKER, witness, rounds, probe, "objective")
-            pos = apply_moves(spec, pos, mover, proposal)
+            pos, witness = apply_moves(spec, pos, mover, proposal)
         except IllegalMoveError:
             winner = BREAKER if mover == MAKER else MAKER
             return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
+        if witness is not None:
+            return GameResult(MAKER, witness, rounds, pos, "objective")
+    return _full_board_result(spec, pos, rounds)
+
+
+def _full_board_result(spec: GameSpec, pos: Position, rounds: int) -> GameResult:
+    witness = maker_win_witness(spec, pos.maker)
+    if witness is not None:
+        return GameResult(MAKER, witness, rounds, pos, "objective")
+    return GameResult(BREAKER, None, rounds, pos, "exhausted")
 
 
 # -- transcript serialization ---------------------------------------------------
@@ -368,21 +378,25 @@ def parse_witness(spec: GameSpec, line: str):
     raise DomainError(f"bad witness line {line!r}")
 
 
+def transcript_header(spec: GameSpec) -> tuple:
+    """The (key, value) header lines that describe ``spec``; a transcript adds
+    the two strategy identifiers after them."""
+    g = spec.host
+    return (
+        ("board", spec.board_kind),
+        ("host", f"{g.fingerprint()} n={g.n} m={g.m}"),
+        ("bias", f"{spec.maker_bias}:{spec.breaker_bias}"),
+        ("first", spec.first),
+        ("objective", spec.objective.token()),
+    )
+
+
 def format_transcript(
     spec: GameSpec, result: GameResult, maker_ident: str, breaker_ident: str
 ) -> str:
-    g = spec.host
-    lines = [
-        "game-v1",
-        f"board {spec.board_kind}",
-        f"host {g.fingerprint()} n={g.n} m={g.m}",
-        f"bias {spec.maker_bias}:{spec.breaker_bias}",
-        f"first {spec.first}",
-        f"objective {spec.objective.token()}",
-        f"maker {maker_ident}",
-        f"breaker {breaker_ident}",
-        "moves",
-    ]
+    lines = ["game-v1"]
+    lines.extend(f"{k} {v}" for k, v in transcript_header(spec))
+    lines += [f"maker {maker_ident}", f"breaker {breaker_ident}", "moves"]
     for player, elements in result.position.log:
         tag = "M" if player == MAKER else "B"
         lines.append(tag + " " + " ".join(element_token(spec, el) for el in elements))
@@ -452,27 +466,34 @@ def format_record(record: TranscriptRecord) -> str:
 
 
 def replay_transcript(spec: GameSpec, record: TranscriptRecord) -> GameResult:
-    """Re-run a parsed transcript against a spec and recompute the outcome."""
+    """Re-run a parsed transcript against a spec and recompute the outcome.
+
+    Every turn goes through ``apply_moves``, so an illegal turn raises
+    IllegalMoveError.  DomainError is raised when the header does not
+    describe ``spec``, when anything follows Maker's winning claim, and when
+    the moves stop before the board is full with no win and no forfeit.  A
+    recorded forfeit is taken on trust only from the player to move, on a
+    board that is not full.
+    """
+    header = [kv for kv in record.header if kv[0] not in ("maker", "breaker")]
+    if header != list(transcript_header(spec)):
+        raise DomainError("transcript header does not describe the game spec")
     pos = Position.initial(spec)
     rounds = 0
-    outcome = None
-    for player, tokens in record.moves:
+    for i, (player, tokens) in enumerate(record.moves):
         elements = tuple(parse_element(spec, t) for t in tokens)
         if player == MAKER:
             rounds += 1
-        pos = apply_moves(spec, pos, player, elements, allow_short=True)
-        if player == MAKER:
-            witness = maker_win_witness(spec, pos.maker)
-            if witness is not None:
-                outcome = GameResult(MAKER, witness, rounds, pos, "objective")
-    if outcome is not None:
-        return outcome
-    fields = dict(record.result)
-    if fields.get("forfeit", "none") != "none":
-        loser = fields["forfeit"]
-        winner = BREAKER if loser == MAKER else MAKER
-        return GameResult(winner, None, rounds, pos, "forfeit", True, loser)
-    final = evaluate(spec, pos)
-    if final.status == "maker-won":
-        return GameResult(MAKER, final.witness, rounds, pos, "objective")
-    return GameResult(BREAKER, None, rounds, pos, "exhausted")
+        pos, witness = apply_moves(spec, pos, player, elements)
+        if witness is not None:
+            if len(pos.log[-1][1]) < len(elements) or i + 1 < len(record.moves):
+                raise DomainError("transcript goes on after Maker's winning claim")
+            return GameResult(MAKER, witness, rounds, pos, "objective")
+    loser = dict(record.result).get("forfeit", "none")
+    full = len(pos.claimed()) == len(spec.board_set)
+    if loser == "none" and full:
+        return _full_board_result(spec, pos, rounds)
+    if full or loser != pos.to_move:
+        raise DomainError("transcript ends without a win, a full board or a forfeit by the mover")
+    winner = BREAKER if loser == MAKER else MAKER
+    return GameResult(winner, None, rounds, pos, "forfeit", True, loser)

@@ -223,30 +223,6 @@ def _tree_cycle(u, v, parent, depth) -> OddCycleWitness:
     return OddCycleWitness(tuple(cycle))
 
 
-def shortest_path(g: Graph, u: int, v: int):
-    """BFS shortest path from u to v as a vertex list, or None when disconnected."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise DomainError(f"path endpoints {u},{v} out of range")
-    if u == v:
-        return [u]
-    prev = {u: None}
-    queue = [u]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in sorted(g.neighbors(x)):
-                if y not in prev:
-                    prev[y] = x
-                    if y == v:
-                        path = [v]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(y)
-        queue = nxt
-    return None
-
-
 def connected_components(g: Graph, members=None) -> list[frozenset]:
     """Components of the subgraph of g induced on ``members`` (default: every
     vertex), as frozensets ordered by smallest member."""

@@ -167,7 +167,7 @@ class ExperimentConfig:
         obj = dict(self.objective)
         anchor = obj.get("anchor")
         return WinPredicate(
-            kind=obj["kind"],
+            kind=require(obj, "kind", "objective"),
             k=obj.get("k"),
             anchor=frozenset(anchor) if anchor is not None else None,
         )
@@ -255,7 +255,7 @@ def run_experiment(config: ExperimentConfig, out: str | None = None) -> ResultDo
     """Run all trials with seeds seed_base+i; one trial failing is recorded,
     not fatal.  Strategy identifiers are resolved before any trial runs."""
     gen = config.generator
-    g = generate(gen["family"], gen.get("params", {}), gen.get("seed", 0))
+    g = generate(require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
     spec = config.game_spec(g)
     maker = build_strategy(config.maker, g)
     breaker = build_strategy(config.breaker, g)

@@ -23,9 +23,12 @@ from .engine import (
     MAKER,
     GameSpec,
     Position,
+    apply_moves,
+    batch_size,
+    legal_moves,
     maker_win_witness,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, IllegalMoveError, ResourceLimitError
 
 SOLVE_BOARD_CAP = 18
 REFERENCE_BOARD_CAP = 12
@@ -207,8 +210,6 @@ def verify_maker_strategy(
     if not getattr(maker, "position_pure", False):
         raise DomainError("verification needs a position-pure maker strategy")
     maker.reset(spec, 0)
-    board = spec.board()
-    board_set = set(board)
     memo = {}
     nodes = 0
 
@@ -217,31 +218,15 @@ def verify_maker_strategy(
         proposal = maker.propose(spec, pos)
         if proposal is None:
             return pos, False, False
-        proposal = tuple(proposal)
-        claimed = pos.claimed()
-        need = min(spec.maker_bias, len(board) - len(claimed))
-        if len(set(proposal)) != len(proposal) or len(proposal) != need:
+        try:
+            new_pos, witness = apply_moves(spec, pos, MAKER, proposal)
+        except IllegalMoveError:
             return pos, False, False
-        if any(e not in board_set or e in claimed for e in proposal):
-            return pos, False, False
-        new_maker = set(pos.maker)
-        for el in proposal:
-            new_maker.add(el)
-            if maker_win_witness(spec, new_maker) is not None:
-                won_pos = Position(
-                    maker=frozenset(new_maker),
-                    breaker=pos.breaker,
-                    to_move=BREAKER,
-                    log=pos.log + ((MAKER, tuple(proposal[: len(new_maker) - len(pos.maker)])),),
-                )
-                return won_pos, True, True
-        new_pos = Position(
-            maker=frozenset(new_maker),
-            breaker=pos.breaker,
-            to_move=BREAKER,
-            log=pos.log + ((MAKER, proposal),),
-        )
-        return new_pos, False, True
+        return new_pos, witness is not None, True
+
+    def breaker_replies(pos):
+        for batch in combinations(legal_moves(spec, pos), batch_size(spec, pos)):
+            yield apply_moves(spec, pos, BREAKER, batch)[0]
 
     def walk(pos) -> bool:
         nonlocal nodes
@@ -254,25 +239,13 @@ def verify_maker_strategy(
                 "verification node budget exceeded",
                 stats={"nodes_expanded": nodes, "budget": node_budget},
             )
-        unclaimed = sorted(board_set - pos.claimed())
-        if not unclaimed:
+        if not legal_moves(spec, pos):
             res = maker_win_witness(spec, pos.maker) is not None
         elif pos.to_move == MAKER:
             new_pos, won, legal = maker_step(pos)
             res = True if won else (legal and walk(new_pos))
         else:
-            need = min(spec.breaker_bias, len(unclaimed))
-            res = True
-            for batch in combinations(unclaimed, need):
-                nxt = Position(
-                    maker=pos.maker,
-                    breaker=pos.breaker | set(batch),
-                    to_move=MAKER,
-                    log=pos.log + ((BREAKER, tuple(batch)),),
-                )
-                if not walk(nxt):
-                    res = False
-                    break
+            res = all(walk(nxt) for nxt in breaker_replies(pos))
         memo[key] = res
         return res
 
@@ -282,30 +255,14 @@ def verify_maker_strategy(
 
     # Reconstruct one losing line by following refuting branches.
     pos = root
-    while True:
-        unclaimed = sorted(board_set - pos.claimed())
-        if not unclaimed:
-            break
+    while legal_moves(spec, pos):
         if pos.to_move == MAKER:
-            new_pos, won, legal = maker_step(pos)
+            pos, won, legal = maker_step(pos)
             if won or not legal:
-                pos = new_pos
                 break
-            pos = new_pos
         else:
-            need = min(spec.breaker_bias, len(unclaimed))
-            advanced = False
-            for batch in combinations(unclaimed, need):
-                nxt = Position(
-                    maker=pos.maker,
-                    breaker=pos.breaker | set(batch),
-                    to_move=MAKER,
-                    log=pos.log + ((BREAKER, tuple(batch)),),
-                )
-                if not walk(nxt):
-                    pos = nxt
-                    advanced = True
-                    break
-            if not advanced:
+            refuting = next((nxt for nxt in breaker_replies(pos) if not walk(nxt)), None)
+            if refuting is None:
                 break
+            pos = refuting
     return VerifyResult(False, pos.log, nodes)

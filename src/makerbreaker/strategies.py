@@ -37,7 +37,16 @@ from .decompose import (
     extract_bipartite_core,
     extract_chromatic_core,
 )
-from .engine import EDGES, MAKER, VERTICES, GameSpec, Position, Strategy
+from .engine import (
+    EDGES,
+    MAKER,
+    VERTICES,
+    GameSpec,
+    Position,
+    Strategy,
+    batch_size,
+    legal_moves,
+)
 from .errors import DomainError
 from .graphs import (
     Graph,
@@ -117,8 +126,18 @@ def sample_uniform_vertices(g: Graph, count: int, rng: random.Random) -> frozens
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _unclaimed(spec: GameSpec, pos: Position) -> list:
-    return sorted(set(spec.board()) - pos.claimed())
+def _smallest_cut(n: int, maker_edges, members, edges) -> list:
+    """The smallest sorted list of ``edges`` crossing one component of Maker's
+    graph on ``members`` (default: every vertex), the first on ties; [] when
+    Maker's graph is connected or no edge crosses."""
+    comps = connected_components(Graph(n, maker_edges), members)
+    best = []
+    if len(comps) > 1:
+        for comp in comps:
+            cut = sorted(e for e in edges if (e[0] in comp) != (e[1] in comp))
+            if cut and (not best or len(cut) < len(best)):
+                best = cut
+    return best
 
 
 # -- connectivity maker ------------------------------------------------------------
@@ -145,15 +164,7 @@ class ConnectivityMaker(Strategy):
 
     def _pick(self, claimed, maker_edges) -> tuple | None:
         available = self.pool - claimed
-        comps = connected_components(Graph(self.g.n, maker_edges), self.vertices)
-        best_cut = None
-        if len(comps) > 1:
-            for comp in comps:
-                cut = sorted(
-                    e for e in available if (e[0] in comp) != (e[1] in comp)
-                )
-                if cut and (best_cut is None or len(cut) < len(best_cut)):
-                    best_cut = cut
+        best_cut = _smallest_cut(self.g.n, maker_edges, self.vertices, available)
         if best_cut:
             return best_cut[0]
         if available:
@@ -161,17 +172,17 @@ class ConnectivityMaker(Strategy):
         return None
 
     def propose(self, spec: GameSpec, pos: Position):
-        need = min(spec.bias_of(pos.to_move), len(spec.board()) - len(pos.claimed()))
+        need = batch_size(spec, pos)
         claimed = set(pos.claimed())
         maker_edges = set(pos.maker)
         batch = []
         for _ in range(need):
             pick = self._pick(frozenset(claimed), maker_edges)
             if pick is None:
-                rest = sorted(set(spec.board()) - claimed)
+                rest = spec.board_set - claimed
                 if not rest:
                     break
-                pick = rest[0]
+                pick = min(rest)
             batch.append(pick)
             claimed.add(pick)
             maker_edges.add(pick)
@@ -194,9 +205,7 @@ class RandomStrategy(Strategy):
         self.rng = random.Random(seed)
 
     def propose(self, spec, pos):
-        free = _unclaimed(spec, pos)
-        need = min(spec.bias_of(pos.to_move), len(free))
-        return tuple(self.rng.sample(free, need))
+        return tuple(self.rng.sample(legal_moves(spec, pos), batch_size(spec, pos)))
 
 
 def _maker_two_coloring(host: Graph, spec: GameSpec, pos: Position):
@@ -234,8 +243,8 @@ class BipartiteGuardBreaker(Strategy):
         pass
 
     def propose(self, spec, pos):
-        free = _unclaimed(spec, pos)
-        need = min(spec.bias_of(pos.to_move), len(free))
+        free = legal_moves(spec, pos)
+        need = batch_size(spec, pos)
         host = spec.host
         labels = _maker_two_coloring(host, spec, pos)
         danger = []
@@ -285,20 +294,11 @@ class CutAttackBreaker(Strategy):
         pass
 
     def propose(self, spec, pos):
-        free = _unclaimed(spec, pos)
-        need = min(spec.bias_of(pos.to_move), len(free))
+        free = legal_moves(spec, pos)
+        need = batch_size(spec, pos)
         host = spec.host
         if spec.board_kind == EDGES:
-            comps = connected_components(Graph(host.n, pos.maker))
-            best_cut = None
-            if len(comps) > 1:
-                for comp in comps:
-                    cut = sorted(
-                        e for e in free if (e[0] in comp) != (e[1] in comp)
-                    )
-                    if cut and (best_cut is None or len(cut) < len(best_cut)):
-                        best_cut = cut
-            batch = list((best_cut or [])[:need])
+            batch = _smallest_cut(host.n, pos.maker, None, free)[:need]
             for e in free:
                 if len(batch) == need:
                     break
@@ -338,7 +338,7 @@ class _SpecialEdgeMaker(Strategy):
         self.stage_trace.append("I")
         if edge in pos.breaker:
             return None  # cannot happen when Maker moves first
-        need = min(spec.bias_of(pos.to_move), len(spec.board()) - len(pos.claimed()))
+        need = batch_size(spec, pos)
         batch = [edge]
         if need > 1:
             probe = Position(

@@ -3,6 +3,8 @@
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from makerbreaker.graphs import Graph
 
 
@@ -19,6 +21,15 @@ def star(leaves: int) -> Graph:
 
 def two_triangles_shared_vertex() -> Graph:
     return Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+
+
+@st.composite
+def random_graphs(draw, max_n=8, max_edges=None):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n)
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)))
 
 
 def all_labeled_graphs(n: int):

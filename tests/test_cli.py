@@ -195,6 +195,15 @@ class TestExperimentAndSweep:
         assert [row["breaker_bias"] for row in summary] == [1, 2]
         assert (out_dir / "bias-2.json").exists()
 
+    @pytest.mark.parametrize("section, key", [("generator", "family"), ("objective", "kind")])
+    def test_config_section_missing_its_key_is_clean(self, config_file, capsys, section, key):
+        cfg = json.loads(config_file.read_text())
+        del cfg[section][key]
+        config_file.write_text(json.dumps(cfg))
+        assert run_cli("experiment", str(config_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
     def test_unknown_config_key_is_clean(self, config_file, capsys):
         cfg = json.loads(config_file.read_text())
         cfg["trails"] = 5

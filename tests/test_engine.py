@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_graphs
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -11,7 +14,6 @@ from makerbreaker.engine import (
     Strategy,
     WinPredicate,
     apply_moves,
-    evaluate,
     format_record,
     format_transcript,
     legal_moves,
@@ -23,6 +25,7 @@ from makerbreaker.engine import (
 )
 from makerbreaker.errors import DomainError, IllegalMoveError
 from makerbreaker.graphs import Graph, OddCycleWitness, verify_odd_cycle
+from makerbreaker.solver import verify_maker_strategy
 from makerbreaker.strategies import ConnectivityMaker, RandomStrategy
 
 
@@ -66,6 +69,36 @@ class ScriptedStrategy(Strategy):
         return batch
 
 
+class ClosingTriangleMaker(Strategy):
+    """Position-pure: takes (0, 1) and (1, 2), then proposes the closing edge
+    (0, 2) together with whatever Breaker holds."""
+
+    ident = "closing-triangle"
+    position_pure = True
+
+    def propose(self, spec, pos):
+        if not pos.maker:
+            return ((0, 1), (1, 2))
+        return ((0, 2),) + tuple(sorted(pos.breaker))
+
+
+@st.composite
+def small_specs(draw):
+    """Game specs on random hosts of up to 6 vertices, biases 1-2."""
+    board_kind = draw(st.sampled_from((EDGES, VERTICES)))
+    objectives = [WinPredicate("odd-cycle"), WinPredicate("non-k-colorable", k=2)]
+    if board_kind == EDGES:
+        objectives.append(WinPredicate("spanning-connected"))
+    return GameSpec(
+        host=draw(random_graphs(max_n=6)),
+        board_kind=board_kind,
+        objective=draw(st.sampled_from(objectives)),
+        maker_bias=draw(st.integers(min_value=1, max_value=2)),
+        breaker_bias=draw(st.integers(min_value=1, max_value=2)),
+        first=draw(st.sampled_from((MAKER, BREAKER))),
+    )
+
+
 class TestLegalMoves:
     def test_fresh_k3(self):
         spec = edge_spec(Graph.complete(3))
@@ -82,7 +115,7 @@ class TestLegalMoves:
 
     def test_after_claim(self):
         spec = edge_spec(Graph.complete(3))
-        pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
         assert legal_moves(spec, pos) == [(0, 2), (1, 2)]
 
     def test_inconsistent_position(self):
@@ -97,22 +130,22 @@ class TestLegalMoves:
 class TestApplyMoves:
     def test_wrong_count_rejected(self):
         spec = edge_spec(Graph.complete(4), b=2)
-        pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
         with pytest.raises(IllegalMoveError):
             apply_moves(spec, pos, BREAKER, [(0, 2)])  # must claim 2 of 5 remaining
 
     def test_short_final_turn_accepted(self):
         g = Graph.complete(3)
         spec = edge_spec(g, b=2)
-        pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
-        pos = apply_moves(spec, pos, BREAKER, [(0, 2), (1, 2)])
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
+        pos, _ = apply_moves(spec, pos, BREAKER, [(0, 2), (1, 2)])
         # board empty: nothing to do; rebuild a position with one element left
         spec4 = edge_spec(Graph.complete(4), b=2)
         pos = Position.initial(spec4)
-        pos = apply_moves(spec4, pos, MAKER, [(0, 1)])
-        pos = apply_moves(spec4, pos, BREAKER, [(0, 2), (0, 3)])
-        pos = apply_moves(spec4, pos, MAKER, [(1, 2)])
-        pos = apply_moves(spec4, pos, BREAKER, [(1, 3), (2, 3)])
+        pos, _ = apply_moves(spec4, pos, MAKER, [(0, 1)])
+        pos, _ = apply_moves(spec4, pos, BREAKER, [(0, 2), (0, 3)])
+        pos, _ = apply_moves(spec4, pos, MAKER, [(1, 2)])
+        pos, _ = apply_moves(spec4, pos, BREAKER, [(1, 3), (2, 3)])
         assert len(legal_moves(spec4, pos)) == 0
 
     def test_wrong_player(self):
@@ -122,10 +155,37 @@ class TestApplyMoves:
 
     def test_already_claimed_identifies_element(self):
         spec = edge_spec(Graph.complete(3))
-        pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
         with pytest.raises(IllegalMoveError) as err:
             apply_moves(spec, pos, BREAKER, [(0, 1)])
         assert err.value.element == (0, 1)
+
+    def test_winning_claim_drops_the_rest_of_the_batch(self):
+        spec = edge_spec(Graph.complete(4), a=2)
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1), (1, 2)])
+        pos, _ = apply_moves(spec, pos, BREAKER, [(0, 3)])
+        won, witness = apply_moves(spec, pos, MAKER, [(0, 2), (1, 3)])
+        assert sorted(witness.vertices) == [0, 1, 2]
+        assert won.log[-1] == (MAKER, ((0, 2),))
+        assert won.maker == {(0, 1), (1, 2), (0, 2)}
+
+    def test_short_maker_batch_only_when_it_wins(self):
+        spec = edge_spec(Graph.complete(4), a=2)
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1), (1, 2)])
+        pos, _ = apply_moves(spec, pos, BREAKER, [(0, 3)])
+        with pytest.raises(IllegalMoveError):
+            apply_moves(spec, pos, MAKER, [(1, 3)])
+        won, witness = apply_moves(spec, pos, MAKER, [(0, 2)])
+        assert witness is not None and won.log[-1] == (MAKER, ((0, 2),))
+
+    def test_overlong_batch_is_rejected_even_if_a_prefix_wins(self):
+        spec = edge_spec(Graph.complete(4))
+        pos, _ = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])
+        pos, _ = apply_moves(spec, pos, BREAKER, [(0, 3)])
+        pos, _ = apply_moves(spec, pos, MAKER, [(1, 2)])
+        pos, _ = apply_moves(spec, pos, BREAKER, [(1, 3)])
+        with pytest.raises(IllegalMoveError):
+            apply_moves(spec, pos, MAKER, [(0, 2), (2, 3)])
 
 
 class TestEvaluate:
@@ -133,9 +193,9 @@ class TestEvaluate:
         g = Graph.cycle(5)
         spec = edge_spec(g)
         pos = Position(maker=frozenset(g.edges), breaker=frozenset(), to_move=BREAKER)
-        res = evaluate(spec, pos)
-        assert res.status == "maker-won"
-        assert verify_odd_cycle(g, res.witness)
+        witness = maker_win_witness(spec, pos.maker)
+        assert witness is not None
+        assert verify_odd_cycle(g, witness)
 
     def test_forest_is_undecided_then_exhausted(self):
         g = Graph.path(4)
@@ -143,21 +203,23 @@ class TestEvaluate:
         pos = Position(
             maker=frozenset({(0, 1)}), breaker=frozenset(), to_move=BREAKER
         )
-        assert evaluate(spec, pos).status == "undecided"
+        assert maker_win_witness(spec, pos.maker) is None
+        assert legal_moves(spec, pos) != []
         done = Position(
             maker=frozenset({(0, 1), (2, 3)}),
             breaker=frozenset({(1, 2)}),
             to_move=MAKER,
         )
-        assert evaluate(spec, done).status == "board-exhausted"
+        assert maker_win_witness(spec, done.maker) is None
+        assert legal_moves(spec, done) == []
 
     def test_vertex_triangle(self):
         g = Graph.complete(4)
         spec = vertex_spec(g)
         pos = Position(maker=frozenset({0, 1, 3}), breaker=frozenset(), to_move=BREAKER)
-        res = evaluate(spec, pos)
-        assert res.status == "maker-won"
-        assert sorted(res.witness.vertices) == [0, 1, 3]
+        witness = maker_win_witness(spec, pos.maker)
+        assert witness is not None
+        assert sorted(witness.vertices) == [0, 1, 3]
 
     def test_aux_connect_triangle_and_connection(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
@@ -256,6 +318,16 @@ class TestPlay:
         result = play(spec, bad, ScriptedStrategy([[(0, 2)]]), seed=0)
         assert result.winner == BREAKER and result.forfeited_by == MAKER
 
+    def test_batch_with_a_claimed_element_forfeits_even_if_a_prefix_wins(self):
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+        spec = edge_spec(g, a=2)
+        # Maker's second batch is ((0, 2), (3, 4)): (0, 2) closes a triangle,
+        # but (3, 4) is already Breaker's, so the whole turn is illegal.
+        result = play(spec, ClosingTriangleMaker(), ScriptedStrategy([[(3, 4)]]), seed=0)
+        assert result.winner == BREAKER and result.reason == "forfeit"
+        assert result.forfeited_by == MAKER
+        assert not verify_maker_strategy(spec, ClosingTriangleMaker()).always_wins
+
     def test_breaker_first(self):
         spec = edge_spec(Graph.complete(3), first=BREAKER)
         result = play(spec, RandomStrategy(), RandomStrategy(), seed=0)
@@ -304,6 +376,90 @@ class TestTranscripts:
         record = parse_transcript(text)
         assert format_record(record) == text
         assert replay_transcript(spec, record).winner == BREAKER
+
+    def _maker_win_text(self, a=1):
+        spec = edge_spec(Graph.complete(4), a=a)
+        if a == 1:
+            maker = ScriptedStrategy([[(0, 1)], [(1, 2)], [(0, 2)]])
+            breaker = ScriptedStrategy([[(0, 3)], [(1, 3)]])
+        else:
+            maker = ScriptedStrategy([[(0, 1), (1, 2)], [(0, 2), (2, 3)]])
+            breaker = ScriptedStrategy([[(0, 3)]])
+        result = play(spec, maker, breaker, seed=0)
+        assert result.winner == MAKER and result.reason == "objective"
+        return spec, format_transcript(spec, result, "scripted", "scripted")
+
+    def test_replay_rejects_a_move_after_the_win(self):
+        spec, text = self._maker_win_text()
+        assert replay_transcript(spec, parse_transcript(text)).winner == MAKER
+        record = parse_transcript(text.replace("end\n", "B e2-3\nend\n"))
+        with pytest.raises(DomainError):
+            replay_transcript(spec, record)
+
+    def test_replay_rejects_a_claim_after_the_winning_claim(self):
+        spec, text = self._maker_win_text(a=2)
+        assert "M e0-2\n" in text
+        record = parse_transcript(text.replace("M e0-2\n", "M e0-2 e2-3\n"))
+        with pytest.raises(DomainError):
+            replay_transcript(spec, record)
+
+    @pytest.mark.parametrize("key", ["board", "host", "bias", "first", "objective"])
+    def test_replay_rejects_a_header_that_does_not_describe_the_spec(self, key):
+        spec, text = self._maker_win_text()
+        lines = [f"{key} x" if ln.startswith(key + " ") else ln for ln in text.split("\n")]
+        with pytest.raises(DomainError):
+            replay_transcript(spec, parse_transcript("\n".join(lines)))
+
+    def test_replay_rejects_moves_that_stop_early(self):
+        spec = edge_spec(Graph.complete(3))
+        result = play(spec, RandomStrategy(), RandomStrategy(), seed=0)
+        assert result.reason == "exhausted"
+        text = format_transcript(spec, result, "random", "random")
+        lines = text.split("\n")
+        del lines[lines.index("end") - 1]
+        with pytest.raises(DomainError):
+            replay_transcript(spec, parse_transcript("\n".join(lines)))
+
+    @pytest.mark.parametrize("forfeit", ["maker", "breaker"])
+    def test_replay_rejects_a_forfeit_on_a_full_board(self, forfeit):
+        spec = edge_spec(Graph.complete(3))
+        result = play(spec, RandomStrategy(), RandomStrategy(), seed=0)
+        assert result.reason == "exhausted"
+        text = format_transcript(spec, result, "random", "random")
+        record = parse_transcript(text.replace("forfeit=none", f"forfeit={forfeit}"))
+        with pytest.raises(DomainError):
+            replay_transcript(spec, record)
+
+    def test_replay_rejects_a_forfeit_by_the_player_not_to_move(self):
+        spec = edge_spec(Graph.complete(3))
+        result = play(spec, ScriptedStrategy([None]), RandomStrategy(), seed=0)
+        text = format_transcript(spec, result, "scripted", "random")
+        assert "forfeit=maker" in text
+        record = parse_transcript(text.replace("forfeit=maker", "forfeit=breaker"))
+        with pytest.raises(DomainError):
+            replay_transcript(spec, record)
+
+    def test_replay_rejects_a_short_breaker_turn(self):
+        spec = edge_spec(Graph.complete(4), b=2)
+        result = play(spec, RandomStrategy(), RandomStrategy(), seed=1)
+        text = format_transcript(spec, result, "random", "random")
+        lines = text.split("\n")
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("B "))
+        lines[i] = lines[i].rsplit(" ", 1)[0]
+        with pytest.raises(IllegalMoveError):
+            replay_transcript(spec, parse_transcript("\n".join(lines)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_specs(), st.integers(min_value=0, max_value=10_000))
+    def test_replay_reproduces_random_games(self, spec, seed):
+        result = play(spec, RandomStrategy(), RandomStrategy(), seed=seed)
+        record = parse_transcript(format_transcript(spec, result, "random", "random"))
+        replayed = replay_transcript(spec, record)
+        assert replayed.winner == result.winner
+        assert replayed.rounds == result.rounds
+        assert replayed.position == result.position
+        assert replayed.witness == result.witness
+        assert parse_witness(spec, record.witness_line) == result.witness
 
     def test_objective_tokens(self):
         for pred in (

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, star
+from conftest import all_labeled_graphs, random_graphs, star
 from makerbreaker.errors import DomainError
 from makerbreaker.graphs import (
     Graph,
@@ -16,17 +16,8 @@ from makerbreaker.graphs import (
     induced_subgraph,
     min_degree,
     parse_graph,
-    shortest_path,
     verify_odd_cycle,
 )
-
-
-@st.composite
-def random_graphs(draw, max_n=8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, picks)
 
 
 class TestGraphBasics:
@@ -125,28 +116,6 @@ class TestOddCycle:
                 assert verify_odd_cycle(g, res)
             else:
                 assert all(res[u] != res[v] for u, v in g.edges)
-
-
-class TestShortestPath:
-    def test_c6_opposite(self):
-        path = shortest_path(Graph.cycle(6), 0, 3)
-        assert path is not None and len(path) == 4
-
-    def test_same_vertex(self):
-        assert shortest_path(Graph.cycle(6), 2, 2) == [2]
-
-    def test_disconnected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert shortest_path(g, 0, 3) is None
-
-    @settings(max_examples=100)
-    @given(random_graphs())
-    def test_path_edges_exist(self, g):
-        for v in range(min(g.n, 3)):
-            path = shortest_path(g, 0, v)
-            if path is not None:
-                assert path[0] == 0 and path[-1] == v
-                assert all(g.has_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
 class TestConnectedComponents:

@@ -2,7 +2,10 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_graphs
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -11,8 +14,10 @@ from makerbreaker.engine import (
     Position,
     Strategy,
     WinPredicate,
+    apply_moves,
     maker_win_witness,
     replay_transcript,
+    transcript_header,
     TranscriptRecord,
 )
 from makerbreaker.errors import DomainError, ResourceLimitError
@@ -85,7 +90,9 @@ class TestSolve:
                     (player, tuple(f"{'e'}{u}-{v_}" for u, v_ in elements))
                     for player, elements in v.principal_line
                 )
-                record = TranscriptRecord((), moves, (("forfeit", "none"),), "witness none")
+                record = TranscriptRecord(
+                    transcript_header(spec), moves, (("forfeit", "none"),), "witness none"
+                )
                 replayed = replay_transcript(spec, record)
                 assert replayed.winner == v.winner
 
@@ -171,6 +178,26 @@ class TestVerify:
         res = verify_maker_strategy(spec, ConnectivityMaker(g))
         assert not res.always_wins
         assert res.counter is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        random_graphs(max_n=6, max_edges=9),
+        st.sampled_from(("odd-cycle", "spanning-connected")),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=2),
+    )
+    def test_counter_lines_replay_to_positions_maker_has_not_won(self, g, kind, a, b):
+        spec = GameSpec(
+            host=g, board_kind=EDGES, objective=WinPredicate(kind), maker_bias=a, breaker_bias=b
+        )
+        res = verify_maker_strategy(spec, ConnectivityMaker(g))
+        assert res.always_wins == (res.counter is None)
+        if res.counter is not None:
+            pos = Position.initial(spec)
+            for player, elements in res.counter:
+                pos, witness = apply_moves(spec, pos, player, elements)
+                assert witness is None
+            assert maker_win_witness(spec, pos.maker) is None
 
     def test_budget(self):
         g = Graph.complete(5)
