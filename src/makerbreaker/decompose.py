@@ -107,12 +107,25 @@ def _edges_inside(g: Graph, members) -> list:
     return sorted((u, v) for u, v in g.edges if u in members and v in members)
 
 
+_last_core_graph: tuple = (None, None, None)
+
+
 def core_graph(g: Graph, core: BipartiteCore) -> tuple[Graph, tuple]:
-    """The bipartite crossing graph (a+b, edges between a and b), relabeled."""
-    order = tuple(sorted(core.a | core.b))
-    index = {old: new for new, old in enumerate(order)}
-    edges = [(index[u], index[v]) for u, v in cut_edges(g, core.a, core.b)]
-    return Graph(len(order), edges), order
+    """The bipartite crossing graph (a+b, edges between a and b), relabeled.
+
+    The last result is kept with the latest call's arguments, so a strategy
+    built again for an equal host and core gets it without rescanning the
+    host's edges, and calls on that same host object compare by identity.
+    """
+    global _last_core_graph
+    last_g, last_core, result = _last_core_graph
+    if core != last_core or g != last_g:
+        order = tuple(sorted(core.a | core.b))
+        index = {old: new for new, old in enumerate(order)}
+        edges = [(index[u], index[v]) for u, v in cut_edges(g, core.a, core.b)]
+        result = (Graph(len(order), edges), order)
+    _last_core_graph = (g, core, result)
+    return result
 
 
 # -- partition into highly connected parts -------------------------------------

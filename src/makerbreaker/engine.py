@@ -159,7 +159,8 @@ def legal_moves(spec: GameSpec, pos: Position) -> list:
         raise DomainError("maker and breaker claims overlap")
     if not pos.maker <= board or not pos.breaker <= board:
         raise DomainError("claims outside the board")
-    return sorted(board - pos.maker - pos.breaker)
+    claimed = pos.maker | pos.breaker
+    return [e for e in spec.board() if e not in claimed]
 
 
 def batch_size(spec: GameSpec, pos: Position) -> int:
@@ -305,13 +306,13 @@ def play(spec: GameSpec, maker: Strategy, breaker: Strategy, seed: int = 0) -> G
         if proposal is None:
             winner = BREAKER if mover == MAKER else MAKER
             return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
-        if mover == MAKER:
-            rounds += 1
         try:
             pos, witness = apply_moves(spec, pos, mover, proposal)
         except IllegalMoveError:
             winner = BREAKER if mover == MAKER else MAKER
             return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
+        if mover == MAKER:
+            rounds += 1
         if witness is not None:
             return GameResult(MAKER, witness, rounds, pos, "objective")
     return _full_board_result(spec, pos, rounds)
@@ -401,12 +402,17 @@ def format_transcript(
         tag = "M" if player == MAKER else "B"
         lines.append(tag + " " + " ".join(element_token(spec, el) for el in elements))
     lines.append("end")
-    lines.append(
-        f"result winner={result.winner} reason={result.reason} "
-        f"rounds={result.rounds} forfeit={result.forfeited_by or 'none'}"
-    )
-    lines.append(_witness_lines(spec, result.witness))
+    lines.extend(_footer(spec, result))
     return "\n".join(lines) + "\n"
+
+
+def _footer(spec: GameSpec, result: GameResult) -> tuple:
+    """The result and witness lines of a transcript."""
+    return (
+        f"result winner={result.winner} reason={result.reason} "
+        f"rounds={result.rounds} forfeit={result.forfeited_by or 'none'}",
+        _witness_lines(spec, result.witness),
+    )
 
 
 @dataclass(frozen=True)
@@ -460,9 +466,12 @@ def format_record(record: TranscriptRecord) -> str:
         tag = "M" if player == MAKER else "B"
         lines.append(tag + " " + " ".join(tokens))
     lines.append("end")
-    lines.append("result " + " ".join(f"{k}={v}" for k, v in record.result))
-    lines.append(record.witness_line)
+    lines.extend(_record_footer(record))
     return "\n".join(lines) + "\n"
+
+
+def _record_footer(record: TranscriptRecord) -> tuple:
+    return "result " + " ".join(f"{k}={v}" for k, v in record.result), record.witness_line
 
 
 def replay_transcript(spec: GameSpec, record: TranscriptRecord) -> GameResult:
@@ -470,11 +479,20 @@ def replay_transcript(spec: GameSpec, record: TranscriptRecord) -> GameResult:
 
     Every turn goes through ``apply_moves``, so an illegal turn raises
     IllegalMoveError.  DomainError is raised when the header does not
-    describe ``spec``, when anything follows Maker's winning claim, and when
-    the moves stop before the board is full with no win and no forfeit.  A
-    recorded forfeit is taken on trust only from the player to move, on a
-    board that is not full.
+    describe ``spec``, when anything follows Maker's winning claim, when the
+    moves stop before the board is full with no win and no forfeit, and when
+    the recorded result or witness line differs from the one
+    ``format_transcript`` writes for the recomputed outcome.  A recorded
+    forfeit is taken on trust only from the player to move, on a board that
+    is not full.
     """
+    result = _replay(spec, record)
+    if _record_footer(record) != _footer(spec, result):
+        raise DomainError("transcript's result or witness line differs from the replayed game")
+    return result
+
+
+def _replay(spec: GameSpec, record: TranscriptRecord) -> GameResult:
     header = [kv for kv in record.header if kv[0] not in ("maker", "breaker")]
     if header != list(transcript_header(spec)):
         raise DomainError("transcript header does not describe the game spec")

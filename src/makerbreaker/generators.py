@@ -104,22 +104,33 @@ FAMILIES = (
 
 
 def generate(family: str, params: dict, seed: int = 0) -> Graph:
-    """Dispatch by family name; compositions recurse into child generator specs."""
+    """Dispatch by family name; compositions recurse into child generator specs.
+
+    A missing parameter, or one that does not convert to the type the family
+    needs, raises DomainError naming the key.
+    """
     context = f"generator {family!r}"
 
-    def param(key):
-        return require(params, key, context)
+    def param(key, convert):
+        value = require(params, key, context)
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{context} has a bad {key!r}: {value!r}") from None
+
+    def sizes(value):
+        return [int(s) for s in value]
 
     if family == "gnp":
-        return gnp(int(param("n")), float(param("p")), seed)
+        return gnp(param("n", int), param("p", float), seed)
     if family == "complete_multipartite":
-        return complete_multipartite([int(s) for s in param("sizes")])
+        return complete_multipartite(param("sizes", sizes))
     if family == "odd_cycle_blowup":
-        return odd_cycle_blowup(int(param("length")), int(param("m")))
+        return odd_cycle_blowup(param("length", int), param("m", int))
     if family == "random_regular":
-        return random_regular(int(param("n")), int(param("d")), seed)
+        return random_regular(param("n", int), param("d", int), seed)
     if family in ("union", "join"):
-        left, right = param("left"), param("right")
+        left, right = param("left", dict), param("right", dict)
         g1 = generate(
             require(left, "family", context),
             left.get("params", {}),

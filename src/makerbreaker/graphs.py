@@ -24,7 +24,7 @@ def frac_ceil(x) -> int:
 class Graph:
     """Immutable simple undirected graph; no loops, no multi-edges."""
 
-    __slots__ = ("n", "_edges", "_adj")
+    __slots__ = ("n", "_edges", "_adj", "_fingerprint")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -45,6 +45,7 @@ class Graph:
         self.n = n
         self._edges = frozenset(eset)
         self._adj = tuple(frozenset(s) for s in adj)
+        self._fingerprint = None
 
     @property
     def edges(self) -> frozenset:
@@ -79,6 +80,8 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
 
     def __hash__(self):
@@ -108,9 +111,12 @@ class Graph:
         return cls(n)
 
     def fingerprint(self) -> str:
-        """Stable hash of the canonical text encoding, for transcripts and caches."""
-        digest = hashlib.sha256(format_graph(self).encode("ascii")).hexdigest()
-        return digest[:16]
+        """Stable hash of the canonical text encoding, for transcripts and caches;
+        computed on first use and kept."""
+        if self._fingerprint is None:
+            text = format_graph(self).encode("ascii")
+            self._fingerprint = hashlib.sha256(text).hexdigest()[:16]
+        return self._fingerprint
 
 
 @dataclass(frozen=True)
@@ -157,11 +163,19 @@ def min_degree(g: Graph) -> int:
 
 
 def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple]:
-    """Subgraph on ``members``; returns (subgraph, to_parent) with to_parent[new] = old."""
+    """Subgraph on ``members``; returns (subgraph, to_parent) with to_parent[new] = old.
+
+    When the members' degrees sum to less than 2m, each member's neighbor set
+    is intersected with the members; otherwise the edge set is scanned once.
+    """
     s = _check_vertex_set(g, members)
     order = tuple(sorted(s))
     index = {old: new for new, old in enumerate(order)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in s and v in s]
+    adj = g._adj
+    if sum(len(adj[v]) for v in order) < 2 * g.m:
+        edges = [(index[u], index[v]) for u in order for v in adj[u] & s if v > u]
+    else:
+        edges = [(index[u], index[v]) for u, v in g.edges if u in s and v in s]
     return Graph(len(order), edges), order
 
 

@@ -9,6 +9,7 @@ byte-for-byte except for the timestamp.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import tempfile
@@ -251,11 +252,24 @@ def atomic_write(path: str, text: str):
             os.unlink(tmp)
 
 
+_last_host: tuple = (None, None)
+
+
+def _experiment_host(gen: dict) -> Graph:
+    """The host ``gen`` describes.  The previous experiment's host is reused
+    when its family, params (nested child specs included) and seed compare
+    equal, so a bias sweep or a repeated config generates it once."""
+    global _last_host
+    key = (require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
+    if _last_host[0] != key:
+        _last_host = (copy.deepcopy(key), generate(*key))
+    return _last_host[1]
+
+
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> ResultDocument:
     """Run all trials with seeds seed_base+i; one trial failing is recorded,
     not fatal.  Strategy identifiers are resolved before any trial runs."""
-    gen = config.generator
-    g = generate(require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
+    g = _experiment_host(config.generator)
     spec = config.game_spec(g)
     maker = build_strategy(config.maker, g)
     breaker = build_strategy(config.breaker, g)

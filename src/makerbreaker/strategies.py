@@ -66,10 +66,10 @@ from .graphs import (
 class BoundReport:
     """The strategy thresholds for a given (n, delta, b), exactly evaluated.
 
-    Log-base policy: the bias cap and the domination-margin floor use log2;
-    the dominating-set budget and the failure bound come from the e-based
-    union bound, so they use the natural log.  The failure bound simplifies
-    to n^(-49) independently of delta and is stored as an exponent.
+    Log-base policy: the bias cap uses log2; the dominating-set budget and
+    the failure bound come from the e-based union bound, so they use the
+    natural log.  The failure bound simplifies to n^(-49) independently of
+    delta and is stored as an exponent.
     """
 
     n: int
@@ -80,7 +80,6 @@ class BoundReport:
     chi_threshold_vertex: Fraction
     dominating_size: int
     failure_exponent: int
-    domination_degree_floor: float
 
 
 def _log2_exact(n: int):
@@ -108,7 +107,6 @@ def bound_report(n: int, delta, b: int = 1) -> BoundReport:
         chi_threshold_vertex=Fraction(2 * (b + 1)) / delta,
         dominating_size=math.ceil(100 * math.log(n) / (delta * delta)),
         failure_exponent=-49,
-        domination_degree_floor=25 * math.log2(n),
     )
 
 
@@ -131,13 +129,23 @@ def _smallest_cut(n: int, maker_edges, members, edges) -> list:
     graph on ``members`` (default: every vertex), the first on ties; [] when
     Maker's graph is connected or no edge crosses."""
     comps = connected_components(Graph(n, maker_edges), members)
-    best = []
-    if len(comps) > 1:
-        for comp in comps:
-            cut = sorted(e for e in edges if (e[0] in comp) != (e[1] in comp))
-            if cut and (not best or len(cut) < len(best)):
-                best = cut
-    return best
+    if len(comps) < 2:
+        return []
+    comp_of = [-1] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    # one pass files each crossing edge under its endpoints' components
+    cuts = [[] for _ in comps]
+    for e in edges:
+        cu, cv = comp_of[e[0]], comp_of[e[1]]
+        if cu != cv:
+            if cu >= 0:
+                cuts[cu].append(e)
+            if cv >= 0:
+                cuts[cv].append(e)
+    best = min((c for c in cuts if c), key=len, default=[])
+    return sorted(best)
 
 
 # -- connectivity maker ------------------------------------------------------------

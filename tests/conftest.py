@@ -1,10 +1,12 @@
-"""Shared graph builders and the small-graph isomorphism-class enumeration."""
+"""Shared graph builders, a scripted strategy and the small-graph
+isomorphism-class enumeration."""
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
+from makerbreaker.engine import Strategy
 from makerbreaker.graphs import Graph
 
 
@@ -60,3 +62,24 @@ def iso_classes(n: int) -> tuple:
         if canon not in seen:
             seen[canon] = Graph(n, canon)
     return tuple(seen.values())
+
+
+class ScriptedStrategy(Strategy):
+    """Proposes the given batches in order, then forfeits."""
+
+    ident = "scripted"
+    position_pure = False
+
+    def __init__(self, batches):
+        self.batches = list(batches)
+        self.cursor = 0
+
+    def reset(self, spec, seed):
+        self.cursor = 0
+
+    def propose(self, spec, pos):
+        if self.cursor >= len(self.batches):
+            return None
+        batch = self.batches[self.cursor]
+        self.cursor += 1
+        return batch

@@ -80,6 +80,11 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'p'" in err
 
+    def test_unconvertible_generator_parameter_is_clean(self, capsys):
+        assert run_cli("generate", "--family", "gnp", "--param", "n=x", "--param", "p=0.5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'n'" in err
+
     def test_precondition_failure_is_clean(self, tripartite_file, capsys):
         code = run_cli("decompose", str(tripartite_file), "--mode", "core", "--delta", "2/3")
         assert code == 1
@@ -203,6 +208,14 @@ class TestExperimentAndSweep:
         assert run_cli("experiment", str(config_file)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+
+    def test_unconvertible_generator_parameter_in_config_is_clean(self, config_file, capsys):
+        cfg = json.loads(config_file.read_text())
+        cfg["generator"]["params"]["sizes"] = "abc"
+        config_file.write_text(json.dumps(cfg))
+        assert run_cli("experiment", str(config_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'sizes'" in err
 
     def test_unknown_config_key_is_clean(self, config_file, capsys):
         cfg = json.loads(config_file.read_text())

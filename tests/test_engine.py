@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graphs
+from conftest import ScriptedStrategy, random_graphs
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -48,25 +48,6 @@ def vertex_spec(g, a=1, b=1, objective=None):
         maker_bias=a,
         breaker_bias=b,
     )
-
-
-class ScriptedStrategy(Strategy):
-    ident = "scripted"
-    position_pure = False
-
-    def __init__(self, batches):
-        self.batches = list(batches)
-        self.cursor = 0
-
-    def reset(self, spec, seed):
-        self.cursor = 0
-
-    def propose(self, spec, pos):
-        if self.cursor >= len(self.batches):
-            return None
-        batch = self.batches[self.cursor]
-        self.cursor += 1
-        return batch
 
 
 class ClosingTriangleMaker(Strategy):
@@ -125,6 +106,36 @@ class TestLegalMoves:
         )
         with pytest.raises(DomainError):
             legal_moves(spec, overlap)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_specs(), st.data())
+    def test_matches_the_sorted_set_difference(self, spec, data):
+        board = spec.board()
+        taken = data.draw(st.permutations(board)) if board else []
+        taken = taken[: data.draw(st.integers(min_value=0, max_value=len(taken)))]
+        split = data.draw(st.integers(min_value=0, max_value=len(taken)))
+        pos = Position(frozenset(taken[:split]), frozenset(taken[split:]), spec.first)
+        assert legal_moves(spec, pos) == sorted(set(board) - pos.maker - pos.breaker)
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_specs(), st.data())
+    def test_overlapping_claims_raise(self, spec, data):
+        board = spec.board()
+        if not board:
+            return
+        shared = data.draw(st.sampled_from(board))
+        pos = Position(frozenset({shared}), frozenset({shared}), spec.first)
+        with pytest.raises(DomainError):
+            legal_moves(spec, pos)
+
+    @pytest.mark.parametrize("player", [MAKER, BREAKER])
+    def test_off_board_claims_raise(self, player):
+        for spec, off in ((edge_spec(Graph.path(3)), (0, 2)), (vertex_spec(Graph.path(3)), 3)):
+            claims = {MAKER: frozenset(), BREAKER: frozenset(), player: frozenset({off})}
+            pos = Position(claims[MAKER], claims[BREAKER], MAKER)
+            with pytest.raises(DomainError):
+                legal_moves(spec, pos)
 
 
 class TestApplyMoves:
@@ -438,6 +449,43 @@ class TestTranscripts:
         record = parse_transcript(text.replace("forfeit=maker", "forfeit=breaker"))
         with pytest.raises(DomainError):
             replay_transcript(spec, record)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("winner=maker", "winner=breaker"),
+            ("rounds=3", "rounds=2"),
+            ("reason=objective", "reason=exhausted"),
+        ],
+    )
+    def test_replay_rejects_a_tampered_result_line(self, old, new):
+        spec, text = self._maker_win_text()
+        assert old in text
+        with pytest.raises(DomainError):
+            replay_transcript(spec, parse_transcript(text.replace(old, new)))
+
+    def test_replay_rejects_a_tampered_witness_cycle(self):
+        spec, text = self._maker_win_text()
+        lines = text.split("\n")
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("witness cycle "))
+        cycle = lines[i].split()[2:]
+        # the same triangle, rotated: still an odd cycle, but not the witness
+        # the game found
+        lines[i] = "witness cycle " + " ".join(cycle[1:] + cycle[:1])
+        with pytest.raises(DomainError):
+            replay_transcript(spec, parse_transcript("\n".join(lines)))
+        lines[i] = "witness none"
+        with pytest.raises(DomainError):
+            replay_transcript(spec, parse_transcript("\n".join(lines)))
+
+    def test_illegal_batch_counts_no_round_and_replays(self):
+        spec = edge_spec(Graph.complete(3))
+        bad = ScriptedStrategy([[(0, 1)], [(0, 1)]])  # second turn repeats a claim
+        result = play(spec, bad, ScriptedStrategy([[(0, 2)]]), seed=0)
+        assert result.forfeited_by == MAKER and result.rounds == 1
+        text = format_transcript(spec, result, "scripted", "scripted")
+        replayed = replay_transcript(spec, parse_transcript(text))
+        assert (replayed.winner, replayed.rounds, replayed.reason) == (BREAKER, 1, "forfeit")
 
     def test_replay_rejects_a_short_breaker_turn(self):
         spec = edge_spec(Graph.complete(4), b=2)

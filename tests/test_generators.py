@@ -94,3 +94,21 @@ class TestCompositions:
     def test_generate_unknown_family(self):
         with pytest.raises(DomainError):
             generate("hypercube", {}, 0)
+
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("complete_multipartite", {"sizes": "abc"}, "sizes"),
+            ("complete_multipartite", {"sizes": 7}, "sizes"),
+            ("gnp", {"n": "x", "p": 0.5}, "n"),
+            ("gnp", {"n": 5, "p": "half"}, "p"),
+            ("gnp", {"n": float("inf"), "p": 0.5}, "n"),
+            ("odd_cycle_blowup", {"length": 5, "m": None}, "m"),
+            ("random_regular", {"n": [6], "d": 2}, "n"),
+            ("union", {"left": 3, "right": {"family": "gnp"}}, "left"),
+            ("join", {"left": {"family": "gnp", "params": {"n": 2, "p": 1}}, "right": "x"}, "right"),
+        ],
+    )
+    def test_unconvertible_parameter_names_its_key(self, family, params, key):
+        with pytest.raises(DomainError, match=repr(key)):
+            generate(family, params, 0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,44 @@ class TestInducedSubgraph:
     def test_out_of_range_vertex(self):
         with pytest.raises(DomainError):
             induced_subgraph(Graph.complete(3), {0, 5})
+
+    @staticmethod
+    def edge_scan(g, members):
+        """The plain construction: keep every host edge inside ``members``."""
+        s = frozenset(members)
+        order = tuple(sorted(s))
+        index = {old: new for new, old in enumerate(order)}
+        edges = [(index[u], index[v]) for u, v in g.edges if u in s and v in s]
+        return Graph(len(order), edges), order
+
+    def assert_matches_edge_scan(self, g, members):
+        sub, to_parent = induced_subgraph(g, members)
+        want, want_order = self.edge_scan(g, members)
+        assert sub == want and to_parent == want_order
+        assert all(sub.neighbors(v) == want.neighbors(v) for v in range(sub.n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=12), st.data())
+    def test_matches_edge_scan_on_random_member_sets(self, g, data):
+        # mostly sets whose degrees sum below 2m, where the neighbor walk runs
+        members = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        self.assert_matches_edge_scan(g, members)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(max_n=12), st.data())
+    def test_edge_scan_side_of_the_switch(self, g, data):
+        # every vertex that has a neighbor, plus any isolated ones: the
+        # degrees sum to exactly 2m, so the edge scan runs
+        isolated = [v for v in range(g.n) if g.degree(v) == 0]
+        members = {v for v in range(g.n) if g.degree(v) > 0}
+        members |= data.draw(st.sets(st.sampled_from(isolated))) if isolated else set()
+        assert sum(g.degree(v) for v in members) == 2 * g.m
+        self.assert_matches_edge_scan(g, members)
+
+    def test_both_sides_on_a_dense_host(self):
+        g = Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if (u * v) % 3])
+        for members in ({0, 4, 5}, set(range(1, 9)), set(range(9))):
+            self.assert_matches_edge_scan(g, members)
 
 
 class TestCutEdges:
@@ -174,3 +214,10 @@ class TestTextFormat:
         g1 = Graph(4, [(0, 1), (2, 3)])
         g2 = Graph(4, [(2, 3), (0, 1)])
         assert g1.fingerprint() == g2.fingerprint()
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_graphs(max_n=10))
+    def test_memoized_fingerprint_is_the_text_hash(self, g):
+        want = hashlib.sha256(format_graph(g).encode("ascii")).hexdigest()[:16]
+        assert g.fingerprint() == want
+        assert g.fingerprint() == want  # the kept value, on the second call

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from makerbreaker import decompose, harness
 from makerbreaker.errors import DomainError
 from makerbreaker.harness import (
     ExperimentConfig,
@@ -108,6 +109,100 @@ class TestRunExperiment:
         cfg = multipartite_config(maker="nonsense")
         with pytest.raises(DomainError):
             run_experiment(cfg)
+
+
+@pytest.fixture
+def host_log(monkeypatch):
+    """Empty process memos, and a log of every host ``generate`` builds and
+    every host a strategy is built on."""
+    monkeypatch.setattr(harness, "_last_host", (None, None))
+    monkeypatch.setattr(harness, "_core_cache", {})
+    monkeypatch.setattr(decompose, "_last_core_graph", (None, None, None))
+    log = {"generated": [], "built_on": []}
+    generate, build = harness.generate, harness.build_strategy
+
+    def logged_generate(*args):
+        g = generate(*args)
+        log["generated"].append(g)
+        return g
+
+    def logged_build(ident, g):
+        log["built_on"].append(g)
+        return build(ident, g)
+
+    monkeypatch.setattr(harness, "generate", logged_generate)
+    monkeypatch.setattr(harness, "build_strategy", logged_build)
+    return log
+
+
+def union_config(right_sizes, **overrides):
+    child = {"family": "complete_multipartite", "params": {"sizes": right_sizes}}
+    generator = {
+        "family": "union",
+        "params": {"left": {"family": "gnp", "params": {"n": 4, "p": 0.5}}, "right": child},
+        "seed": 3,
+    }
+    return multipartite_config(
+        generator=generator, maker="random", trials=2, **overrides
+    )
+
+
+class TestHostMemo:
+    def test_repeated_config_shares_one_host(self, host_log):
+        cfg = multipartite_config(trials=4)
+        d1 = run_experiment(cfg)
+        d2 = run_experiment(cfg)
+        assert len(host_log["generated"]) == 1
+        assert all(g is host_log["generated"][0] for g in host_log["built_on"])
+        assert d1.canonical_json() == d2.canonical_json()
+
+    def test_same_document_as_with_cold_memos(self, host_log, monkeypatch):
+        cfg = multipartite_config(trials=4)
+        run_experiment(cfg)
+        warm = run_experiment(cfg).canonical_json()
+        monkeypatch.setattr(harness, "_last_host", (None, None))
+        monkeypatch.setattr(harness, "_core_cache", {})
+        monkeypatch.setattr(decompose, "_last_core_graph", (None, None, None))
+        assert run_experiment(cfg).canonical_json() == warm
+        assert len(host_log["generated"]) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda gen: gen.update(seed=1),
+            lambda gen: gen["params"].update(sizes=[3] * 6 + [4]),
+        ],
+        ids=["seed", "params"],
+    )
+    def test_changed_seed_or_params_gets_a_new_host(self, host_log, change):
+        cfg = multipartite_config(trials=2, maker="random")
+        gen = json.loads(json.dumps(cfg.generator))
+        change(gen)
+        run_experiment(cfg)
+        run_experiment(multipartite_config(trials=2, maker="random", generator=gen))
+        first, second = host_log["generated"]
+        assert first is not second
+        assert host_log["built_on"][-1] is second
+
+    def test_changed_nested_child_spec_gets_a_new_host(self, host_log):
+        run_experiment(union_config([2, 2]))
+        run_experiment(union_config([2, 2]))
+        run_experiment(union_config([2, 3]))
+        first, second = host_log["generated"]
+        assert (first.n, second.n) == (8, 9)
+        assert host_log["built_on"][-1] is second
+
+    def test_caller_mutating_params_gets_a_new_host(self, host_log):
+        cfg = union_config([2, 2])
+        run_experiment(cfg)
+        cfg.generator["params"]["right"]["params"]["sizes"].append(1)
+        run_experiment(cfg)
+        assert [g.n for g in host_log["generated"]] == [8, 9]
+
+    def test_sweep_generates_its_host_once(self, host_log):
+        docs, _ = sweep_bias(multipartite_config(trials=2), [1, 2, 3])
+        assert len(docs) == 3
+        assert len(host_log["generated"]) == 1
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graphs
+from conftest import ScriptedStrategy, random_graphs
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -15,10 +15,11 @@ from makerbreaker.engine import (
     Strategy,
     WinPredicate,
     apply_moves,
+    format_transcript,
     maker_win_witness,
+    parse_transcript,
+    play,
     replay_transcript,
-    transcript_header,
-    TranscriptRecord,
 )
 from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.generators import gnp
@@ -86,14 +87,13 @@ class TestSolve:
             for b in (1, 2):
                 spec = odd_cycle_spec(g, b=b)
                 v = solve(spec)
-                moves = tuple(
-                    (player, tuple(f"{'e'}{u}-{v_}" for u, v_ in elements))
-                    for player, elements in v.principal_line
-                )
-                record = TranscriptRecord(
-                    transcript_header(spec), moves, (("forfeit", "none"),), "witness none"
-                )
-                replayed = replay_transcript(spec, record)
+                line = v.principal_line
+                maker = ScriptedStrategy([els for player, els in line if player == MAKER])
+                breaker = ScriptedStrategy([els for player, els in line if player == BREAKER])
+                result = play(spec, maker, breaker)
+                assert result.position.log == line and not result.forfeit
+                text = format_transcript(spec, result, "scripted", "scripted")
+                replayed = replay_transcript(spec, parse_transcript(text))
                 assert replayed.winner == v.winner
 
     def test_memoized_matches_reference_random_instances(self):

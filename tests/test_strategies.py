@@ -3,6 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_graphs
 
 from makerbreaker.decompose import BipartiteCore
 from makerbreaker.engine import (
@@ -19,7 +23,7 @@ from makerbreaker.engine import (
 )
 from makerbreaker.errors import DomainError, PreconditionError
 from makerbreaker.generators import complete_multipartite, odd_cycle_blowup
-from makerbreaker.graphs import Graph, verify_odd_cycle
+from makerbreaker.graphs import Graph, connected_components, verify_odd_cycle
 from makerbreaker.solver import solve, verify_maker_strategy
 from makerbreaker.strategies import (
     BipartiteGuardBreaker,
@@ -30,6 +34,7 @@ from makerbreaker.strategies import (
     DenseVertexMaker,
     MergePlan,
     RandomStrategy,
+    _smallest_cut,
     bound_report,
     dominates,
     merge_components,
@@ -104,6 +109,61 @@ class TestConnectivityMaker:
             for s in range(200)
         )
         assert wins == 200
+
+
+def smallest_cut_by_component_scan(n, maker_edges, members, edges):
+    """The plain construction: sort the crossing edges of every component in
+    turn and keep the first smallest non-empty cut."""
+    comps = connected_components(Graph(n, maker_edges), members)
+    best = []
+    if len(comps) > 1:
+        for comp in comps:
+            cut = sorted(e for e in edges if (e[0] in comp) != (e[1] in comp))
+            if cut and (not best or len(cut) < len(best)):
+                best = cut
+    return best
+
+
+@st.composite
+def cut_instances(draw, with_members):
+    """A host, Maker's edges and the available edges (disjoint subsets of the
+    host's edges), and a member set or None."""
+    g = draw(random_graphs(max_n=9))
+    edges = sorted(g.edges)
+    maker = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    rest = [e for e in edges if e not in maker]
+    available = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    members = None
+    if with_members:
+        members = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    return g.n, maker, members, available
+
+
+class TestSmallestCut:
+    @settings(max_examples=200, deadline=None)
+    @given(cut_instances(with_members=False))
+    def test_matches_component_scan_on_every_vertex(self, inst):
+        n, maker, members, available = inst
+        assert _smallest_cut(n, maker, members, available) == smallest_cut_by_component_scan(
+            n, maker, members, available
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut_instances(with_members=True))
+    def test_matches_component_scan_on_a_member_subset(self, inst):
+        n, maker, members, available = inst
+        assert _smallest_cut(n, maker, members, available) == smallest_cut_by_component_scan(
+            n, maker, members, available
+        )
+
+    def test_ties_go_to_the_first_component(self):
+        # components {0, 1}, {2, 3}, {4, 5}, each crossed by two edges
+        maker = {(0, 1), (2, 3), (4, 5)}
+        available = {(1, 2), (3, 4), (0, 5)}
+        assert _smallest_cut(6, maker, None, available) == [(0, 5), (1, 2)]
+        # one more edge out of {0, 1} leaves {2, 3} the only smallest cut
+        available.add((0, 4))
+        assert _smallest_cut(6, maker, None, available) == [(1, 2), (3, 4)]
 
 
 class TestDenseEdgeMaker:
