@@ -4,7 +4,11 @@ extraction of highly vertex-connected subgraphs.
 Everything is exact.  Connectivity values come from unit-capacity max-flow;
 the threshold variants stop augmenting early, which keeps the decomposition
 pipeline fast without giving up soundness (a certified "at least t" answer is
-always a real lower bound, never a heuristic one).
+always a real lower bound, never a heuristic one).  Each vertex-disjoint s-t
+flow starts from greedily chosen paths of two and three edges, read off the
+host's neighbour sets; when they reach the limit no flow network is copied,
+and otherwise augmenting paths (which may cancel seeded flow) complete them
+to a maximum flow.
 """
 
 from __future__ import annotations
@@ -84,9 +88,46 @@ def _vertex_network(g: Graph):
     return cap, adj
 
 
-def _local_vertex_flow(base, adj, s, t, limit):
+def _short_paths(g: Graph, s, t, limit):
+    """Up to ``limit`` internally vertex-disjoint s-t paths of two and three
+    edges, for non-adjacent s and t, as tuples of inner vertices: first
+    s-x-t through each common neighbour x, then s-x-y-t for each other
+    neighbour x of s with y the first unused neighbour of t adjacent to x
+    (all in sorted order)."""
+    ns, nt = g.neighbors(s), g.neighbors(t)
+    paths = [(x,) for x in sorted(ns & nt)[:limit]]
+    if len(paths) < limit:
+        # every common neighbour is on a path, so the y's left are N(t) - N(s)
+        ys = sorted(nt - ns)
+        for x in sorted(ns - nt):
+            near_x = g.neighbors(x)
+            for i, y in enumerate(ys):
+                if y in near_x:
+                    paths.append((x, y))
+                    del ys[i]
+                    break
+            if len(paths) == limit:
+                break
+    return paths
+
+
+def _local_vertex_flow(g: Graph, base, adj, s, t, limit):
+    """min(limit, number of internally disjoint s-t paths) for non-adjacent
+    s and t, with the residual network when that is below ``limit`` (None
+    when the greedy short paths already reach it)."""
+    paths = _short_paths(g, s, t, limit)
+    if len(paths) == limit:
+        return limit, None
     cap = [dict(d) for d in base]
-    flow = _max_flow(cap, adj, 2 * s + 1, 2 * t, limit)
+    for inner in paths:
+        nodes = [2 * s + 1]
+        for x in inner:
+            nodes += (2 * x, 2 * x + 1)
+        nodes.append(2 * t)
+        for x, y in zip(nodes, nodes[1:]):
+            cap[x][y] -= 1
+            cap[y][x] += 1
+    flow = len(paths) + _max_flow(cap, adj, 2 * s + 1, 2 * t, limit - len(paths))
     return flow, cap
 
 
@@ -107,7 +148,9 @@ def vertex_connectivity(g: Graph) -> int:
 
     A minimum separator misses at least one of any min-degree+1 vertices, and
     every vertex in the far component is a non-neighbor of that one, so
-    scanning those source/target pairs is exhaustive.
+    scanning those source/target pairs is exhaustive.  A non-complete graph
+    has connectivity at most its minimum degree, so the first flow is capped
+    there and each later one at the best value so far.
     """
     if g.n < 2:
         raise DomainError("vertex connectivity needs at least 2 vertices")
@@ -115,7 +158,7 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     base, adj = _vertex_network(g)
     delta = min(len(g.neighbors(v)) for v in range(g.n))
-    best = g.n - 1
+    best = delta
     for s in range(min(delta + 1, g.n)):
         nbrs = g.neighbors(s)
         for t in range(g.n):
@@ -123,7 +166,7 @@ def vertex_connectivity(g: Graph) -> int:
                 continue
             if best == 0:
                 return 0
-            flow, _ = _local_vertex_flow(base, adj, s, t, best)
+            flow, _ = _local_vertex_flow(g, base, adj, s, t, best)
             best = min(best, flow)
     return best
 
@@ -141,7 +184,7 @@ def vertex_cut_below(g: Graph, threshold: int):
         for t in range(g.n):
             if t == s or t in nbrs:
                 continue
-            flow, residual = _local_vertex_flow(base, adj, s, t, threshold)
+            flow, residual = _local_vertex_flow(g, base, adj, s, t, threshold)
             if flow < threshold:
                 return _cut_from_residual(g, residual, adj, s)
     return None

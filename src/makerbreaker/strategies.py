@@ -369,7 +369,8 @@ class DenseEdgeMaker(_SpecialEdgeMaker):
         self.delta = Fraction(delta)
         self.core = core if core is not None else extract_bipartite_core(g, delta, force=force)
         self.witness_edge = self.special_edge = self.core.witness_edge
-        pool = frozenset(cut_edges(g, self.core.a, self.core.b))
+        crossing, to_host = core_graph(g, self.core)
+        pool = frozenset((to_host[u], to_host[v]) for u, v in crossing.edges)
         self.inner = ConnectivityMaker(g, pool=pool, vertices=self.core.a | self.core.b)
         self.ident = f"dense-edge(delta={self.delta})"
         self.stage_trace = []

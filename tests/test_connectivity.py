@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import two_triangles_shared_vertex
+from makerbreaker import connectivity
 from makerbreaker.connectivity import (
+    _cut_from_residual,
+    _local_vertex_flow,
+    _max_flow,
+    _short_paths,
+    _vertex_network,
     edge_connectivity,
     mader_subgraph,
     unfriendly_partition,
@@ -99,6 +105,108 @@ class TestVertexConnectivity:
     def test_connectivity_chain(self, seed, n):
         g = gnp(n, 0.5, seed)
         assert vertex_connectivity(g) <= edge_connectivity(g) <= min_degree(g)
+
+
+def unseeded_cut_below(g: Graph, threshold: int):
+    """vertex_cut_below with every unit of flow found by its own BFS from the
+    empty flow: the construction before greedy short-path seeding."""
+    if threshold <= 0:
+        return None
+    base, adj = _vertex_network(g)
+    for s in range(min(threshold, min_degree(g) + 1, g.n)):
+        for t in range(g.n):
+            if t == s or g.has_edge(s, t):
+                continue
+            cap = [dict(d) for d in base]
+            if _max_flow(cap, adj, 2 * s + 1, 2 * t, threshold) < threshold:
+                return _cut_from_residual(g, cap, adj, s)
+    return None
+
+
+@st.composite
+def flow_hosts(draw):
+    """Seeded gnp hosts of 2-22 vertices, from sparse to dense, not complete."""
+    n = draw(st.integers(min_value=2, max_value=22))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9]))
+    g = gnp(n, p, draw(st.integers(min_value=0, max_value=10**6)))
+    assume(not g.is_complete())
+    return g
+
+
+def blocked_host() -> Graph:
+    """s = 0 and t = 1 with N(s) = {2, 3, 6}, N(t) = {4, 5}.  The greedy
+    three-edge path 0-2-4-1 takes 4, the only neighbour of t that 3 sees, so
+    the two disjoint paths 0-2-5-1 and 0-3-4-1 need an augmenting path that
+    cancels the seeded arc 2 -> 4."""
+    edges = [(0, 2), (0, 3), (0, 6), (2, 4), (2, 5), (2, 6), (3, 4), (1, 4), (1, 5)]
+    return Graph(7, edges)
+
+
+class TestSeededVertexFlow:
+    @settings(max_examples=150, deadline=None)
+    @given(flow_hosts())
+    def test_cut_below_matches_unseeded_reference(self, g):
+        kappa = vertex_connectivity(g)
+        for t in range(kappa + 3):
+            assert vertex_cut_below(g, t) == unseeded_cut_below(g, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(flow_hosts())
+    def test_connectivity_and_cut_size_match_networkx(self, g):
+        h = to_nx(g)
+        kappa = vertex_connectivity(g)
+        assert kappa == nx.node_connectivity(h)
+        cut = vertex_cut_below(g, kappa + 1)
+        if nx.is_connected(h):
+            assert len(cut) == len(nx.minimum_node_cut(h))
+        else:
+            assert cut == frozenset()
+
+    @settings(max_examples=150, deadline=None)
+    @given(flow_hosts(), st.data())
+    def test_short_paths_are_disjoint_host_paths(self, g, data):
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t and not g.has_edge(s, t)]
+        s, t = data.draw(st.sampled_from(pairs))
+        limit = data.draw(st.integers(min_value=1, max_value=g.n))
+        paths = _short_paths(g, s, t, limit)
+        assert len(paths) <= limit
+        inner = [x for path in paths for x in path]
+        assert len(inner) == len(set(inner)) and not {s, t} & set(inner)
+        for path in paths:
+            walk = (s, *path, t)
+            assert all(g.has_edge(u, v) for u, v in zip(walk, walk[1:]))
+
+    def test_augmenting_path_cancels_seeded_flow(self):
+        g = blocked_host()
+        assert _short_paths(g, 0, 1, 3) == [(2, 4)]
+        base, adj = _vertex_network(g)
+        flow, cap = _local_vertex_flow(g, base, adj, 0, 1, 3)
+        assert flow == 2
+        assert cap[2 * 2 + 1][2 * 4] == base[2 * 2 + 1][2 * 4]
+        assert _cut_from_residual(g, cap, adj, 0) == frozenset({2, 3})
+        assert vertex_connectivity(g) == 2 == nx.node_connectivity(to_nx(g))
+        assert vertex_cut_below(g, 2) is None
+        assert vertex_cut_below(g, 3) == frozenset({2, 3}) == unseeded_cut_below(g, 3)
+
+    def test_saturated_pair_skips_the_network(self):
+        g = Graph.cycle(4)
+        base, adj = _vertex_network(g)
+        assert _local_vertex_flow(g, base, adj, 0, 2, 2) == (2, None)
+
+    def test_first_flow_is_capped_at_min_degree(self, monkeypatch):
+        limits = []
+
+        def spy(g, base, adj, s, t, limit):
+            limits.append(limit)
+            return _local_vertex_flow(g, base, adj, s, t, limit)
+
+        monkeypatch.setattr(connectivity, "_local_vertex_flow", spy)
+        for seed in range(6):
+            g = gnp(12, 0.6, seed)
+            limits.clear()
+            kappa = vertex_connectivity(g)
+            assert limits[0] == min_degree(g)
+            assert max(limits) == min_degree(g) and min(limits) >= kappa
 
 
 class TestUnfriendlyPartition:

@@ -22,8 +22,8 @@ from makerbreaker.engine import (
     play,
 )
 from makerbreaker.errors import DomainError, PreconditionError
-from makerbreaker.generators import complete_multipartite, odd_cycle_blowup
-from makerbreaker.graphs import Graph, connected_components, verify_odd_cycle
+from makerbreaker.generators import complete_multipartite, gnp, odd_cycle_blowup
+from makerbreaker.graphs import Graph, connected_components, cut_edges, verify_odd_cycle
 from makerbreaker.solver import solve, verify_maker_strategy
 from makerbreaker.strategies import (
     BipartiteGuardBreaker,
@@ -34,6 +34,7 @@ from makerbreaker.strategies import (
     DenseVertexMaker,
     MergePlan,
     RandomStrategy,
+    _maker_two_coloring,
     _smallest_cut,
     bound_report,
     dominates,
@@ -194,6 +195,26 @@ class TestDenseEdgeMaker:
         maker = DenseEdgeMaker(g, Fraction(2, 3), force=True)
         u, v = maker.witness_edge
         assert u in maker.core.a and v in maker.core.a
+
+    def test_pool_is_the_cores_crossing_edges(self):
+        g = gnp(14, 0.5, 3)
+        hand_built = BipartiteCore(
+            a=frozenset(range(1, 14, 2)),
+            b=frozenset(range(2, 14, 2)),
+            witness_edge=None,
+            certified_connectivity=None,
+            chi_floor=None,
+            h_min_degree=0,
+        )
+        builds = [
+            (complete_multipartite([5, 5, 5]), Fraction(2, 3), None),
+            (odd_cycle_blowup(5, 5), Fraction(2, 5), None),
+            (g, Fraction(1, 2), hand_built),
+        ]
+        # twice round, so every build after the first finds another core kept
+        for host, delta, core in builds * 2:
+            maker = DenseEdgeMaker(host, delta, force=True, core=core)
+            assert maker.inner.pool == frozenset(cut_edges(host, maker.core.a, maker.core.b))
 
 
 class TestConnectedEdgeMaker:
@@ -410,6 +431,31 @@ class TestBreakers:
             for s in range(10)
         )
         assert wins == 0
+
+    def test_cut_attack_counts_each_component_once(self):
+        # Maker's components are {0, 1} and {4}: vertex 2 sees one of them
+        # (through two vertices), vertex 3 sees both
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
+        pos = Position(maker=frozenset({0, 1, 4}), breaker=frozenset(), to_move=BREAKER)
+        assert CutAttackBreaker().propose(vertex_spec(g), pos) == (3,)
+
+    def test_guard_flags_vertices_closing_an_odd_cycle(self):
+        # Maker's path 0-1-2 colors 0 and 2 alike: 3 sees 0 and 1 (opposite
+        # colors, one component) and would close a triangle; 4 sees 0 and 2
+        # (one color) and is only the free vertex of highest degree
+        g = Graph(6, [(0, 1), (1, 2), (0, 3), (1, 3), (0, 4), (2, 4), (4, 5), (3, 5)])
+        pos = Position(maker=frozenset({0, 1, 2}), breaker=frozenset(), to_move=BREAKER)
+        assert BipartiteGuardBreaker().propose(vertex_spec(g, b=2), pos) == (3, 4)
+
+    def test_guard_passes_over_opposite_colors_in_two_components(self):
+        # Maker's components {0, 1} and {2}: 3 sees 1 and 2, of opposite
+        # colors but in different components, so claiming it closes nothing
+        g = Graph(7, [(0, 1), (1, 3), (2, 3), (0, 4), (4, 5), (4, 6)])
+        pos = Position(maker=frozenset({0, 1, 2}), breaker=frozenset(), to_move=BREAKER)
+        spec = vertex_spec(g)
+        labels = _maker_two_coloring(g, spec, pos)
+        assert labels[1][0] != labels[2][0] and labels[1][1] != labels[2][1]
+        assert BipartiteGuardBreaker().propose(spec, pos) == (4,)
 
 
 class TestBoundReport:
