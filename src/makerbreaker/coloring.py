@@ -115,12 +115,14 @@ def is_k_colorable(g: Graph, k: int):
     return None
 
 
-def chromatic_number(g: Graph, cap: int = CHROMATIC_VERTEX_CAP) -> int:
-    """Exact chromatic number; refuses graphs above the vertex cap."""
-    if g.n > cap:
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number; refuses graphs above ``CHROMATIC_VERTEX_CAP``
+    vertices."""
+    if g.n > CHROMATIC_VERTEX_CAP:
         raise ResourceLimitError(
-            f"chromatic_number is exponential; {g.n} vertices exceeds the cap {cap}",
-            stats={"n": g.n, "cap": cap},
+            f"chromatic_number is exponential; {g.n} vertices exceeds the cap "
+            f"{CHROMATIC_VERTEX_CAP}",
+            stats={"n": g.n, "cap": CHROMATIC_VERTEX_CAP},
         )
     if g.n == 0:
         return 0

@@ -6,13 +6,15 @@ the threshold variants stop augmenting early, which keeps the decomposition
 pipeline fast without giving up soundness (a certified "at least t" answer is
 always a real lower bound, never a heuristic one).  Each vertex-disjoint s-t
 flow starts from greedily chosen paths of two and three edges, read off the
-host's neighbour sets; when they reach the limit no flow network is copied,
-and otherwise augmenting paths (which may cancel seeded flow) complete them
+host's neighbour sets.  When they reach the limit no flow network is built
+or copied; otherwise the split network is built (once per call of the public
+function) and augmenting paths, which may cancel seeded flow, complete them
 to a maximum flow.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from fractions import Fraction
 
@@ -111,13 +113,16 @@ def _short_paths(g: Graph, s, t, limit):
     return paths
 
 
-def _local_vertex_flow(g: Graph, base, adj, s, t, limit):
+def _local_vertex_flow(g: Graph, network, s, t, limit):
     """min(limit, number of internally disjoint s-t paths) for non-adjacent
     s and t, with the residual network when that is below ``limit`` (None
-    when the greedy short paths already reach it)."""
+    when the greedy short paths already reach it).  ``network()`` gives the
+    split network (capacities, adjacency); it is called only when the short
+    paths fall short."""
     paths = _short_paths(g, s, t, limit)
     if len(paths) == limit:
         return limit, None
+    base, adj = network()
     cap = [dict(d) for d in base]
     for inner in paths:
         nodes = [2 * s + 1]
@@ -156,7 +161,7 @@ def vertex_connectivity(g: Graph) -> int:
         raise DomainError("vertex connectivity needs at least 2 vertices")
     if g.is_complete():
         return g.n - 1
-    base, adj = _vertex_network(g)
+    network = functools.cache(lambda: _vertex_network(g))
     delta = min(len(g.neighbors(v)) for v in range(g.n))
     best = delta
     for s in range(min(delta + 1, g.n)):
@@ -166,7 +171,7 @@ def vertex_connectivity(g: Graph) -> int:
                 continue
             if best == 0:
                 return 0
-            flow, _ = _local_vertex_flow(g, base, adj, s, t, best)
+            flow, _ = _local_vertex_flow(g, network, s, t, best)
             best = min(best, flow)
     return best
 
@@ -177,16 +182,16 @@ def vertex_cut_below(g: Graph, threshold: int):
         raise DomainError("complete graphs have no vertex cut")
     if threshold <= 0:
         return None
-    base, adj = _vertex_network(g)
+    network = functools.cache(lambda: _vertex_network(g))
     delta = min(len(g.neighbors(v)) for v in range(g.n))
     for s in range(min(threshold, delta + 1, g.n)):
         nbrs = g.neighbors(s)
         for t in range(g.n):
             if t == s or t in nbrs:
                 continue
-            flow, residual = _local_vertex_flow(g, base, adj, s, t, threshold)
+            flow, residual = _local_vertex_flow(g, network, s, t, threshold)
             if flow < threshold:
-                return _cut_from_residual(g, residual, adj, s)
+                return _cut_from_residual(g, residual, network()[1], s)
     return None
 
 

@@ -48,8 +48,13 @@ class WinPredicate:
         if self.kind in ("non-k-colorable", "k-edge-connected"):
             if self.k is None or self.k < 1:
                 raise DomainError(f"{self.kind} needs a positive k")
-        if self.kind == "aux-connect" and self.anchor is None:
-            raise DomainError("aux-connect needs an anchor vertex set")
+        elif self.k is not None:
+            raise DomainError(f"{self.kind} takes no k")
+        if self.kind == "aux-connect":
+            if self.anchor is None:
+                raise DomainError("aux-connect needs an anchor vertex set")
+        elif self.anchor is not None:
+            raise DomainError(f"{self.kind} takes no anchor")
 
     def token(self) -> str:
         if self.kind == "non-k-colorable":
@@ -222,55 +227,52 @@ def _triangle(g: Graph):
     return None
 
 
+def maker_graph(spec: GameSpec, claims) -> tuple:
+    """Maker's graph on ``claims``, as (graph, to_host).
+
+    On an edge board the graph has the host's vertices and the claimed
+    edges, and to_host is None; on a vertex board it is the host's subgraph
+    induced on the claimed vertices, relabeled, with to_host[new] = old.
+    """
+    if spec.board_kind == EDGES:
+        return Graph(spec.host.n, claims), None
+    return induced_subgraph(spec.host, claims)
+
+
 def maker_win_witness(spec: GameSpec, maker_claims):
     """The witness if Maker's claims satisfy the objective, else None."""
     obj = spec.objective
-    if spec.board_kind == EDGES:
-        claimed = Graph(spec.host.n, maker_claims)
-        if obj.kind == "odd-cycle":
-            res = find_odd_cycle(claimed)
-            return res if isinstance(res, OddCycleWitness) else None
-        if obj.kind == "non-k-colorable":
-            if is_k_colorable(claimed, obj.k) is None:
-                return ClaimSetWitness(tuple(sorted(maker_claims)), "non-k-colorable", obj.k)
+    if obj.kind == "aux-connect":
+        union = frozenset(maker_claims) | obj.anchor
+        if not union:
             return None
-        if obj.kind == "spanning-connected":
-            if spec.host.n >= 1 and is_connected(claimed):
-                return ClaimSetWitness(tuple(sorted(maker_claims)), "spanning-connected")
+        sub, to_parent = induced_subgraph(spec.host, union)
+        if is_connected(sub):
+            return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
+        tri = _triangle(sub)
+        if tri is not None:
+            return OddCycleWitness(tuple(to_parent[v] for v in tri))
+        return None
+    g, to_host = maker_graph(spec, maker_claims)
+    if obj.kind == "odd-cycle":
+        res = find_odd_cycle(g)
+        if not isinstance(res, OddCycleWitness):
             return None
-        if obj.kind == "k-edge-connected":
-            if spec.host.n < 2 or not is_connected(claimed):
-                return None
-            if min(claimed.degree(v) for v in range(claimed.n)) < obj.k:
-                return None
-            if edge_connectivity(claimed) >= obj.k:
-                return ClaimSetWitness(
-                    tuple(sorted(maker_claims)), "k-edge-connected", obj.k
-                )
-            return None
+        return res if to_host is None else res.relabeled(to_host)
+    if obj.kind == "non-k-colorable":
+        won = is_k_colorable(g, obj.k) is None
+    elif obj.kind == "spanning-connected":
+        won = g.n >= 1 and is_connected(g)
+    elif obj.kind == "k-edge-connected":
+        won = (
+            g.n >= 2
+            and is_connected(g)
+            and min(g.degree(v) for v in range(g.n)) >= obj.k
+            and edge_connectivity(g) >= obj.k
+        )
     else:
-        claims = frozenset(maker_claims)
-        if obj.kind == "odd-cycle":
-            sub, to_parent = induced_subgraph(spec.host, claims)
-            res = find_odd_cycle(sub)
-            return res.relabeled(to_parent) if isinstance(res, OddCycleWitness) else None
-        if obj.kind == "non-k-colorable":
-            sub, _ = induced_subgraph(spec.host, claims)
-            if is_k_colorable(sub, obj.k) is None:
-                return ClaimSetWitness(tuple(sorted(claims)), "non-k-colorable", obj.k)
-            return None
-        if obj.kind == "aux-connect":
-            union = claims | obj.anchor
-            if not union:
-                return None
-            sub, to_parent = induced_subgraph(spec.host, union)
-            if is_connected(sub):
-                return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
-            tri = _triangle(sub)
-            if tri is not None:
-                return OddCycleWitness(tuple(to_parent[v] for v in tri))
-            return None
-    raise DomainError(f"unhandled objective {obj.kind!r}")
+        raise DomainError(f"unhandled objective {obj.kind!r}")
+    return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k) if won else None
 
 
 class Strategy:

@@ -58,12 +58,13 @@ def odd_cycle_blowup(length: int, m: int) -> Graph:
     return Graph(length * m, edges)
 
 
-def random_regular(n: int, d: int, seed: int = 0, max_tries: int = 1000) -> Graph:
-    """Configuration-model sample, rejecting pairings with loops or doubles."""
+def random_regular(n: int, d: int, seed: int = 0) -> Graph:
+    """Configuration-model sample, rejecting pairings with loops or doubles;
+    gives up after 1000 pairings."""
     if n < 1 or d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(1000):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -141,18 +141,7 @@ class ExperimentConfig:
     seed_base: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "board_kind": self.board_kind,
-            "objective": self.objective,
-            "maker": self.maker,
-            "breaker": self.breaker,
-            "maker_bias": self.maker_bias,
-            "breaker_bias": self.breaker_bias,
-            "first": self.first,
-            "trials": self.trials,
-            "seed_base": self.seed_base,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

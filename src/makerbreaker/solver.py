@@ -4,10 +4,10 @@
 batches.  Batches are explored as combinations, not sequences: within one turn
 the claim order is irrelevant, which is a provable state reduction.  Positions
 are memoized on (maker claims, breaker claims, mover); there is no
-graph-automorphism reduction.  Two toggles exist purely for differential
-testing: the maker-win early cutoff and the futility prune (Maker plus all
-unclaimed elements failing the objective).  Winning predicates are monotone,
-so disabling either never changes a verdict, only the node count.
+graph-automorphism reduction.  Two prunes are always on: the maker-win early
+cutoff and the futility prune (Maker plus all unclaimed elements failing the
+objective).  Winning predicates are monotone, so neither changes a verdict,
+only the node count; ``solve_reference`` checks that.
 
 ``solve_reference`` is an intentionally plain recursive implementation kept
 free of memoization and pruning, used to cross-check the main solver.
@@ -55,12 +55,10 @@ def _mask_elements(board, mask):
 
 
 class _Solver:
-    def __init__(self, spec: GameSpec, early_cutoff: bool, futility: bool):
+    def __init__(self, spec: GameSpec):
         self.spec = spec
         self.board = spec.board()
         self.full = (1 << len(self.board)) - 1
-        self.early_cutoff = early_cutoff
-        self.futility = futility
         self.memo = {}
         self.eval_cache = {}
         self.nodes = 0
@@ -82,14 +80,14 @@ class _Solver:
         bits = [i for i in range(len(self.board)) if unclaimed >> i & 1]
         if not bits:
             res = self.eval_win(m)
-        elif self.futility and not self.eval_win(m | unclaimed):
+        elif not self.eval_win(m | unclaimed):
             res = False
         elif mover == MAKER:
             need = min(self.spec.maker_bias, len(bits))
             res = False
             for batch in _bit_batches(bits, need):
                 nm = m | batch
-                if (self.early_cutoff and self.eval_win(nm)) or self.win(nm, b, BREAKER):
+                if self.eval_win(nm) or self.win(nm, b, BREAKER):
                     res = True
                     break
         else:
@@ -137,13 +135,7 @@ class _Solver:
         return tuple(line)
 
 
-def solve(
-    spec: GameSpec,
-    *,
-    board_cap: int = SOLVE_BOARD_CAP,
-    early_cutoff: bool = True,
-    futility: bool = True,
-) -> SolveVerdict:
+def solve(spec: GameSpec, *, board_cap: int = SOLVE_BOARD_CAP) -> SolveVerdict:
     """Optimal-play winner of the game, with one principal line."""
     board = spec.board()
     if len(board) > board_cap:
@@ -151,7 +143,7 @@ def solve(
             f"board of {len(board)} elements exceeds the solve cap {board_cap}",
             stats={"board": len(board), "cap": board_cap},
         )
-    solver = _Solver(spec, early_cutoff, futility)
+    solver = _Solver(spec)
     maker_wins = solver.win(0, 0, spec.first)
     return SolveVerdict(
         winner=MAKER if maker_wins else BREAKER,
@@ -160,13 +152,14 @@ def solve(
     )
 
 
-def solve_reference(spec: GameSpec, *, board_cap: int = REFERENCE_BOARD_CAP) -> str:
-    """Winner by plain unmemoized recursion; the game stops at a Maker win."""
+def solve_reference(spec: GameSpec) -> str:
+    """Winner by plain unmemoized recursion; the game stops at a Maker win.
+    Boards above ``REFERENCE_BOARD_CAP`` elements are refused."""
     board = spec.board()
-    if len(board) > board_cap:
+    if len(board) > REFERENCE_BOARD_CAP:
         raise ResourceLimitError(
-            f"board of {len(board)} elements exceeds the reference cap {board_cap}",
-            stats={"board": len(board), "cap": board_cap},
+            f"board of {len(board)} elements exceeds the reference cap {REFERENCE_BOARD_CAP}",
+            stats={"board": len(board), "cap": REFERENCE_BOARD_CAP},
         )
 
     def recurse(maker_set, breaker_set, mover):

@@ -34,8 +34,6 @@ from .decompose import (
     BipartiteCore,
     _below_degree_floor,
     core_graph,
-    extract_bipartite_core,
-    extract_chromatic_core,
 )
 from .engine import (
     EDGES,
@@ -46,6 +44,7 @@ from .engine import (
     Strategy,
     batch_size,
     legal_moves,
+    maker_graph,
 )
 from .errors import DomainError
 from .graphs import (
@@ -56,7 +55,6 @@ from .graphs import (
     find_odd_cycle,
     frac_ceil,
     gray_code_bipartitions,
-    induced_subgraph,
 )
 
 # -- exact bound calculators -----------------------------------------------------
@@ -216,28 +214,20 @@ class RandomStrategy(Strategy):
         return tuple(self.rng.sample(legal_moves(spec, pos), batch_size(spec, pos)))
 
 
-def _maker_two_coloring(host: Graph, spec: GameSpec, pos: Position):
-    """(component id, color) per vertex of Maker's claimed graph, or None if it
-    already contains an odd cycle (then the game is effectively over)."""
-    if spec.board_kind == EDGES:
-        claimed = Graph(host.n, pos.maker)
-        relevant = set()
-        for u, v in pos.maker:
-            relevant.add(u)
-            relevant.add(v)
-    else:
-        claimed, order = induced_subgraph(host, pos.maker)
-        relevant = set(range(claimed.n))
+def _maker_two_coloring(spec: GameSpec, pos: Position):
+    """(component id, color) per host vertex of Maker's graph, or None if it
+    already contains an odd cycle (then the game is effectively over).  On an
+    edge board every host vertex is labeled, an untouched one as a component
+    of its own."""
+    claimed, to_host = maker_graph(spec, pos.maker)
     coloring = find_odd_cycle(claimed)
     if isinstance(coloring, OddCycleWitness):
         return None
-    comp_id = {}
-    for i, comp in enumerate(connected_components(claimed, relevant)):
+    labels = {}
+    for i, comp in enumerate(connected_components(claimed)):
         for v in comp:
-            comp_id[v] = i
-    if spec.board_kind == EDGES:
-        return {v: (comp_id[v], coloring[v]) for v in relevant}
-    return {order[v]: (comp_id[v], coloring[v]) for v in relevant}
+            labels[v if to_host is None else to_host[v]] = (i, coloring[v])
+    return labels
 
 
 class BipartiteGuardBreaker(Strategy):
@@ -254,15 +244,12 @@ class BipartiteGuardBreaker(Strategy):
         free = legal_moves(spec, pos)
         need = batch_size(spec, pos)
         host = spec.host
-        labels = _maker_two_coloring(host, spec, pos)
+        labels = _maker_two_coloring(spec, pos)
         danger = []
         if labels is not None:
             if spec.board_kind == EDGES:
-                for u, v in free:
-                    lu, lv = labels.get(u), labels.get(v)
-                    # same component, same color: the edge closes an odd cycle
-                    if lu is not None and lv is not None and lu[0] == lv[0] and lu[1] == lv[1]:
-                        danger.append((u, v))
+                # same component, same color: the edge closes an odd cycle
+                danger = [(u, v) for u, v in free if labels[u] == labels[v]]
             else:
                 for w in free:
                     seen_colors = {}
@@ -364,10 +351,10 @@ class DenseEdgeMaker(_SpecialEdgeMaker):
     """Stage I: claim the witness edge inside side A of the bipartite core.
     Stage II: connectivity play restricted to the core's crossing edges."""
 
-    def __init__(self, g: Graph, delta, *, force: bool = False, core: BipartiteCore | None = None):
+    def __init__(self, g: Graph, delta, core: BipartiteCore):
         self.g = g
         self.delta = Fraction(delta)
-        self.core = core if core is not None else extract_bipartite_core(g, delta, force=force)
+        self.core = core
         self.witness_edge = self.special_edge = self.core.witness_edge
         crossing, to_host = core_graph(g, self.core)
         pool = frozenset((to_host[u], to_host[v]) for u, v in crossing.edges)
@@ -604,24 +591,11 @@ class DenseVertexMaker(Strategy):
 
     position_pure = False
 
-    def __init__(
-        self,
-        g: Graph,
-        delta,
-        b: int,
-        *,
-        force: bool = False,
-        core: BipartiteCore | None = None,
-        decomposition_seed: int = 0,
-    ):
+    def __init__(self, g: Graph, delta, b: int, core: BipartiteCore):
         self.g = g
         self.delta = Fraction(delta)
         self.b = b
-        self.core = (
-            core
-            if core is not None
-            else extract_chromatic_core(g, delta, b, force=force, seed=decomposition_seed)
-        )
+        self.core = core
         self.h, self.to_host = core_graph(g, self.core)
         self.to_local = {host: i for i, host in enumerate(self.to_host)}
         a_sorted = sorted(self.core.a)

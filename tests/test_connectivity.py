@@ -180,7 +180,7 @@ class TestSeededVertexFlow:
         g = blocked_host()
         assert _short_paths(g, 0, 1, 3) == [(2, 4)]
         base, adj = _vertex_network(g)
-        flow, cap = _local_vertex_flow(g, base, adj, 0, 1, 3)
+        flow, cap = _local_vertex_flow(g, lambda: (base, adj), 0, 1, 3)
         assert flow == 2
         assert cap[2 * 2 + 1][2 * 4] == base[2 * 2 + 1][2 * 4]
         assert _cut_from_residual(g, cap, adj, 0) == frozenset({2, 3})
@@ -189,16 +189,36 @@ class TestSeededVertexFlow:
         assert vertex_cut_below(g, 3) == frozenset({2, 3}) == unseeded_cut_below(g, 3)
 
     def test_saturated_pair_skips_the_network(self):
-        g = Graph.cycle(4)
-        base, adj = _vertex_network(g)
-        assert _local_vertex_flow(g, base, adj, 0, 2, 2) == (2, None)
+        def network():
+            raise AssertionError("the split network was asked for")
+
+        assert _local_vertex_flow(Graph.cycle(4), network, 0, 2, 2) == (2, None)
+
+    def test_network_is_built_once_and_only_when_needed(self, monkeypatch):
+        builds = []
+
+        def counting(g):
+            builds.append(g)
+            return _vertex_network(g)
+
+        monkeypatch.setattr(connectivity, "_vertex_network", counting)
+        # every non-adjacent pair of C_5 is joined by a path of two edges and
+        # one of three, disjoint: the greedy paths saturate every flow
+        assert vertex_connectivity(Graph.cycle(5)) == 2
+        assert vertex_cut_below(Graph.cycle(5), 2) is None
+        assert builds == []
+        # in blocked_host the greedy paths fall short, and two pairs need flows
+        g = blocked_host()
+        assert vertex_connectivity(g) == 2
+        assert vertex_cut_below(g, 3) == frozenset({2, 3})
+        assert builds == [g, g]
 
     def test_first_flow_is_capped_at_min_degree(self, monkeypatch):
         limits = []
 
-        def spy(g, base, adj, s, t, limit):
+        def spy(g, network, s, t, limit):
             limits.append(limit)
-            return _local_vertex_flow(g, base, adj, s, t, limit)
+            return _local_vertex_flow(g, network, s, t, limit)
 
         monkeypatch.setattr(connectivity, "_local_vertex_flow", spy)
         for seed in range(6):

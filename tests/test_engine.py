@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedStrategy, random_graphs
+from makerbreaker.coloring import is_k_colorable
+from makerbreaker.connectivity import edge_connectivity
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -13,10 +15,12 @@ from makerbreaker.engine import (
     Position,
     Strategy,
     WinPredicate,
+    _triangle,
     apply_moves,
     format_record,
     format_transcript,
     legal_moves,
+    maker_graph,
     maker_win_witness,
     parse_transcript,
     parse_witness,
@@ -24,7 +28,14 @@ from makerbreaker.engine import (
     replay_transcript,
 )
 from makerbreaker.errors import DomainError, IllegalMoveError
-from makerbreaker.graphs import Graph, OddCycleWitness, verify_odd_cycle
+from makerbreaker.graphs import (
+    Graph,
+    OddCycleWitness,
+    find_odd_cycle,
+    induced_subgraph,
+    is_connected,
+    verify_odd_cycle,
+)
 from makerbreaker.solver import verify_maker_strategy
 from makerbreaker.strategies import ConnectivityMaker, RandomStrategy
 
@@ -280,6 +291,103 @@ class TestEvaluate:
             assert maker_win_witness(spec, base | {extra}) is not None
 
 
+def two_branch_win_witness(spec, maker_claims):
+    """The win check as it was written before ``maker_graph``: one branch per
+    board kind, each with its own objective dispatch."""
+    obj = spec.objective
+    if spec.board_kind == EDGES:
+        claimed = Graph(spec.host.n, maker_claims)
+        if obj.kind == "odd-cycle":
+            res = find_odd_cycle(claimed)
+            return res if isinstance(res, OddCycleWitness) else None
+        if obj.kind == "non-k-colorable":
+            if is_k_colorable(claimed, obj.k) is None:
+                return ClaimSetWitness(tuple(sorted(maker_claims)), "non-k-colorable", obj.k)
+            return None
+        if obj.kind == "spanning-connected":
+            if spec.host.n >= 1 and is_connected(claimed):
+                return ClaimSetWitness(tuple(sorted(maker_claims)), "spanning-connected")
+            return None
+        if obj.kind == "k-edge-connected":
+            if spec.host.n < 2 or not is_connected(claimed):
+                return None
+            if min(claimed.degree(v) for v in range(claimed.n)) < obj.k:
+                return None
+            if edge_connectivity(claimed) >= obj.k:
+                return ClaimSetWitness(tuple(sorted(maker_claims)), "k-edge-connected", obj.k)
+            return None
+    else:
+        claims = frozenset(maker_claims)
+        if obj.kind == "odd-cycle":
+            sub, to_parent = induced_subgraph(spec.host, claims)
+            res = find_odd_cycle(sub)
+            return res.relabeled(to_parent) if isinstance(res, OddCycleWitness) else None
+        if obj.kind == "non-k-colorable":
+            sub, _ = induced_subgraph(spec.host, claims)
+            if is_k_colorable(sub, obj.k) is None:
+                return ClaimSetWitness(tuple(sorted(claims)), "non-k-colorable", obj.k)
+            return None
+        if obj.kind == "aux-connect":
+            union = claims | obj.anchor
+            if not union:
+                return None
+            sub, to_parent = induced_subgraph(spec.host, union)
+            if is_connected(sub):
+                return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
+            tri = _triangle(sub)
+            if tri is not None:
+                return OddCycleWitness(tuple(to_parent[v] for v in tri))
+            return None
+    raise DomainError(f"unhandled objective {obj.kind!r}")
+
+
+@st.composite
+def objective_specs(draw):
+    """A spec on a random host of up to 7 vertices, with any objective its
+    board plays (k from 1 to 3, any anchor), and a random Maker claim set."""
+    g = draw(random_graphs(max_n=7))
+    board_kind = draw(st.sampled_from((EDGES, VERTICES)))
+    k = draw(st.integers(min_value=1, max_value=3))
+    if board_kind == EDGES:
+        objectives = [
+            WinPredicate("odd-cycle"),
+            WinPredicate("non-k-colorable", k=k),
+            WinPredicate("spanning-connected"),
+            WinPredicate("k-edge-connected", k=k),
+        ]
+    else:
+        anchor = draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1)))
+        objectives = [
+            WinPredicate("odd-cycle"),
+            WinPredicate("non-k-colorable", k=k),
+            WinPredicate("aux-connect", anchor=anchor),
+        ]
+    spec = GameSpec(host=g, board_kind=board_kind, objective=draw(st.sampled_from(objectives)))
+    board = spec.board()
+    claims = draw(st.frozensets(st.sampled_from(board))) if board else frozenset()
+    return spec, claims
+
+
+class TestOneMakerGraph:
+    @settings(max_examples=400, deadline=None)
+    @given(objective_specs())
+    def test_win_witness_matches_the_two_branch_check(self, spec_claims):
+        spec, claims = spec_claims
+        assert maker_win_witness(spec, claims) == two_branch_win_witness(spec, claims)
+        assert maker_win_witness(spec, sorted(claims)) == two_branch_win_witness(spec, claims)
+
+    def test_empty_host_is_not_spanned(self):
+        spec = edge_spec(Graph(0), objective=WinPredicate("spanning-connected"))
+        assert maker_win_witness(spec, ()) is None is two_branch_win_witness(spec, ())
+
+    def test_maker_graph_on_both_boards(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        sub, to_host = maker_graph(edge_spec(g), {(0, 1), (3, 4)})
+        assert (sub, to_host) == (Graph(5, [(0, 1), (3, 4)]), None)
+        sub, to_host = maker_graph(vertex_spec(g), {4, 0, 3})
+        assert (sub, to_host) == (Graph(3, [(0, 2), (1, 2)]), (0, 3, 4))
+
+
 class TestPlay:
     def test_k3_breaker_by_counting(self):
         spec = edge_spec(Graph.complete(3))
@@ -524,6 +632,22 @@ class TestSpecValidation:
     def test_objective_board_compat(self):
         with pytest.raises(DomainError):
             vertex_spec(Graph.complete(3), objective=WinPredicate("spanning-connected"))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "odd-cycle", "k": 3},
+            {"kind": "spanning-connected", "k": 3},
+            {"kind": "aux-connect", "k": 1, "anchor": frozenset({0})},
+            {"kind": "odd-cycle", "anchor": frozenset({0})},
+            {"kind": "spanning-connected", "anchor": frozenset()},
+            {"kind": "non-k-colorable", "k": 2, "anchor": frozenset({0})},
+            {"kind": "k-edge-connected", "k": 2, "anchor": frozenset({0})},
+        ],
+    )
+    def test_objective_rejects_a_parameter_its_kind_does_not_take(self, kwargs):
+        with pytest.raises(DomainError):
+            WinPredicate(**kwargs)
 
     def test_bias_positive(self):
         with pytest.raises(DomainError):

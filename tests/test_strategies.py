@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graphs
+from conftest import forced_dense_edge_maker, forced_dense_vertex_maker, random_graphs
 
-from makerbreaker.decompose import BipartiteCore
+from makerbreaker.decompose import BipartiteCore, extract_bipartite_core
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -18,12 +18,21 @@ from makerbreaker.engine import (
     Position,
     Strategy,
     WinPredicate,
+    batch_size,
+    legal_moves,
     maker_win_witness,
     play,
 )
 from makerbreaker.errors import DomainError, PreconditionError
 from makerbreaker.generators import complete_multipartite, gnp, odd_cycle_blowup
-from makerbreaker.graphs import Graph, connected_components, cut_edges, verify_odd_cycle
+from makerbreaker.graphs import (
+    Graph,
+    OddCycleWitness,
+    connected_components,
+    cut_edges,
+    find_odd_cycle,
+    verify_odd_cycle,
+)
 from makerbreaker.solver import solve, verify_maker_strategy
 from makerbreaker.strategies import (
     BipartiteGuardBreaker,
@@ -170,7 +179,7 @@ class TestSmallestCut:
 class TestDenseEdgeMaker:
     def test_tripartite_sweep_vs_random(self):
         g = complete_multipartite([6, 6, 6])
-        maker = DenseEdgeMaker(g, Fraction(2, 3), force=True)
+        maker = forced_dense_edge_maker(g, Fraction(2, 3))
         spec = edge_spec(g, b=2)
         for seed in range(100):
             r = play(spec, maker, RandomStrategy(), seed=seed)
@@ -179,11 +188,11 @@ class TestDenseEdgeMaker:
 
     def test_bipartite_host_construction_error(self):
         with pytest.raises(PreconditionError):
-            DenseEdgeMaker(complete_multipartite([8, 8]), Fraction(1, 2), force=True)
+            forced_dense_edge_maker(complete_multipartite([8, 8]), Fraction(1, 2))
 
     def test_stage_one_always_first(self):
         g = complete_multipartite([5, 5, 5])
-        maker = DenseEdgeMaker(g, Fraction(2, 3), force=True)
+        maker = forced_dense_edge_maker(g, Fraction(2, 3))
         spec = edge_spec(g, b=2)
         r = play(spec, maker, RandomStrategy(), seed=4)
         assert r.position.log[0][1][0] == maker.witness_edge
@@ -192,7 +201,7 @@ class TestDenseEdgeMaker:
 
     def test_witness_edge_inside_a(self):
         g = complete_multipartite([5, 5, 5])
-        maker = DenseEdgeMaker(g, Fraction(2, 3), force=True)
+        maker = forced_dense_edge_maker(g, Fraction(2, 3))
         u, v = maker.witness_edge
         assert u in maker.core.a and v in maker.core.a
 
@@ -213,7 +222,9 @@ class TestDenseEdgeMaker:
         ]
         # twice round, so every build after the first finds another core kept
         for host, delta, core in builds * 2:
-            maker = DenseEdgeMaker(host, delta, force=True, core=core)
+            maker = DenseEdgeMaker(
+                host, delta, core or extract_bipartite_core(host, delta, force=True)
+            )
             assert maker.inner.pool == frozenset(cut_edges(host, maker.core.a, maker.core.b))
 
 
@@ -299,7 +310,7 @@ class TestMergeComponents:
 class TestDenseVertexMaker:
     def test_star_center_and_leaf_secured_when_first(self):
         g = complete_multipartite([3] * 7)
-        maker = DenseVertexMaker(g, Fraction(6, 7), 2, force=True)
+        maker = forced_dense_vertex_maker(g, Fraction(6, 7), 2)
         spec = vertex_spec(g, b=2)
         r = play(spec, maker, RandomStrategy(), seed=0)
         first_two = [log[1][0] for log in r.position.log if log[0] == MAKER][:2]
@@ -309,7 +320,7 @@ class TestDenseVertexMaker:
 
     def test_full_pipeline_many_seeds(self):
         g = complete_multipartite([3] * 7)
-        maker = DenseVertexMaker(g, Fraction(6, 7), 2, force=True)
+        maker = forced_dense_vertex_maker(g, Fraction(6, 7), 2)
         spec = vertex_spec(g, b=2)
         wins = 0
         for seed in range(100):
@@ -323,7 +334,7 @@ class TestDenseVertexMaker:
 
     def test_stage_monotonicity(self):
         g = complete_multipartite([4] * 7)
-        maker = DenseVertexMaker(g, Fraction(6, 7), 2, force=True)
+        maker = forced_dense_vertex_maker(g, Fraction(6, 7), 2)
         spec = vertex_spec(g, b=2)
         for seed in range(20):
             play(spec, maker, BipartiteGuardBreaker(), seed=seed)
@@ -332,7 +343,7 @@ class TestDenseVertexMaker:
 
     def test_center_theft_forfeits(self):
         g = complete_multipartite([3] * 7)
-        maker = DenseVertexMaker(g, Fraction(6, 7), 2, force=True)
+        maker = forced_dense_vertex_maker(g, Fraction(6, 7), 2)
         spec = vertex_spec(g, b=2, first=BREAKER)
         thief = ScriptedBreaker([(maker.center, (maker.center + 1) % g.n)])
         r = play(spec, maker, thief, seed=0)
@@ -351,7 +362,7 @@ class TestDenseVertexMaker:
             chi_floor=None,
             h_min_degree=6,
         )
-        maker = DenseVertexMaker(g, Fraction(1, 2), 2, core=core)
+        maker = DenseVertexMaker(g, Fraction(1, 2), 2, core)
         spec = vertex_spec(g, b=2)
         r = play(spec, maker, RandomStrategy(), seed=0)
         assert r.forfeit and maker.forfeit_reason == "star-leaves-exhausted"
@@ -382,7 +393,7 @@ class TestDenseVertexMaker:
         # a blowup of an odd cycle has no triangles, so every win must be a
         # cycle of length at least 5 built through the merge stage
         g = odd_cycle_blowup(5, 3)
-        maker = DenseVertexMaker(g, Fraction(2, 5), 1, core=self._blowup_core(g))
+        maker = DenseVertexMaker(g, Fraction(2, 5), 1, self._blowup_core(g))
         spec = vertex_spec(g, b=1)
         wins = 0
         for seed in (0, 2, 5, 6, 7):
@@ -397,7 +408,7 @@ class TestDenseVertexMaker:
 
     def test_stage_three_forfeit_when_partners_vanish(self):
         g = odd_cycle_blowup(5, 3)
-        maker = DenseVertexMaker(g, Fraction(2, 5), 1, core=self._blowup_core(g))
+        maker = DenseVertexMaker(g, Fraction(2, 5), 1, self._blowup_core(g))
         spec = vertex_spec(g, b=1)
         r = play(spec, maker, RandomStrategy(), seed=3)
         assert r.forfeit and maker.forfeit_reason == "no-high-degree-partner"
@@ -424,7 +435,7 @@ class TestBreakers:
     def test_guard_blocks_single_threats(self):
         # on a sparse blowup the guard shuts out the edge maker even at b=1
         g = odd_cycle_blowup(5, 5)
-        maker = DenseEdgeMaker(g, Fraction(2, 5), force=True)
+        maker = forced_dense_edge_maker(g, Fraction(2, 5))
         spec = edge_spec(g, b=1)
         wins = sum(
             play(spec, maker, BipartiteGuardBreaker(), seed=s).winner == MAKER
@@ -453,9 +464,82 @@ class TestBreakers:
         g = Graph(7, [(0, 1), (1, 3), (2, 3), (0, 4), (4, 5), (4, 6)])
         pos = Position(maker=frozenset({0, 1, 2}), breaker=frozenset(), to_move=BREAKER)
         spec = vertex_spec(g)
-        labels = _maker_two_coloring(g, spec, pos)
+        labels = _maker_two_coloring(spec, pos)
         assert labels[1][0] != labels[2][0] and labels[1][1] != labels[2][1]
         assert BipartiteGuardBreaker().propose(spec, pos) == (4,)
+
+
+def per_board_two_coloring(host, pos):
+    """Edge-board 2-coloring as it was written before ``maker_graph``: only
+    the endpoints of Maker's edges are labeled."""
+    claimed = Graph(host.n, pos.maker)
+    relevant = {v for e in pos.maker for v in e}
+    coloring = find_odd_cycle(claimed)
+    if isinstance(coloring, OddCycleWitness):
+        return None
+    comp_id = {}
+    for i, comp in enumerate(connected_components(claimed, relevant)):
+        for v in comp:
+            comp_id[v] = i
+    return {v: (comp_id[v], coloring[v]) for v in relevant}
+
+
+def per_board_guard(spec, pos):
+    """BipartiteGuardBreaker.propose on edge boards before ``maker_graph``."""
+    free = legal_moves(spec, pos)
+    host = spec.host
+    labels = per_board_two_coloring(host, pos)
+    danger = []
+    if labels is not None:
+        for u, v in free:
+            lu, lv = labels.get(u), labels.get(v)
+            if lu is not None and lv is not None and lu[0] == lv[0] and lu[1] == lv[1]:
+                danger.append((u, v))
+    flagged = set(danger)
+    rest = sorted(
+        (e for e in free if e not in flagged),
+        key=lambda e: (-(host.degree(e[0]) + host.degree(e[1])), e),
+    )
+    return tuple((sorted(danger) + rest)[: batch_size(spec, pos)])
+
+
+@st.composite
+def edge_positions(draw):
+    """Breaker to move on a random host of up to 7 vertices, bias 1-3, with
+    random disjoint Maker and Breaker edge sets."""
+    g = draw(random_graphs(max_n=7))
+    spec = edge_spec(g, b=draw(st.integers(min_value=1, max_value=3)))
+    owner = draw(st.lists(st.sampled_from((None, MAKER, BREAKER)), min_size=g.m, max_size=g.m))
+    board = spec.board()
+    maker = frozenset(e for e, o in zip(board, owner) if o == MAKER)
+    breaker = frozenset(e for e, o in zip(board, owner) if o == BREAKER)
+    return spec, Position(maker=maker, breaker=breaker, to_move=BREAKER)
+
+
+class TestGuardOnEdgeBoards:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_positions())
+    def test_two_coloring_matches_the_per_board_labels(self, spec_pos):
+        spec, pos = spec_pos
+        labels, old = _maker_two_coloring(spec, pos), per_board_two_coloring(spec.host, pos)
+        if old is None:
+            assert labels is None
+            return
+        assert set(labels) == set(range(spec.host.n))
+        for u in labels:
+            for v in labels:
+                same = labels[u][0] == labels[v][0]
+                if u in old and v in old:
+                    assert same == (old[u][0] == old[v][0])
+                else:  # an untouched vertex is a component of its own
+                    assert same == (u == v)
+        assert all(labels[v][1] == old[v][1] for v in old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_positions())
+    def test_guard_matches_the_per_board_guard(self, spec_pos):
+        spec, pos = spec_pos
+        assert BipartiteGuardBreaker().propose(spec, pos) == per_board_guard(spec, pos)
 
 
 class TestBoundReport:
