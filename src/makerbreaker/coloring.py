@@ -22,7 +22,7 @@ def greedy_clique(g: Graph) -> list[int]:
         clique = [seed]
         common = set(g.neighbors(seed))
         while common:
-            v = min(common, key=lambda x: (-g.degree_into(x, common), x))
+            v = min(common, key=lambda x: (-len(g.neighbors(x) & common), x))
             clique.append(v)
             common &= g.neighbors(v)
         if len(clique) > len(best):
@@ -88,30 +88,39 @@ def is_k_colorable(g: Graph, k: int):
         for u in touched:
             sat[u].discard(c)
 
-    def solve(used):
-        if not uncolored:
-            return True
+    def branch(used):
+        """A search frame for the next vertex (fewest colors left), or None
+        when that vertex has no color left."""
         v = min(uncolored, key=lambda x: (k - len(sat[x]), -g.degree(x), x))
         if len(sat[v]) >= k:
-            return False
+            return None
         uncolored.discard(v)
         # existing colors first, then at most one fresh color (symmetry break)
-        for c in range(used):
-            if c not in sat[v]:
-                touched = assign(v, c)
-                if solve(used):
-                    return True
-                unassign(v, c, touched)
-        if used < k:
-            touched = assign(v, used)
-            if solve(used + 1):
-                return True
-            unassign(v, used, touched)
-        uncolored.add(v)
-        return False
+        untried = iter([c for c in range(min(used + 1, k)) if c not in sat[v]])
+        return [v, used, untried, None]
 
-    if solve(used):
+    # Depth-first search on an explicit stack of [vertex, colors in use,
+    # untried colors, neighbors touched by the vertex's current color].
+    if not uncolored:
         return colors
+    stack = [branch(used)]
+    while stack:
+        frame = stack[-1]
+        if frame is None:  # a dead end: back to the vertex above
+            stack.pop()
+            continue
+        v, used, untried, touched = frame
+        if touched is not None:
+            unassign(v, colors[v], touched)
+        c = next(untried, None)
+        if c is None:
+            uncolored.add(v)
+            stack.pop()
+            continue
+        frame[3] = assign(v, c)
+        if not uncolored:
+            return colors
+        stack.append(branch(max(used, c + 1)))
     return None
 
 

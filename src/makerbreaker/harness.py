@@ -91,9 +91,26 @@ def _cached_core(key: tuple, extract, *args, **kwargs):
     return _core_cache[key]
 
 
+# The parameters each strategy identifier takes.
+STRATEGY_PARAMS = {
+    "random": (),
+    "bipartite-guard": (),
+    "cut-attack": (),
+    "connectivity": (),
+    "dense-edge": ("delta", "force"),
+    "connected-edge": ("b", "k", "seed"),
+    "dense-vertex": ("delta", "b", "force", "seed"),
+}
+
+
 def build_strategy(ident: str, g: Graph):
     """Construct the strategy named by a stable identifier string."""
     name, kw = parse_ident(ident)
+    if name not in STRATEGY_PARAMS:
+        raise DomainError(f"unknown strategy {name!r}")
+    unknown = sorted(set(kw) - set(STRATEGY_PARAMS[name]))
+    if unknown:
+        raise DomainError(f"strategy {name!r} takes no parameter(s) {', '.join(unknown)}")
 
     def param(key):
         return require(kw, key, f"strategy {name!r}")
@@ -115,13 +132,11 @@ def build_strategy(ident: str, g: Graph):
         return ConnectedEdgeMaker(
             g, int(param("b")), k_prime=kw.get("k"), seed=int(kw.get("seed", 0))
         )
-    if name == "dense-vertex":
-        delta, b = param("delta"), int(param("b"))
-        force, seed = kw.get("force", False), int(kw.get("seed", 0))
-        key = ("chromatic", g.fingerprint(), Fraction(delta), b, bool(force), seed)
-        core = _cached_core(key, extract_chromatic_core, g, delta, b, force=force, seed=seed)
-        return DenseVertexMaker(g, delta, b, core=core)
-    raise DomainError(f"unknown strategy {name!r}")
+    delta, b = param("delta"), int(param("b"))  # dense-vertex, the last name left
+    force, seed = kw.get("force", False), int(kw.get("seed", 0))
+    key = ("chromatic", g.fingerprint(), Fraction(delta), b, bool(force), seed)
+    core = _cached_core(key, extract_chromatic_core, g, delta, b, force=force, seed=seed)
+    return DenseVertexMaker(g, delta, b, core=core)
 
 
 # -- experiment configs and result documents ----------------------------------------

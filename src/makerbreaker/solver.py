@@ -6,8 +6,16 @@ the claim order is irrelevant, which is a provable state reduction.  Positions
 are memoized on (maker claims, breaker claims, mover); there is no
 graph-automorphism reduction.  Two prunes are always on: the maker-win early
 cutoff and the futility prune (Maker plus all unclaimed elements failing the
-objective).  Winning predicates are monotone, so neither changes a verdict,
-only the node count; ``solve_reference`` checks that.
+objective), which is off for ``aux-connect``: that predicate is not monotone,
+since a claimed vertex can disconnect the union.  The others are, so the
+prune changes no verdict, only the node count; ``solve_reference`` checks
+that.
+
+Claim sets are bitmasks over the board's element indices.  ``odd-cycle`` (on
+edge and vertex boards) and ``spanning-connected`` are decided straight from
+the mask by one layer-by-layer bitmask search of Maker's graph; the other
+objectives (``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
+``maker_win_witness`` on the claimed elements.
 
 ``solve_reference`` is an intentionally plain recursive implementation kept
 free of memoization and pruning, used to cross-check the main solver.
@@ -20,6 +28,7 @@ from itertools import combinations
 
 from .engine import (
     BREAKER,
+    EDGES,
     MAKER,
     GameSpec,
     Position,
@@ -42,58 +51,132 @@ class SolveVerdict:
     nodes_expanded: int
 
 
-def _bit_batches(unclaimed_bits, need):
-    for combo in combinations(unclaimed_bits, need):
-        mask = 0
-        for b in combo:
-            mask |= 1 << b
-        yield mask
-
-
 def _mask_elements(board, mask):
     return tuple(board[i] for i in range(len(board)) if mask >> i & 1)
+
+
+def _bfs(adj, verts, root):
+    """Layer-by-layer search from the vertex bit ``root`` over the graph whose
+    vertex v sees the bits ``adj[v] & verts``.  Returns the reached bits and
+    whether an edge joins two vertices of one layer (an odd cycle)."""
+    seen = layer = root
+    odd = False
+    while layer:
+        reach = 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            nbrs = adj[low.bit_length() - 1] & verts
+            odd = odd or nbrs & layer != 0
+            reach |= nbrs
+            rest ^= low
+        layer = reach & ~seen
+        seen |= layer
+    return seen, odd
+
+
+def _mask_decider(spec: GameSpec):
+    """A function of Maker's claim mask that says whether the claims win.
+
+    ``odd-cycle`` and ``spanning-connected`` are decided on bitmasks: vertex v
+    of Maker's graph sees the bits ``adj[v] & verts``.  On an edge board adj
+    is built per mask from each claimed edge's endpoints and verts is every
+    host vertex; on a vertex board (whose element i is vertex i) adj is the
+    host's and verts is the mask.  The other objectives call
+    ``maker_win_witness``.
+    """
+    board = spec.board()
+    kind = spec.objective.kind
+    if kind not in ("odd-cycle", "spanning-connected"):
+        return lambda mask: maker_win_witness(spec, _mask_elements(board, mask)) is not None
+    n = spec.host.n
+    if spec.board_kind == EDGES:
+        ends = tuple((u, v, 1 << u, 1 << v) for u, v in board)
+        everyone = (1 << n) - 1
+
+        def graph(mask):
+            adj = [0] * n
+            while mask:
+                low = mask & -mask
+                u, v, bu, bv = ends[low.bit_length() - 1]
+                adj[u] |= bv
+                adj[v] |= bu
+                mask ^= low
+            return adj, everyone
+
+    else:
+        host_adj = tuple(sum(1 << u for u in spec.host.neighbors(v)) for v in range(n))
+
+        def graph(mask):
+            return host_adj, mask
+
+    if kind == "spanning-connected":
+
+        def decide(mask):
+            adj, verts = graph(mask)
+            return verts != 0 and _bfs(adj, verts, verts & -verts)[0] == verts
+
+    else:
+
+        def decide(mask):
+            adj, verts = graph(mask)
+            while verts:
+                seen, odd = _bfs(adj, verts, verts & -verts)
+                if odd:
+                    return True
+                verts &= ~seen
+            return False
+
+    return decide
 
 
 class _Solver:
     def __init__(self, spec: GameSpec):
         self.spec = spec
         self.board = spec.board()
+        self.bits = tuple(1 << i for i in range(len(self.board)))
         self.full = (1 << len(self.board)) - 1
+        self.decide = _mask_decider(spec)
+        # aux-connect is not monotone (a claimed vertex can disconnect the
+        # union), so Maker holding every unclaimed element there proves nothing
+        self.futility = spec.objective.kind != "aux-connect"
         self.memo = {}
         self.eval_cache = {}
         self.nodes = 0
 
+    def batches(self, unclaimed, bias):
+        """Masks of every claim batch from ``unclaimed``, in lexicographic
+        order of element index; ``bias`` elements, or all when fewer are left."""
+        free = [bit for bit in self.bits if unclaimed & bit]
+        return map(sum, combinations(free, min(bias, len(free))))
+
     def eval_win(self, maker_mask) -> bool:
-        cached = self.eval_cache.get(maker_mask)
-        if cached is None:
-            elements = _mask_elements(self.board, maker_mask)
-            cached = maker_win_witness(self.spec, elements) is not None
-            self.eval_cache[maker_mask] = cached
-        return cached
+        won = self.eval_cache.get(maker_mask)
+        if won is None:
+            won = self.eval_cache[maker_mask] = self.decide(maker_mask)
+        return won
 
     def win(self, m, b, mover) -> bool:
         key = (m, b, mover)
-        if key in self.memo:
-            return self.memo[key]
+        res = self.memo.get(key)
+        if res is not None:
+            return res
         self.nodes += 1
         unclaimed = self.full & ~m & ~b
-        bits = [i for i in range(len(self.board)) if unclaimed >> i & 1]
-        if not bits:
+        if not unclaimed:
             res = self.eval_win(m)
-        elif not self.eval_win(m | unclaimed):
+        elif self.futility and not self.eval_win(m | unclaimed):
             res = False
         elif mover == MAKER:
-            need = min(self.spec.maker_bias, len(bits))
             res = False
-            for batch in _bit_batches(bits, need):
+            for batch in self.batches(unclaimed, self.spec.maker_bias):
                 nm = m | batch
                 if self.eval_win(nm) or self.win(nm, b, BREAKER):
                     res = True
                     break
         else:
-            need = min(self.spec.breaker_bias, len(bits))
             res = True
-            for batch in _bit_batches(bits, need):
+            for batch in self.batches(unclaimed, self.spec.breaker_bias):
                 if not self.win(m, b | batch, MAKER):
                     res = False
                     break
@@ -106,23 +189,22 @@ class _Solver:
         mover = self.spec.first
         while True:
             unclaimed = self.full & ~m & ~b
-            bits = [i for i in range(len(self.board)) if unclaimed >> i & 1]
-            if not bits:
+            if not unclaimed:
                 break
-            need = min(self.spec.bias_of(mover), len(bits))
+            bias = self.spec.bias_of(mover)
             chosen = None
             if mover == MAKER:
-                for batch in _bit_batches(bits, need):
+                for batch in self.batches(unclaimed, bias):
                     if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
                         chosen = batch
                         break
             else:
-                for batch in _bit_batches(bits, need):
+                for batch in self.batches(unclaimed, bias):
                     if not self.win(m, b | batch, MAKER):
                         chosen = batch
                         break
             if chosen is None:
-                chosen = next(_bit_batches(bits, need))
+                chosen = next(self.batches(unclaimed, bias))
             line.append((mover, _mask_elements(self.board, chosen)))
             if mover == MAKER:
                 m |= chosen

@@ -129,6 +129,13 @@ class TestPlay:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'delta'" in err
 
+    def test_misspelt_strategy_parameter_is_clean(self, tripartite_file, capsys):
+        code = run_cli("play", str(tripartite_file), "--maker", "dense-edge(delta=2/3,forse=true)",
+                       "--breaker", "random")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "forse" in err
+
 
 class TestSolveVerify:
     def test_solve_json(self, tmp_path, capsys):

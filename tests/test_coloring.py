@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, petersen
+from conftest import all_labeled_graphs, petersen, random_graphs
 from makerbreaker.coloring import chromatic_number, greedy_clique, is_k_colorable
 from makerbreaker.errors import ResourceLimitError
+from makerbreaker.generators import complete_multipartite, gnp
 from makerbreaker.graphs import Graph, OddCycleWitness, find_odd_cycle, verify_coloring
 
 
@@ -88,3 +89,115 @@ class TestGreedyClique:
         for g in (Graph.complete(6), petersen(), Graph.cycle(7)):
             q = greedy_clique(g)
             assert all(g.has_edge(u, v) for i, u in enumerate(q) for v in q[i + 1 :])
+
+
+def greedy_clique_by_degree_into(g):
+    """``greedy_clique`` as it was before it ranked candidates by set
+    intersection: ``degree_into`` per candidate, same key."""
+    best = []
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for seed in order[: min(g.n, 24)]:
+        clique = [seed]
+        common = set(g.neighbors(seed))
+        while common:
+            v = min(common, key=lambda x: (-g.degree_into(x, common), x))
+            clique.append(v)
+            common &= g.neighbors(v)
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+def recursive_k_coloring(g, k):
+    """``is_k_colorable`` as it was with a recursive search, after the same
+    trivial cases and clique precoloring."""
+    if g.n == 0:
+        return []
+    if k == 0:
+        return None
+    if k >= g.n:
+        return list(range(g.n))
+    clique = greedy_clique_by_degree_into(g)
+    if len(clique) > k:
+        return None
+    colors = [-1] * g.n
+    sat = [set() for _ in range(g.n)]
+    used = 0
+    for i, v in enumerate(clique):
+        colors[v] = i
+        used = i + 1
+        for u in g.neighbors(v):
+            sat[u].add(i)
+    uncolored = set(x for x in range(g.n) if colors[x] == -1)
+
+    def assign(v, c):
+        colors[v] = c
+        touched = []
+        for u in g.neighbors(v):
+            if colors[u] == -1 and c not in sat[u]:
+                sat[u].add(c)
+                touched.append(u)
+        return touched
+
+    def unassign(v, c, touched):
+        colors[v] = -1
+        for u in touched:
+            sat[u].discard(c)
+
+    def solve(used):
+        if not uncolored:
+            return True
+        v = min(uncolored, key=lambda x: (k - len(sat[x]), -g.degree(x), x))
+        if len(sat[v]) >= k:
+            return False
+        uncolored.discard(v)
+        for c in range(used):
+            if c not in sat[v]:
+                touched = assign(v, c)
+                if solve(used):
+                    return True
+                unassign(v, c, touched)
+        if used < k:
+            touched = assign(v, used)
+            if solve(used + 1):
+                return True
+            unassign(v, used, touched)
+        uncolored.add(v)
+        return False
+
+    return colors if solve(used) else None
+
+
+class TestAgainstPreviousSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=14), st.integers(min_value=0, max_value=5))
+    def test_same_coloring_as_recursive_search(self, g, k):
+        assert is_k_colorable(g, k) == recursive_k_coloring(g, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=16))
+    def test_same_clique_as_degree_into_ranking(self, g):
+        assert greedy_clique(g) == greedy_clique_by_degree_into(g)
+
+    def test_same_on_seeded_gnp_hosts(self):
+        for seed in range(40):
+            g = gnp(12 + seed % 9, 0.2 + 0.015 * seed, seed)
+            assert greedy_clique(g) == greedy_clique_by_degree_into(g)
+            for k in (2, 3, 4):
+                assert is_k_colorable(g, k) == recursive_k_coloring(g, k)
+
+    def test_same_clique_on_a_multipartite_host(self):
+        g = complete_multipartite([6] * 5)
+        assert greedy_clique(g) == greedy_clique_by_degree_into(g)
+
+
+class TestDeepSearch:
+    def test_1500_isolated_vertices_one_color(self):
+        assert is_k_colorable(Graph(1500), 1) == [0] * 1500
+
+    def test_1500_vertex_path_two_colors(self):
+        coloring = is_k_colorable(Graph.path(1500), 2)
+        assert verify_coloring(Graph.path(1500), coloring, 2)
+
+    def test_1501_vertex_cycle_backtracks_to_none(self):
+        assert is_k_colorable(Graph.cycle(1501), 2) is None

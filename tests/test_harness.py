@@ -1,11 +1,14 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from makerbreaker import decompose, harness
 from makerbreaker.errors import DomainError
 from makerbreaker.harness import (
+    STRATEGY_PARAMS,
     ExperimentConfig,
     build_strategy,
     parse_ident,
@@ -64,6 +67,33 @@ class TestBuildStrategy:
     def test_unknown(self):
         with pytest.raises(DomainError):
             build_strategy("alphabeta", Graph.complete(3))
+
+    @pytest.mark.parametrize(
+        "ident, unknown",
+        [
+            ("dense-vertex(delta=6/7,b=2,force=true,sead=5,bogus=1)", "bogus, sead"),
+            ("random(x=1)", "x"),
+            ("connectivity(k=2)", "k"),
+            ("dense-edge(delta=2/5,seed=1)", "seed"),
+            ("connected-edge(b=2,force=true)", "force"),
+        ],
+    )
+    def test_unknown_parameter_is_named(self, ident, unknown):
+        from makerbreaker.generators import complete_multipartite
+
+        with pytest.raises(DomainError, match=f"takes no parameter\\(s\\) {unknown}$"):
+            build_strategy(ident, complete_multipartite([3] * 7))
+
+    def test_identifiers_in_docs_and_bench_take_listed_parameters(self):
+        root = Path(__file__).resolve().parent.parent
+        names = "|".join(re.escape(name) for name in STRATEGY_PARAMS)
+        found = 0
+        for path in [root / "README.md", *sorted((root / "bench").glob("*.py"))]:
+            for ident in re.findall(rf"(?<![\w.-])(?:{names})\([^)]*=[^)]*\)", path.read_text()):
+                name, kw = parse_ident(ident)
+                assert set(kw) <= set(STRATEGY_PARAMS[name]), (path.name, ident)
+                found += 1
+        assert found >= 3
 
     def test_core_cache_reuse(self):
         from makerbreaker.generators import complete_multipartite

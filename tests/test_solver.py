@@ -1,15 +1,16 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedStrategy, random_graphs
+from conftest import ScriptedStrategy, iso_classes, random_graphs
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
     MAKER,
+    VERTICES,
     GameSpec,
     Position,
     Strategy,
@@ -24,7 +25,13 @@ from makerbreaker.engine import (
 from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.generators import gnp
 from makerbreaker.graphs import Graph
-from makerbreaker.solver import solve, solve_reference, verify_maker_strategy
+from makerbreaker.solver import (
+    SolveVerdict,
+    _mask_decider,
+    solve,
+    solve_reference,
+    verify_maker_strategy,
+)
 from makerbreaker.strategies import ConnectivityMaker
 
 
@@ -209,3 +216,222 @@ class TestVerify:
         spec = odd_cycle_spec(Graph.complete(3))
         with pytest.raises(DomainError):
             verify_maker_strategy(spec, RandomStrategy())
+
+
+class PreviousSolver:
+    """The solver's node loop as it was before wins were decided on bitmasks:
+    every new Maker claim set goes through ``maker_win_witness``, and batches
+    are built bit by bit from element indices.  Only the futility prune's
+    switch for ``aux-connect`` is new."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.board = spec.board()
+        self.full = (1 << len(self.board)) - 1
+        self.futility = spec.objective.kind != "aux-connect"
+        self.memo = {}
+        self.eval_cache = {}
+        self.nodes = 0
+
+    @staticmethod
+    def bit_batches(unclaimed_bits, need):
+        for combo in combinations(unclaimed_bits, need):
+            mask = 0
+            for b in combo:
+                mask |= 1 << b
+            yield mask
+
+    def elements(self, mask):
+        return tuple(self.board[i] for i in range(len(self.board)) if mask >> i & 1)
+
+    def eval_win(self, maker_mask):
+        cached = self.eval_cache.get(maker_mask)
+        if cached is None:
+            cached = maker_win_witness(self.spec, self.elements(maker_mask)) is not None
+            self.eval_cache[maker_mask] = cached
+        return cached
+
+    def win(self, m, b, mover):
+        key = (m, b, mover)
+        if key in self.memo:
+            return self.memo[key]
+        self.nodes += 1
+        unclaimed = self.full & ~m & ~b
+        bits = [i for i in range(len(self.board)) if unclaimed >> i & 1]
+        if not bits:
+            res = self.eval_win(m)
+        elif self.futility and not self.eval_win(m | unclaimed):
+            res = False
+        elif mover == MAKER:
+            need = min(self.spec.maker_bias, len(bits))
+            res = False
+            for batch in self.bit_batches(bits, need):
+                nm = m | batch
+                if self.eval_win(nm) or self.win(nm, b, BREAKER):
+                    res = True
+                    break
+        else:
+            need = min(self.spec.breaker_bias, len(bits))
+            res = True
+            for batch in self.bit_batches(bits, need):
+                if not self.win(m, b | batch, MAKER):
+                    res = False
+                    break
+        self.memo[key] = res
+        return res
+
+    def principal_line(self):
+        line = []
+        m = b = 0
+        mover = self.spec.first
+        while True:
+            unclaimed = self.full & ~m & ~b
+            bits = [i for i in range(len(self.board)) if unclaimed >> i & 1]
+            if not bits:
+                break
+            need = min(self.spec.bias_of(mover), len(bits))
+            chosen = None
+            if mover == MAKER:
+                for batch in self.bit_batches(bits, need):
+                    if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
+                        chosen = batch
+                        break
+            else:
+                for batch in self.bit_batches(bits, need):
+                    if not self.win(m, b | batch, MAKER):
+                        chosen = batch
+                        break
+            if chosen is None:
+                chosen = next(self.bit_batches(bits, need))
+            line.append((mover, self.elements(chosen)))
+            if mover == MAKER:
+                m |= chosen
+                if self.eval_win(m):
+                    break
+                mover = BREAKER
+            else:
+                b |= chosen
+                mover = MAKER
+        return tuple(line)
+
+    def verdict(self):
+        maker_wins = self.win(0, 0, self.spec.first)
+        return SolveVerdict(
+            winner=MAKER if maker_wins else BREAKER,
+            principal_line=self.principal_line(),
+            nodes_expanded=self.nodes,
+        )
+
+
+@st.composite
+def small_specs(draw, max_elements=8):
+    """A spec on a random host with at most ``max_elements`` board elements,
+    any objective playable on its board, biases 1-2 and either player first."""
+    board_kind = draw(st.sampled_from((EDGES, VERTICES)))
+    if board_kind == EDGES:
+        host = draw(random_graphs(max_n=6, max_edges=max_elements))
+        kind = draw(st.sampled_from(
+            ("odd-cycle", "spanning-connected", "non-k-colorable", "k-edge-connected")
+        ))
+    else:
+        host = draw(random_graphs(max_n=max_elements))
+        kind = draw(st.sampled_from(("odd-cycle", "non-k-colorable", "aux-connect")))
+    k = draw(st.integers(min_value=1, max_value=3)) if kind in (
+        "non-k-colorable", "k-edge-connected") else None
+    anchor = None
+    if kind == "aux-connect":
+        anchor = frozenset(draw(st.sets(st.integers(0, host.n - 1), max_size=2)))
+    return GameSpec(
+        host=host,
+        board_kind=board_kind,
+        objective=WinPredicate(kind, k=k, anchor=anchor),
+        maker_bias=draw(st.integers(min_value=1, max_value=2)),
+        breaker_bias=draw(st.integers(min_value=1, max_value=2)),
+        first=draw(st.sampled_from((MAKER, BREAKER))),
+    )
+
+
+class TestMaskDecision:
+    """``odd-cycle`` and ``spanning-connected`` are decided on bitmasks; the
+    decision must equal ``maker_win_witness`` on every claim set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.just(Graph(0)), random_graphs(max_n=8)),
+        st.sampled_from(((EDGES, "odd-cycle"), (EDGES, "spanning-connected"),
+                         (VERTICES, "odd-cycle"))),
+        st.lists(st.integers(min_value=0), max_size=12),
+    )
+    def test_matches_maker_win_witness(self, g, board_and_kind, draws):
+        board_kind, kind = board_and_kind
+        spec = GameSpec(host=g, board_kind=board_kind, objective=WinPredicate(kind))
+        board = spec.board()
+        full = (1 << len(board)) - 1
+        decide = _mask_decider(spec)
+        for mask in [0, full] + [d & full for d in draws]:
+            claims = tuple(board[i] for i in range(len(board)) if mask >> i & 1)
+            assert decide(mask) == (maker_win_witness(spec, claims) is not None)
+
+    def test_one_vertex_host_is_spanning_connected_with_no_claims(self):
+        spec = GameSpec(host=Graph(1), board_kind=EDGES,
+                        objective=WinPredicate("spanning-connected"))
+        assert _mask_decider(spec)(0) and maker_win_witness(spec, ()) is not None
+
+    def test_even_cycle_with_a_pendant_triangle(self):
+        # the triangle sits two layers away from the search root
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 4)])
+        for board_kind in (EDGES, VERTICES):
+            spec = GameSpec(host=g, board_kind=board_kind, objective=WinPredicate("odd-cycle"))
+            decide = _mask_decider(spec)
+            full = (1 << len(spec.board())) - 1
+            assert decide(full)
+            without = full & ~(1 << spec.board().index((5, 6) if board_kind == EDGES else 6))
+            assert not decide(without)
+
+
+class TestAgainstPreviousSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(small_specs())
+    def test_same_verdict_line_and_node_count(self, spec):
+        assert solve(spec) == PreviousSolver(spec).verdict()
+
+    def test_five_vertex_classes(self):
+        for g in iso_classes(5):
+            for b in (1, 2):
+                spec = odd_cycle_spec(g, b=b)
+                assert solve(spec) == PreviousSolver(spec).verdict()
+
+
+class TestAgainstReferenceOnMoreBoards:
+    def test_aux_connect_win_that_the_full_board_would_undo(self):
+        # claiming either vertex connects the union; claiming both does not
+        spec = GameSpec(host=Graph(2), board_kind=VERTICES,
+                        objective=WinPredicate("aux-connect", anchor=frozenset()))
+        assert solve(spec).winner == solve_reference(spec) == MAKER
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_specs(max_elements=7))
+    def test_winner_matches_reference(self, spec):
+        assert solve(spec).winner == solve_reference(spec)
+
+    @pytest.mark.parametrize(
+        "board_kind, kind, k",
+        [(VERTICES, "odd-cycle", None), (VERTICES, "non-k-colorable", 2),
+         (VERTICES, "aux-connect", None), (EDGES, "spanning-connected", None),
+         (EDGES, "non-k-colorable", 2)],
+    )
+    def test_seeded_hosts(self, board_kind, kind, k):
+        rng = random.Random(f"{board_kind}:{kind}")
+        checked = 0
+        while checked < 12:
+            n = rng.randint(3, 7) if board_kind == VERTICES else rng.randint(3, 5)
+            g = gnp(n, rng.choice([0.4, 0.6, 0.8]), rng.randrange(10_000))
+            if len(g.edges if board_kind == EDGES else range(g.n)) > 7:
+                continue
+            anchor = frozenset({rng.randrange(n)}) if kind == "aux-connect" else None
+            spec = GameSpec(
+                host=g, board_kind=board_kind, objective=WinPredicate(kind, k=k, anchor=anchor),
+                breaker_bias=rng.choice([1, 2]),
+            )
+            assert solve(spec).winner == solve_reference(spec)
+            checked += 1
