@@ -4,6 +4,8 @@ The k-colorability test is DSATUR-ordered backtracking with two standard
 exactness-preserving shortcuts: a greedily found clique larger than k refutes
 immediately, and a clique is pre-colored to break color symmetry.  Chromatic
 number runs the test between a clique lower bound and a greedy upper bound.
+The k-colorability search gives up with ``ResourceLimitError`` after
+``COLORING_NODE_BUDGET`` color assignments.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import Graph
 
 CHROMATIC_VERTEX_CAP = 64
+COLORING_NODE_BUDGET = 2_000_000
 
 
 def greedy_clique(g: Graph) -> list[int]:
@@ -49,7 +52,9 @@ def greedy_coloring(g: Graph) -> list[int]:
 
 
 def is_k_colorable(g: Graph, k: int):
-    """Proper k-coloring of g as a list, or None when no such coloring exists."""
+    """Proper k-coloring of g as a list, or None when no such coloring exists.
+    Past ``COLORING_NODE_BUDGET`` color assignments it raises
+    ``ResourceLimitError`` with the node count, n and k."""
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
     if g.n == 0:
@@ -104,6 +109,7 @@ def is_k_colorable(g: Graph, k: int):
     if not uncolored:
         return colors
     stack = [branch(used)]
+    nodes = 0
     while stack:
         frame = stack[-1]
         if frame is None:  # a dead end: back to the vertex above
@@ -117,6 +123,12 @@ def is_k_colorable(g: Graph, k: int):
             uncolored.add(v)
             stack.pop()
             continue
+        nodes += 1
+        if nodes > COLORING_NODE_BUDGET:
+            raise ResourceLimitError(
+                f"k-colorability search exceeded {COLORING_NODE_BUDGET} nodes",
+                stats={"nodes": nodes, "n": g.n, "k": k},
+            )
         frame[3] = assign(v, c)
         if not uncolored:
             return colors

@@ -270,17 +270,15 @@ def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
     m = len(order)
     sub, _ = induced_subgraph(g, order)
     lo = frac_ceil(min_side)
-    best = None
-    best_sides = None
-    for side, _, ones, cut in gray_code_bipartitions(sub):
+    best = best_mask = None
+    for mask, ones, cut in gray_code_bipartitions(sub):
         if lo <= ones <= m - lo and (best is None or cut < best):
-            best = cut
-            best_sides = side.copy()
+            best, best_mask = cut, mask
     if best is None:
         return None, None
     if best * best >= n**3:
         return None, best
-    return _normalize_sides(order, [order[i] for i in range(m) if best_sides[i] == 0]), best
+    return _normalize_sides(order, [order[i] for i in range(m) if not best_mask >> i & 1]), best
 
 
 def _balanced_cut_search(g: Graph, members, min_side: Fraction, n: int, rng):

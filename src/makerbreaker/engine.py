@@ -4,8 +4,10 @@ Boards are either the edge set or the vertex set of a host graph.  Maker
 claims ``a`` elements per turn, Breaker ``b``; the final turn of the board may
 be short.  ``apply_moves`` is the one place a turn is checked and applied:
 Maker's win is detected after every individual claim and ends the turn there,
-so witnesses always reflect the earliest winning prefix, and all winning
-predicates are monotone in Maker's claim set.  A strategy that cannot (or will
+so witnesses always reflect the earliest winning prefix.  Every winning
+predicate but ``aux-connect`` is monotone in Maker's claim set; on
+``aux-connect`` a later claim of the same batch could disconnect the union
+again, which the turn's early end rules out.  A strategy that cannot (or will
 not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
 """
@@ -38,7 +40,8 @@ _VERTEX_KINDS = {"odd-cycle", "non-k-colorable", "aux-connect"}
 
 @dataclass(frozen=True)
 class WinPredicate:
-    """Monotone winning condition evaluated on Maker's claims."""
+    """Winning condition evaluated on Maker's claims; monotone except for
+    ``aux-connect``."""
 
     kind: str
     k: int | None = None

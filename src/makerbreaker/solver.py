@@ -11,6 +11,12 @@ since a claimed vertex can disconnect the union.  The others are, so the
 prune changes no verdict, only the node count; ``solve_reference`` checks
 that.
 
+A Maker turn ends at its first winning claim (``engine.apply_moves``).  On a
+monotone objective a batch therefore wins exactly when it wins as a whole.
+On ``aux-connect`` Maker wins on the turn when some non-empty set of at most
+bias unclaimed elements wins; the principal line's last Maker turn is then
+the first such set, fewest elements first.
+
 Claim sets are bitmasks over the board's element indices.  ``odd-cycle`` (on
 edge and vertex boards) and ``spanning-connected`` are decided straight from
 the mask by one layer-by-layer bitmask search of Maker's graph; the other
@@ -49,6 +55,13 @@ class SolveVerdict:
     winner: str
     principal_line: tuple  # ((player, (elements...)), ...)
     nodes_expanded: int
+
+
+def _monotone(spec: GameSpec) -> bool:
+    """Whether a superset of a winning claim set always wins.  ``aux-connect``
+    is the one objective that is not: a claimed vertex can disconnect the
+    union."""
+    return spec.objective.kind != "aux-connect"
 
 
 def _mask_elements(board, mask):
@@ -105,7 +118,7 @@ def _mask_decider(spec: GameSpec):
             return adj, everyone
 
     else:
-        host_adj = tuple(sum(1 << u for u in spec.host.neighbors(v)) for v in range(n))
+        host_adj = spec.host.neighbor_masks()
 
         def graph(mask):
             return host_adj, mask
@@ -137,9 +150,9 @@ class _Solver:
         self.bits = tuple(1 << i for i in range(len(self.board)))
         self.full = (1 << len(self.board)) - 1
         self.decide = _mask_decider(spec)
-        # aux-connect is not monotone (a claimed vertex can disconnect the
-        # union), so Maker holding every unclaimed element there proves nothing
-        self.futility = spec.objective.kind != "aux-connect"
+        # off an objective that is not monotone, Maker holding every unclaimed
+        # element proves nothing, and a batch can win on a claim it then undoes
+        self.monotone = _monotone(spec)
         self.memo = {}
         self.eval_cache = {}
         self.nodes = 0
@@ -149,6 +162,16 @@ class _Solver:
         order of element index; ``bias`` elements, or all when fewer are left."""
         free = [bit for bit in self.bits if unclaimed & bit]
         return map(sum, combinations(free, min(bias, len(free))))
+
+    def winning_subset(self, m, unclaimed):
+        """The first non-empty set of at most ``maker_bias`` unclaimed
+        elements, fewest first, that wins added to ``m``; or None."""
+        most = min(self.spec.maker_bias, unclaimed.bit_count())
+        for size in range(1, most + 1):
+            for batch in self.batches(unclaimed, size):
+                if self.eval_win(m | batch):
+                    return batch
+        return None
 
     def eval_win(self, maker_mask) -> bool:
         won = self.eval_cache.get(maker_mask)
@@ -165,15 +188,16 @@ class _Solver:
         unclaimed = self.full & ~m & ~b
         if not unclaimed:
             res = self.eval_win(m)
-        elif self.futility and not self.eval_win(m | unclaimed):
+        elif self.monotone and not self.eval_win(m | unclaimed):
             res = False
         elif mover == MAKER:
-            res = False
-            for batch in self.batches(unclaimed, self.spec.maker_bias):
-                nm = m | batch
-                if self.eval_win(nm) or self.win(nm, b, BREAKER):
-                    res = True
-                    break
+            res = not self.monotone and self.winning_subset(m, unclaimed) is not None
+            if not res:
+                for batch in self.batches(unclaimed, self.spec.maker_bias):
+                    nm = m | batch
+                    if self.eval_win(nm) or self.win(nm, b, BREAKER):
+                        res = True
+                        break
         else:
             res = True
             for batch in self.batches(unclaimed, self.spec.breaker_bias):
@@ -194,10 +218,13 @@ class _Solver:
             bias = self.spec.bias_of(mover)
             chosen = None
             if mover == MAKER:
-                for batch in self.batches(unclaimed, bias):
-                    if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
-                        chosen = batch
-                        break
+                if not self.monotone:
+                    chosen = self.winning_subset(m, unclaimed)
+                if chosen is None:
+                    for batch in self.batches(unclaimed, bias):
+                        if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
+                            chosen = batch
+                            break
             else:
                 for batch in self.batches(unclaimed, bias):
                     if not self.win(m, b | batch, MAKER):
@@ -235,8 +262,9 @@ def solve(spec: GameSpec, *, board_cap: int = SOLVE_BOARD_CAP) -> SolveVerdict:
 
 
 def solve_reference(spec: GameSpec) -> str:
-    """Winner by plain unmemoized recursion; the game stops at a Maker win.
-    Boards above ``REFERENCE_BOARD_CAP`` elements are refused."""
+    """Winner by plain unmemoized recursion; the game stops at a Maker win,
+    on an objective that is not monotone at the first winning claim of a
+    turn.  Boards above ``REFERENCE_BOARD_CAP`` elements are refused."""
     board = spec.board()
     if len(board) > REFERENCE_BOARD_CAP:
         raise ResourceLimitError(
@@ -244,12 +272,21 @@ def solve_reference(spec: GameSpec) -> str:
             stats={"board": len(board), "cap": REFERENCE_BOARD_CAP},
         )
 
+    monotone = _monotone(spec)
+
     def recurse(maker_set, breaker_set, mover):
         unclaimed = [e for e in board if e not in maker_set and e not in breaker_set]
         if not unclaimed:
             return maker_win_witness(spec, maker_set) is not None
         need = min(spec.bias_of(mover), len(unclaimed))
         if mover == MAKER:
+            # sets smaller than a full batch; full batches are tried below
+            if not monotone and any(
+                maker_win_witness(spec, maker_set | set(batch)) is not None
+                for size in range(1, need)
+                for batch in combinations(unclaimed, size)
+            ):
+                return True
             for batch in combinations(unclaimed, need):
                 grown = maker_set | set(batch)
                 if maker_win_witness(spec, grown) is not None:

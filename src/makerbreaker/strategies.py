@@ -23,6 +23,7 @@ can replace it without touching the rest.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ from .engine import (
     legal_moves,
     maker_graph,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .graphs import (
     Graph,
     OddCycleWitness,
@@ -67,7 +68,9 @@ class BoundReport:
     Log-base policy: the bias cap uses log2; the dominating-set budget and
     the failure bound come from the e-based union bound, so they use the
     natural log.  The failure bound simplifies to n^(-49) independently of
-    delta and is stored as an exponent.
+    delta and is stored as an exponent.  The logs are bracketed by decimal
+    intervals; a value whose interval straddles an integer boundary raises
+    ResourceLimitError rather than guess.
     """
 
     n: int
@@ -80,10 +83,29 @@ class BoundReport:
     failure_exponent: int
 
 
-def _log2_exact(n: int):
-    if n & (n - 1) == 0:
-        return n.bit_length() - 1
-    return Fraction(math.log2(n))
+# Significant digits of the decimal logs behind b_max and dominating_size.
+LOG_DIGITS = 50
+
+
+def _ln_bounds(n: int) -> tuple:
+    """Fractions (lo, hi) around ln n.  ``Decimal.ln`` is correctly rounded at
+    ``LOG_DIGITS`` significant digits, so ln n lies between the neighbors of
+    its result."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = LOG_DIGITS
+        x = decimal.Decimal(n).ln()
+        return Fraction(x.next_minus()), Fraction(x.next_plus())
+
+
+def _settled(lo: int, hi: int, name: str, n: int, delta) -> int:
+    """The integer both ends of an interval round to, or ResourceLimitError
+    when the interval straddles an integer boundary."""
+    if lo != hi:
+        raise ResourceLimitError(
+            f"{name} lies too close to an integer to settle from {LOG_DIGITS}-digit logs",
+            stats={"name": name, "n": n, "delta": str(delta), "low": lo, "high": hi},
+        )
+    return lo
 
 
 def bound_report(n: int, delta, b: int = 1) -> BoundReport:
@@ -94,16 +116,29 @@ def bound_report(n: int, delta, b: int = 1) -> BoundReport:
         raise DomainError(f"delta must be in (0,1), got {delta}")
     if b < 1:
         raise DomainError(f"b must be a positive integer, got {b}")
-    log2n = _log2_exact(n)
-    b_max_frac = delta * delta * n / (6400 * Fraction(log2n) ** 2)
+    ln_lo, ln_hi = _ln_bounds(n)
+    if n & (n - 1) == 0:
+        log2_lo = log2_hi = n.bit_length() - 1
+    else:
+        ln2_lo, ln2_hi = _ln_bounds(2)
+        log2_lo, log2_hi = ln_lo / ln2_hi, ln_hi / ln2_lo
+    d2 = delta * delta
+    scale = d2 * n / 6400
     return BoundReport(
         n=n,
         delta=delta,
         b=b,
-        b_max=b_max_frac.numerator // b_max_frac.denominator,
+        b_max=_settled(
+            math.floor(scale / Fraction(log2_hi) ** 2),
+            math.floor(scale / Fraction(log2_lo) ** 2),
+            "b_max", n, delta,
+        ),
         chi_threshold_edge=Fraction(32) / delta,
         chi_threshold_vertex=Fraction(2 * (b + 1)) / delta,
-        dominating_size=math.ceil(100 * math.log(n) / (delta * delta)),
+        dominating_size=_settled(
+            math.ceil(100 * ln_lo / d2), math.ceil(100 * ln_hi / d2),
+            "dominating_size", n, delta,
+        ),
         failure_exponent=-49,
     )
 
@@ -122,28 +157,42 @@ def sample_uniform_vertices(g: Graph, count: int, rng: random.Random) -> frozens
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _smallest_cut(n: int, maker_edges, members, edges) -> list:
-    """The smallest sorted list of ``edges`` crossing one component of Maker's
-    graph on ``members`` (default: every vertex), the first on ties; [] when
-    Maker's graph is connected or no edge crosses."""
+def _smallest_cut(n: int, maker_edges, members, pool_masks, claimed) -> list:
+    """The smallest sorted list of unclaimed pool edges crossing one component
+    of Maker's graph on ``members`` (default: every vertex), the first on
+    ties; [] when Maker's graph is connected or no such edge crosses.
+    ``pool_masks`` holds the pool's edges as per-vertex neighbor masks, and
+    ``claimed`` every claimed edge."""
     comps = connected_components(Graph(n, maker_edges), members)
     if len(comps) < 2:
         return []
-    comp_of = [-1] * n
-    for i, comp in enumerate(comps):
+    avail = list(pool_masks)
+    for u, v in claimed:
+        avail[u] &= ~(1 << v)
+        avail[v] &= ~(1 << u)
+    best = best_size = None
+    for comp in comps:
+        inside = 0
         for v in comp:
-            comp_of[v] = i
-    # one pass files each crossing edge under its endpoints' components
-    cuts = [[] for _ in comps]
-    for e in edges:
-        cu, cv = comp_of[e[0]], comp_of[e[1]]
-        if cu != cv:
-            if cu >= 0:
-                cuts[cu].append(e)
-            if cv >= 0:
-                cuts[cv].append(e)
-    best = min((c for c in cuts if c), key=len, default=[])
-    return sorted(best)
+            inside |= 1 << v
+        outside = ~inside
+        size = 0
+        for v in comp:
+            size += (avail[v] & outside).bit_count()
+        if size and (best_size is None or size < best_size):
+            best, best_size = inside, size
+    if best is None:
+        return []
+    # edge (u, v), u < v, crosses when exactly one end is inside; taking u
+    # upwards, then v upwards from u + 1, emits the cut in sorted order
+    cut = []
+    for u in range(n):
+        across = (avail[u] & (~best if best >> u & 1 else best)) >> (u + 1)
+        while across:
+            low = across & -across
+            cut.append((u, u + low.bit_length()))
+            across ^= low
+    return cut
 
 
 # -- connectivity maker ------------------------------------------------------------
@@ -158,7 +207,10 @@ class ConnectivityMaker(Strategy):
 
     def __init__(self, g: Graph, pool=None, vertices=None):
         self.g = g
-        self.pool = frozenset(pool) if pool is not None else frozenset(g.edges)
+        self.pool = frozenset(pool) if pool is not None else g.edges
+        pool_graph = g if self.pool == g.edges else Graph(g.n, self.pool)
+        self.pool_masks = pool_graph.neighbor_masks()
+        self.pool_order = tuple(sorted(self.pool))
         if vertices is not None:
             self.vertices = frozenset(vertices)
         else:
@@ -169,13 +221,10 @@ class ConnectivityMaker(Strategy):
         pass
 
     def _pick(self, claimed, maker_edges) -> tuple | None:
-        available = self.pool - claimed
-        best_cut = _smallest_cut(self.g.n, maker_edges, self.vertices, available)
+        best_cut = _smallest_cut(self.g.n, maker_edges, self.vertices, self.pool_masks, claimed)
         if best_cut:
             return best_cut[0]
-        if available:
-            return min(available)
-        return None
+        return next((e for e in self.pool_order if e not in claimed), None)
 
     def propose(self, spec: GameSpec, pos: Position):
         need = batch_size(spec, pos)
@@ -183,7 +232,7 @@ class ConnectivityMaker(Strategy):
         maker_edges = set(pos.maker)
         batch = []
         for _ in range(need):
-            pick = self._pick(frozenset(claimed), maker_edges)
+            pick = self._pick(claimed, maker_edges)
             if pick is None:
                 rest = spec.board_set - claimed
                 if not rest:
@@ -293,7 +342,9 @@ class CutAttackBreaker(Strategy):
         need = batch_size(spec, pos)
         host = spec.host
         if spec.board_kind == EDGES:
-            batch = _smallest_cut(host.n, pos.maker, None, free)[:need]
+            batch = _smallest_cut(
+                host.n, pos.maker, None, host.neighbor_masks(), pos.claimed()
+            )[:need]
             for e in free:
                 if len(batch) == need:
                     break
@@ -379,11 +430,11 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
     if n < 2 or g.m == 0:
         return None
 
-    def cross_graph(in_a):
-        return Graph(n, [e for e in g.edges if in_a[e[0]] != in_a[e[1]]])
+    def side_zero(ones_mask):
+        return frozenset(i for i in range(n) if not ones_mask >> i & 1)
 
-    def achieved(in_a):
-        cg = cross_graph(in_a)
+    def achieved(ones_mask):
+        cg = Graph(n, [(u, v) for u, v in g.edges if (ones_mask >> u ^ ones_mask >> v) & 1])
         if any(cg.degree(v) == 0 for v in range(n)):
             return 0
         return edge_connectivity(cg)
@@ -392,18 +443,20 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
         return None
 
     if n <= EXACT_CUT_LIMIT:
+        nbr = g.neighbor_masks()
         best = None
-        for side, cross, _, _ in gray_code_bipartitions(g):
-            if 0 in cross:
+        for mask, _, _ in gray_code_bipartitions(g):
+            # every vertex needs a neighbor on the other side
+            if not all(nbr[v] & (~mask if mask >> v & 1 else mask) for v in range(n)):
                 continue
-            lam = achieved(side)
+            lam = achieved(mask)
             if lam == 0:
                 continue
             if k_prime is not None:
                 if lam >= k_prime:
-                    return frozenset(i for i in range(n) if side[i] == 0), lam
+                    return side_zero(mask), lam
             elif best is None or lam > best[1]:
-                best = (frozenset(i for i in range(n) if side[i] == 0), lam)
+                best = (side_zero(mask), lam)
         return best
 
     # annealing max-cut, then one connectivity check on the outcome
@@ -415,10 +468,11 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
         if gain > 0 or rng.random() < math.exp(gain / max(temp, 1e-9)):
             side[v] ^= 1
         temp *= 0.999
-    lam = achieved(side)
+    mask = sum(1 << v for v in range(n) if side[v])
+    lam = achieved(mask)
     if lam == 0 or (k_prime is not None and lam < k_prime):
         return None
-    return frozenset(i for i in range(n) if side[i] == 0), lam
+    return side_zero(mask), lam
 
 
 class ConnectedEdgeMaker(_SpecialEdgeMaker):

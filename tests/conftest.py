@@ -37,6 +37,28 @@ def forced_dense_vertex_maker(g: Graph, delta, b: int) -> DenseVertexMaker:
     return DenseVertexMaker(g, delta, b, extract_chromatic_core(g, delta, b, force=True))
 
 
+def gray_code_side_lists(g: Graph):
+    """Reference for ``graphs.gray_code_bipartitions`` as it was before the
+    neighbor-mask walk: yields ``(side, cross, ones, cut)`` with per-vertex
+    side and crossing-neighbor lists updated in place, one neighbor at a
+    time, in the same binary-reflected Gray-code order."""
+    n = g.n
+    side = [0] * n
+    cross = [0] * n
+    ones = cut = 0
+    yield side, cross, ones, cut
+    for code in range(1, 1 << (n - 1)):
+        v = (code & -code).bit_length()
+        side[v] ^= 1
+        ones += 1 if side[v] else -1
+        for u in g.neighbors(v):
+            cross[u] += 1 if side[u] != side[v] else -1
+        d = g.degree(v)
+        cut += d - 2 * cross[v]
+        cross[v] = d - cross[v]
+        yield side, cross, ones, cut
+
+
 @st.composite
 def random_graphs(draw, max_n=8, max_edges=None):
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from makerbreaker import coloring
 from makerbreaker.cli import main
 from makerbreaker.engine import GameSpec, WinPredicate, parse_transcript, replay_transcript
-from makerbreaker.graphs import parse_graph
+from makerbreaker.graphs import Graph, format_graph, parse_graph
 
 
 def run_cli(*argv):
@@ -147,6 +148,15 @@ class TestSolveVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["winner"] == "maker"
         assert doc["principal_line"]
+
+    def test_coloring_budget_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c9.graph"
+        path.write_text(format_graph(Graph.cycle(9)))
+        monkeypatch.setattr(coloring, "COLORING_NODE_BUDGET", 2)
+        assert run_cli("solve", str(path), "--board", "vertices",
+                       "--objective", "non-2-colorable") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k-colorability search exceeded 2 nodes" in err
 
     def test_solve_cap_error(self, tripartite_file, capsys):
         assert run_cli("solve", str(tripartite_file)) == 1

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_labeled_graphs, petersen, random_graphs
+from makerbreaker import coloring
 from makerbreaker.coloring import chromatic_number, greedy_clique, is_k_colorable
 from makerbreaker.errors import ResourceLimitError
 from makerbreaker.generators import complete_multipartite, gnp
@@ -201,3 +202,20 @@ class TestDeepSearch:
 
     def test_1501_vertex_cycle_backtracks_to_none(self):
         assert is_k_colorable(Graph.cycle(1501), 2) is None
+
+
+class TestNodeBudget:
+    def test_search_past_the_budget_raises_with_stats(self, monkeypatch):
+        # C_7 has no 2-coloring, but only the search finds that out
+        assert is_k_colorable(Graph.cycle(7), 2) is None
+        monkeypatch.setattr(coloring, "COLORING_NODE_BUDGET", 3)
+        with pytest.raises(ResourceLimitError) as err:
+            is_k_colorable(Graph.cycle(7), 2)
+        assert err.value.stats == {"nodes": 4, "n": 7, "k": 2}
+
+    def test_searches_within_the_budget_are_untouched(self, monkeypatch):
+        monkeypatch.setattr(coloring, "COLORING_NODE_BUDGET", 1499)
+        assert is_k_colorable(Graph(1500), 1) == [0] * 1500
+        # a clique above k refutes without a search
+        monkeypatch.setattr(coloring, "COLORING_NODE_BUDGET", 0)
+        assert is_k_colorable(Graph.complete(5), 3) is None

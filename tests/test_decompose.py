@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import gray_code_side_lists
 
 from makerbreaker.coloring import chromatic_number, is_k_colorable
 from makerbreaker.connectivity import vertex_connectivity
 from makerbreaker.decompose import (
+    _balanced_cut_exact,
+    _normalize_sides,
     core_graph,
     extract_bipartite_core,
     extract_chromatic_core,
@@ -161,6 +167,58 @@ class TestRobustPartition:
         a = robust_partition(g, delta, seed=5)
         b = robust_partition(g, delta, seed=5)
         assert a.parts == b.parts and a.moved == b.moved
+
+
+def balanced_cut_exact_by_side_lists(g, members, min_side, n):
+    """``_balanced_cut_exact`` as it was before the neighbor-mask walk: the
+    best bipartition is kept as a copy of the side list."""
+    order = sorted(members)
+    m = len(order)
+    sub, _ = induced_subgraph(g, order)
+    lo = frac_ceil(min_side)
+    best = None
+    best_sides = None
+    for side, _, ones, cut in gray_code_side_lists(sub):
+        if lo <= ones <= m - lo and (best is None or cut < best):
+            best = cut
+            best_sides = side.copy()
+    if best is None:
+        return None, None
+    if best * best >= n**3:
+        return None, best
+    return _normalize_sides(order, [order[i] for i in range(m) if best_sides[i] == 0]), best
+
+
+@st.composite
+def balanced_cut_instances(draw):
+    """A gnp host of 2 to 18 vertices, a member set of at least two vertices,
+    a positive side floor up to half the members (as ``robust_partition``
+    passes), and the n the split bound uses."""
+    n = draw(st.integers(min_value=2, max_value=18))
+    g = gnp(n, draw(st.sampled_from([0.2, 0.5, 0.8])), draw(st.integers(0, 2**16)))
+    members = set(draw(st.permutations(range(n)))[: draw(st.integers(2, n))])
+    min_side = Fraction(draw(st.integers(1, len(members))), 2)
+    big_n = draw(st.sampled_from([n, 4 * n]))
+    return g, members, min_side, big_n
+
+
+class TestBalancedCutExact:
+    @settings(max_examples=40, deadline=None)
+    @given(balanced_cut_instances())
+    def test_matches_side_list_walk(self, inst):
+        assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_side_lists(*inst)
+
+    @pytest.mark.parametrize("n,p,seed", [(12, 0.5, 1), (15, 0.3, 2), (18, 0.5, 3), (18, 0.8, 4)])
+    def test_matches_side_list_walk_on_whole_hosts(self, n, p, seed):
+        g = gnp(n, p, seed)
+        for inst in ((g, range(n), Fraction(n, 4), n), (g, range(n), Fraction(n, 3), 4 * n)):
+            assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_side_lists(*inst)
+
+    def test_two_cliques(self):
+        g = disjoint_union(Graph.complete(6), Graph.complete(6))
+        found, best = _balanced_cut_exact(g, range(12), Fraction(3), 12)
+        assert best == 0
+        assert found == (frozenset(range(6)), frozenset(range(6, 12)))
 
 
 class TestExtractChromaticCore:

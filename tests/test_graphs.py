@@ -178,15 +178,29 @@ class TestGrayCodeBipartitions:
     @given(random_graphs())
     def test_visits_each_bipartition_once_with_exact_counts(self, g):
         visited = []
-        for side, cross, ones, cut in gray_code_bipartitions(g):
-            assert side[0] == 0
-            visited.append(tuple(side))
+        for mask, ones, cut in gray_code_bipartitions(g):
+            assert not mask & 1  # vertex 0 stays on side 0
+            assert 0 <= mask < 1 << g.n
+            visited.append(mask)
+            side = [mask >> v & 1 for v in range(g.n)]
             assert ones == sum(side)
             assert cut == sum(1 for u, v in g.edges if side[u] != side[v])
-            assert cross == [
-                sum(1 for u in g.neighbors(v) if side[u] != side[v]) for v in range(g.n)
-            ]
         assert len(visited) == len(set(visited)) == 2 ** (g.n - 1)
+
+
+class TestNeighborMasks:
+    @settings(max_examples=150)
+    @given(random_graphs(max_n=12))
+    def test_matches_neighbor_sets(self, g):
+        masks = g.neighbor_masks()
+        assert len(masks) == g.n
+        for v in range(g.n):
+            assert {u for u in range(g.n) if masks[v] >> u & 1} == g.neighbors(v)
+
+    def test_computed_once(self):
+        g = Graph.cycle(5)
+        assert g.neighbor_masks() is g.neighbor_masks()
+        assert g.neighbor_masks() == (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)
 
 
 class TestTextFormat:

@@ -16,7 +16,9 @@ from makerbreaker.engine import (
     Strategy,
     WinPredicate,
     apply_moves,
+    batch_size,
     format_transcript,
+    legal_moves,
     maker_win_witness,
     parse_transcript,
     play,
@@ -221,8 +223,10 @@ class TestVerify:
 class PreviousSolver:
     """The solver's node loop as it was before wins were decided on bitmasks:
     every new Maker claim set goes through ``maker_win_witness``, and batches
-    are built bit by bit from element indices.  Only the futility prune's
-    switch for ``aux-connect`` is new."""
+    are built bit by bit from element indices.  Only the rules for the
+    non-monotone ``aux-connect`` are new: the futility prune is off, and
+    Maker wins on a turn when a set of at most bias unclaimed elements wins
+    (the turn ends at the first winning claim)."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -244,6 +248,15 @@ class PreviousSolver:
     def elements(self, mask):
         return tuple(self.board[i] for i in range(len(self.board)) if mask >> i & 1)
 
+    def winning_subset(self, m, bits):
+        if self.futility:
+            return None
+        for size in range(1, min(self.spec.maker_bias, len(bits)) + 1):
+            for batch in self.bit_batches(bits, size):
+                if self.eval_win(m | batch):
+                    return batch
+        return None
+
     def eval_win(self, maker_mask):
         cached = self.eval_cache.get(maker_mask)
         if cached is None:
@@ -264,8 +277,8 @@ class PreviousSolver:
             res = False
         elif mover == MAKER:
             need = min(self.spec.maker_bias, len(bits))
-            res = False
-            for batch in self.bit_batches(bits, need):
+            res = self.winning_subset(m, bits) is not None
+            for batch in () if res else self.bit_batches(bits, need):
                 nm = m | batch
                 if self.eval_win(nm) or self.win(nm, b, BREAKER):
                     res = True
@@ -290,13 +303,13 @@ class PreviousSolver:
             if not bits:
                 break
             need = min(self.spec.bias_of(mover), len(bits))
-            chosen = None
-            if mover == MAKER:
+            chosen = self.winning_subset(m, bits) if mover == MAKER else None
+            if mover == MAKER and chosen is None:
                 for batch in self.bit_batches(bits, need):
                     if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
                         chosen = batch
                         break
-            else:
+            elif mover == BREAKER:
                 for batch in self.bit_batches(bits, need):
                     if not self.win(m, b | batch, MAKER):
                         chosen = batch
@@ -400,6 +413,74 @@ class TestAgainstPreviousSolver:
             for b in (1, 2):
                 spec = odd_cycle_spec(g, b=b)
                 assert solve(spec) == PreviousSolver(spec).verdict()
+
+
+def playout_winner(spec):
+    """The winner when each turn is played through ``engine.apply_moves``:
+    Maker tries every ordered batch (its turn ends at the first winning
+    claim), Breaker every batch."""
+
+    def walk(pos):
+        free = legal_moves(spec, pos)
+        if not free:
+            return maker_win_witness(spec, pos.maker) is not None
+        need = batch_size(spec, pos)
+        if pos.to_move == MAKER:
+            for batch in permutations(free, need):
+                nxt, witness = apply_moves(spec, pos, MAKER, batch)
+                if witness is not None or walk(nxt):
+                    return True
+            return False
+        return all(
+            walk(apply_moves(spec, pos, BREAKER, batch)[0])
+            for batch in combinations(free, need)
+        )
+
+    return MAKER if walk(Position.initial(spec)) else BREAKER
+
+
+@st.composite
+def aux_connect_specs(draw):
+    """aux-connect on a host of at most 5 vertices, Maker bias 2-3."""
+    host = draw(random_graphs(max_n=5))
+    anchor = frozenset(draw(st.sets(st.integers(0, host.n - 1), max_size=2)))
+    return GameSpec(
+        host=host,
+        board_kind=VERTICES,
+        objective=WinPredicate("aux-connect", anchor=anchor),
+        maker_bias=draw(st.integers(min_value=2, max_value=3)),
+        breaker_bias=draw(st.integers(min_value=1, max_value=2)),
+        first=draw(st.sampled_from((MAKER, BREAKER))),
+    )
+
+
+class TestNonMonotoneTurns:
+    """On ``aux-connect`` a batch can win on a prefix and lose as a whole;
+    the solvers must score a Maker turn as ``apply_moves`` plays it."""
+
+    def test_a_claim_that_wins_before_the_batch_undoes_it(self):
+        spec = GameSpec(Graph(2), VERTICES, WinPredicate("aux-connect", anchor=frozenset()),
+                        maker_bias=2)
+        verdict = solve(spec)
+        assert verdict.winner == solve_reference(spec) == playout_winner(spec) == MAKER
+        assert verdict.principal_line == ((MAKER, (0,)),)
+        assert apply_moves(spec, Position.initial(spec), MAKER, (0, 1))[0].maker == {0}
+
+    @settings(max_examples=120, deadline=None)
+    @given(aux_connect_specs())
+    def test_solvers_match_the_apply_moves_playout(self, spec):
+        verdict = solve(spec)
+        assert verdict.winner == solve_reference(spec) == playout_winner(spec)
+        # the principal line plays through apply_moves, each turn whole, and
+        # ends in a Maker win exactly when Maker is the winner: on its last
+        # Maker turn, or on the full board
+        pos, witness = Position.initial(spec), None
+        for player, elements in verdict.principal_line:
+            pos, witness = apply_moves(spec, pos, player, elements)
+            assert pos.log[-1] == (player, elements)
+        if witness is None and not legal_moves(spec, pos):
+            witness = maker_win_witness(spec, pos.maker)
+        assert (witness is not None) == (verdict.winner == MAKER)
 
 
 class TestAgainstReferenceOnMoreBoards:

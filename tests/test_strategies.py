@@ -1,3 +1,5 @@
+import decimal
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forced_dense_edge_maker, forced_dense_vertex_maker, random_graphs
+from conftest import (
+    forced_dense_edge_maker,
+    forced_dense_vertex_maker,
+    gray_code_side_lists,
+    random_graphs,
+)
+from makerbreaker.connectivity import edge_connectivity
+from makerbreaker.decompose import EXACT_CUT_LIMIT
 
 from makerbreaker.decompose import BipartiteCore, extract_bipartite_core
 from makerbreaker.engine import (
@@ -23,7 +32,7 @@ from makerbreaker.engine import (
     maker_win_witness,
     play,
 )
-from makerbreaker.errors import DomainError, PreconditionError
+from makerbreaker.errors import DomainError, PreconditionError, ResourceLimitError
 from makerbreaker.generators import complete_multipartite, gnp, odd_cycle_blowup
 from makerbreaker.graphs import (
     Graph,
@@ -45,6 +54,7 @@ from makerbreaker.strategies import (
     RandomStrategy,
     _maker_two_coloring,
     _smallest_cut,
+    _spanning_bipartition_search,
     bound_report,
     dominates,
     merge_components,
@@ -136,33 +146,42 @@ def smallest_cut_by_component_scan(n, maker_edges, members, edges):
 
 @st.composite
 def cut_instances(draw, with_members):
-    """A host, Maker's edges and the available edges (disjoint subsets of the
-    host's edges), and a member set or None."""
+    """A host, Maker's edges, a pool of host edges (every edge or a strict
+    subset), Breaker's edges (disjoint from Maker's, in or out of the pool)
+    and a member set or None.  Returns the arguments of ``_smallest_cut`` and
+    the available edges the component scan takes."""
     g = draw(random_graphs(max_n=9))
     edges = sorted(g.edges)
     maker = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    pool = set(edges)
+    if edges and draw(st.booleans()):
+        pool = draw(st.sets(st.sampled_from(edges), max_size=len(edges) - 1))
     rest = [e for e in edges if e not in maker]
-    available = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    breaker = draw(st.sets(st.sampled_from(rest))) if rest else set()
     members = None
     if with_members:
         members = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-    return g.n, maker, members, available
+    claimed = maker | breaker
+    masks = Graph(g.n, pool).neighbor_masks()
+    return (g.n, maker, members, masks, claimed), pool - claimed
 
 
 class TestSmallestCut:
     @settings(max_examples=200, deadline=None)
     @given(cut_instances(with_members=False))
     def test_matches_component_scan_on_every_vertex(self, inst):
-        n, maker, members, available = inst
-        assert _smallest_cut(n, maker, members, available) == smallest_cut_by_component_scan(
+        args, available = inst
+        n, maker, members = args[:3]
+        assert _smallest_cut(*args) == smallest_cut_by_component_scan(
             n, maker, members, available
         )
 
     @settings(max_examples=200, deadline=None)
     @given(cut_instances(with_members=True))
     def test_matches_component_scan_on_a_member_subset(self, inst):
-        n, maker, members, available = inst
-        assert _smallest_cut(n, maker, members, available) == smallest_cut_by_component_scan(
+        args, available = inst
+        n, maker, members = args[:3]
+        assert _smallest_cut(*args) == smallest_cut_by_component_scan(
             n, maker, members, available
         )
 
@@ -170,10 +189,12 @@ class TestSmallestCut:
         # components {0, 1}, {2, 3}, {4, 5}, each crossed by two edges
         maker = {(0, 1), (2, 3), (4, 5)}
         available = {(1, 2), (3, 4), (0, 5)}
-        assert _smallest_cut(6, maker, None, available) == [(0, 5), (1, 2)]
+        masks = Graph(6, maker | available).neighbor_masks()
+        assert _smallest_cut(6, maker, None, masks, maker) == [(0, 5), (1, 2)]
         # one more edge out of {0, 1} leaves {2, 3} the only smallest cut
         available.add((0, 4))
-        assert _smallest_cut(6, maker, None, available) == [(1, 2), (3, 4)]
+        masks = Graph(6, maker | available).neighbor_masks()
+        assert _smallest_cut(6, maker, None, masks, maker) == [(1, 2), (3, 4)]
 
 
 class TestDenseEdgeMaker:
@@ -226,6 +247,66 @@ class TestDenseEdgeMaker:
                 host, delta, core or extract_bipartite_core(host, delta, force=True)
             )
             assert maker.inner.pool == frozenset(cut_edges(host, maker.core.a, maker.core.b))
+
+
+def spanning_bipartition_search_by_side_lists(g, k_prime, rng):
+    """``_spanning_bipartition_search`` as it was before the neighbor-mask
+    walk: sides and crossing counts are per-vertex lists."""
+    n = g.n
+    if n < 2 or g.m == 0:
+        return None
+
+    def achieved(in_a):
+        cg = Graph(n, [e for e in g.edges if in_a[e[0]] != in_a[e[1]]])
+        if any(cg.degree(v) == 0 for v in range(n)):
+            return 0
+        return edge_connectivity(cg)
+
+    if any(g.degree(v) == 0 for v in range(n)):
+        return None
+    if n <= EXACT_CUT_LIMIT:
+        best = None
+        for side, cross, _, _ in gray_code_side_lists(g):
+            if 0 in cross:
+                continue
+            lam = achieved(side)
+            if lam == 0:
+                continue
+            if k_prime is not None:
+                if lam >= k_prime:
+                    return frozenset(i for i in range(n) if side[i] == 0), lam
+            elif best is None or lam > best[1]:
+                best = (frozenset(i for i in range(n) if side[i] == 0), lam)
+        return best
+    side = [rng.randint(0, 1) for _ in range(n)]
+    temp = 2.0
+    for _ in range(200 * n):
+        v = rng.randrange(n)
+        gain = sum(1 if side[u] == side[v] else -1 for u in g.neighbors(v))
+        if gain > 0 or rng.random() < math.exp(gain / max(temp, 1e-9)):
+            side[v] ^= 1
+        temp *= 0.999
+    lam = achieved(side)
+    if lam == 0 or (k_prime is not None and lam < k_prime):
+        return None
+    return frozenset(i for i in range(n) if side[i] == 0), lam
+
+
+class TestSpanningBipartitionSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(max_n=8), st.sampled_from([None, 1, 2, 3]), st.integers(0, 99))
+    def test_matches_side_list_search(self, g, k_prime, seed):
+        assert _spanning_bipartition_search(
+            g, k_prime, random.Random(seed)
+        ) == spanning_bipartition_search_by_side_lists(g, k_prime, random.Random(seed))
+
+    @pytest.mark.parametrize("n,k_prime", [(10, None), (12, 3), (EXACT_CUT_LIMIT + 4, None)])
+    def test_matches_side_list_search_on_dense_hosts(self, n, k_prime):
+        # the last host is past the exact limit: the annealing pass
+        g = gnp(n, 0.6, n)
+        assert _spanning_bipartition_search(
+            g, k_prime, random.Random(n)
+        ) == spanning_bipartition_search_by_side_lists(g, k_prime, random.Random(n))
 
 
 class TestConnectedEdgeMaker:
@@ -556,6 +637,39 @@ class TestBoundReport:
         assert br.chi_threshold_edge == Fraction(32 * 7, 6)
         assert br.chi_threshold_vertex == 7
         assert br.dominating_size == 767
+
+    def test_dominating_size_next_to_an_integer(self):
+        # 100 ln 3 / delta^2 = 221 + 1.8e-17: the float quotient rounds to
+        # 221.0 and its ceiling misses by one
+        n, delta = 3, Fraction(286968339, 407012638)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100
+            exact = 100 * Fraction(decimal.Decimal(n).ln()) / (delta * delta)
+        assert 0 < exact - 221 < Fraction(1, 10**16)
+        assert math.ceil(100 * math.log(n) / (delta * delta)) == 221
+        assert bound_report(n, delta).dominating_size == 222
+
+    @staticmethod
+    def _delta_hitting(value):
+        """A delta whose square is ``value`` to 120 digits."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 120
+            return Fraction(value(ctx).sqrt())
+
+    def test_values_on_an_integer_boundary_raise(self):
+        # 100 ln 3 / delta^2 = 221 to 120 digits: 50-digit logs cannot settle it
+        delta = self._delta_hitting(lambda ctx: 100 * decimal.Decimal(3).ln() / 221)
+        with pytest.raises(ResourceLimitError) as err:
+            bound_report(3, delta)
+        assert err.value.stats["name"] == "dominating_size"
+        # delta^2 n / (6400 log2(n)^2) = 100 to 120 digits
+        n = 10**9 + 7
+        delta = self._delta_hitting(
+            lambda ctx: 100 * 6400 * (decimal.Decimal(n).ln() / decimal.Decimal(2).ln()) ** 2 / n
+        )
+        with pytest.raises(ResourceLimitError) as err:
+            bound_report(n, delta)
+        assert err.value.stats["name"] == "b_max"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
