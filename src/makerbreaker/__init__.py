@@ -40,8 +40,10 @@ from .engine import (  # noqa: F401
     Strategy,
     WinPredicate,
     apply_moves,
+    format_transcript,
     legal_moves,
     play,
+    replay_transcript,
 )
 from .solver import solve, solve_reference, verify_maker_strategy  # noqa: F401
 from .strategies import (  # noqa: F401

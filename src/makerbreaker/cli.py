@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .decompose import (
     extract_bipartite_core,
@@ -27,6 +26,7 @@ from .harness import (
     ExperimentConfig,
     atomic_write,
     build_strategy,
+    parse_fraction,
     play_to_transcript,
     rows_to_csv,
     run_experiment,
@@ -84,7 +84,7 @@ def _cmd_generate(args):
 
 def _cmd_decompose(args):
     g = _read_graph(args.graph)
-    delta = Fraction(args.delta)
+    delta = parse_fraction(args.delta)
     doc = {
         "version": DECOMPOSE_VERSION,
         "mode": args.mode,
@@ -162,16 +162,18 @@ def _cmd_play(args):
         sys.stdout.write(f"winner={result.winner} rounds={result.rounds}\n")
 
 
+def _log_tokens(spec: GameSpec, log) -> list:
+    """A move log as ``[player, [element token, ...]]`` pairs, for JSON."""
+    return [[player, [element_token(spec, el) for el in elements]] for player, elements in log]
+
+
 def _cmd_solve(args):
     spec = _game_spec(args)
     verdict = solve(spec, board_cap=args.cap)
     doc = {
         "winner": verdict.winner,
         "nodes_expanded": verdict.nodes_expanded,
-        "principal_line": [
-            [player, [element_token(spec, el) for el in elements]]
-            for player, elements in verdict.principal_line
-        ],
+        "principal_line": _log_tokens(spec, verdict.principal_line),
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
@@ -183,12 +185,7 @@ def _cmd_verify(args):
     doc = {
         "always_wins": res.always_wins,
         "nodes_expanded": res.nodes_expanded,
-        "counter": None
-        if res.counter is None
-        else [
-            [player, [element_token(spec, el) for el in elements]]
-            for player, elements in res.counter
-        ],
+        "counter": None if res.counter is None else _log_tokens(spec, res.counter),
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 

@@ -330,10 +330,12 @@ def _full_board_result(spec: GameSpec, pos: Position, rounds: int) -> GameResult
     return GameResult(BREAKER, None, rounds, pos, "exhausted")
 
 
-# -- transcript serialization ---------------------------------------------------
+# -- transcripts ------------------------------------------------------------------
 #
-# Versioned line-oriented format `game-v1`: a header summarizing the spec,
-# one line per turn, and a footer with the result and witness.
+# Versioned line-oriented format `game-v1`: a header summarizing the spec and
+# naming both strategies, one line per turn, and a footer with the result and
+# witness.  ``format_transcript`` is its only writer, and a transcript is
+# checked by replaying its moves and writing it again.
 
 
 def element_token(spec: GameSpec, element) -> str:
@@ -342,18 +344,7 @@ def element_token(spec: GameSpec, element) -> str:
     return f"v{element}"
 
 
-def parse_element(spec: GameSpec, token: str):
-    if spec.board_kind == EDGES:
-        if not token.startswith("e"):
-            raise DomainError(f"bad edge token {token!r}")
-        u, v = token[1:].split("-")
-        return (int(u), int(v))
-    if not token.startswith("v"):
-        raise DomainError(f"bad vertex token {token!r}")
-    return int(token[1:])
-
-
-def _witness_lines(spec: GameSpec, witness) -> str:
+def _witness_line(spec: GameSpec, witness) -> str:
     if witness is None:
         return "witness none"
     if isinstance(witness, OddCycleWitness):
@@ -365,158 +356,76 @@ def _witness_lines(spec: GameSpec, witness) -> str:
     return " ".join(parts)
 
 
-def parse_witness(spec: GameSpec, line: str):
-    body = line[len("witness ") :]
-    if body == "none":
-        return None
-    if body.startswith("cycle "):
-        return OddCycleWitness(tuple(int(x) for x in body[len("cycle ") :].split()))
-    if body.startswith("claims "):
-        toks = body.split()[1:]
-        prop = toks[0]
-        k = None
-        rest = toks[1:]
-        if rest and rest[0].startswith("k="):
-            k = int(rest[0][2:])
-            rest = rest[1:]
-        elements = tuple(parse_element(spec, t) for t in rest)
-        return ClaimSetWitness(elements, prop, k)
-    raise DomainError(f"bad witness line {line!r}")
-
-
-def transcript_header(spec: GameSpec) -> tuple:
-    """The (key, value) header lines that describe ``spec``; a transcript adds
-    the two strategy identifiers after them."""
-    g = spec.host
-    return (
-        ("board", spec.board_kind),
-        ("host", f"{g.fingerprint()} n={g.n} m={g.m}"),
-        ("bias", f"{spec.maker_bias}:{spec.breaker_bias}"),
-        ("first", spec.first),
-        ("objective", spec.objective.token()),
-    )
-
-
 def format_transcript(
     spec: GameSpec, result: GameResult, maker_ident: str, breaker_ident: str
 ) -> str:
-    lines = ["game-v1"]
-    lines.extend(f"{k} {v}" for k, v in transcript_header(spec))
-    lines += [f"maker {maker_ident}", f"breaker {breaker_ident}", "moves"]
+    g = spec.host
+    lines = [
+        "game-v1",
+        f"board {spec.board_kind}",
+        f"host {g.fingerprint()} n={g.n} m={g.m}",
+        f"bias {spec.maker_bias}:{spec.breaker_bias}",
+        f"first {spec.first}",
+        f"objective {spec.objective.token()}",
+        f"maker {maker_ident}",
+        f"breaker {breaker_ident}",
+        "moves",
+    ]
     for player, elements in result.position.log:
         tag = "M" if player == MAKER else "B"
         lines.append(tag + " " + " ".join(element_token(spec, el) for el in elements))
-    lines.append("end")
-    lines.extend(_footer(spec, result))
-    return "\n".join(lines) + "\n"
-
-
-def _footer(spec: GameSpec, result: GameResult) -> tuple:
-    """The result and witness lines of a transcript."""
-    return (
+    lines += [
+        "end",
         f"result winner={result.winner} reason={result.reason} "
         f"rounds={result.rounds} forfeit={result.forfeited_by or 'none'}",
-        _witness_lines(spec, result.witness),
-    )
-
-
-@dataclass(frozen=True)
-class TranscriptRecord:
-    header: tuple  # ordered (key, value) pairs
-    moves: tuple  # (player, element tokens)
-    result: tuple  # ordered (key, value) pairs
-    witness_line: str
-
-
-def parse_transcript(text: str) -> TranscriptRecord:
-    lines = text.splitlines()
-    if not lines or lines[0] != "game-v1":
-        raise DomainError("transcript must start with 'game-v1'")
-    header = []
-    i = 1
-    while i < len(lines) and lines[i] != "moves":
-        key, _, value = lines[i].partition(" ")
-        header.append((key, value))
-        i += 1
-    if i == len(lines):
-        raise DomainError("transcript is missing the moves section")
-    i += 1
-    moves = []
-    while i < len(lines) and lines[i] != "end":
-        tag, _, rest = lines[i].partition(" ")
-        if tag not in ("M", "B"):
-            raise DomainError(f"bad move line {lines[i]!r}")
-        moves.append((MAKER if tag == "M" else BREAKER, tuple(rest.split())))
-        i += 1
-    if i == len(lines):
-        raise DomainError("transcript is missing the end marker")
-    i += 1
-    if i == len(lines) or not lines[i].startswith("result "):
-        raise DomainError("transcript is missing the result line")
-    result = tuple(
-        tuple(kv.split("=", 1)) for kv in lines[i].split()[1:]
-    )
-    i += 1
-    if i == len(lines) or not lines[i].startswith("witness"):
-        raise DomainError("transcript is missing the witness line")
-    return TranscriptRecord(tuple(header), tuple(moves), result, lines[i])
-
-
-def format_record(record: TranscriptRecord) -> str:
-    """Reproduce the exact transcript text of a parsed record."""
-    lines = ["game-v1"]
-    lines.extend(f"{k} {v}" for k, v in record.header)
-    lines.append("moves")
-    for player, tokens in record.moves:
-        tag = "M" if player == MAKER else "B"
-        lines.append(tag + " " + " ".join(tokens))
-    lines.append("end")
-    lines.extend(_record_footer(record))
+        _witness_line(spec, result.witness),
+    ]
     return "\n".join(lines) + "\n"
 
 
-def _record_footer(record: TranscriptRecord) -> tuple:
-    return "result " + " ".join(f"{k}={v}" for k, v in record.result), record.witness_line
-
-
-def replay_transcript(spec: GameSpec, record: TranscriptRecord) -> GameResult:
-    """Re-run a parsed transcript against a spec and recompute the outcome.
+def replay_transcript(spec: GameSpec, text: str) -> GameResult:
+    """Replay a ``game-v1`` transcript against ``spec``; returns the outcome.
 
     Every turn goes through ``apply_moves``, so an illegal turn raises
-    IllegalMoveError.  DomainError is raised when the header does not
-    describe ``spec``, when anything follows Maker's winning claim, when the
-    moves stop before the board is full with no win and no forfeit, and when
-    the recorded result or witness line differs from the one
-    ``format_transcript`` writes for the recomputed outcome.  A recorded
-    forfeit is taken on trust only from the player to move, on a board that
-    is not full.
+    IllegalMoveError; the replay stops at Maker's winning claim or a full
+    board.  A game whose moves stop before that was forfeited by the player
+    to move.  The outcome is returned only when ``format_transcript`` writes
+    exactly ``text`` for it and the two strategy names the text gives;
+    otherwise DomainError is raised.
     """
-    result = _replay(spec, record)
-    if _record_footer(record) != _footer(spec, result):
-        raise DomainError("transcript's result or witness line differs from the replayed game")
-    return result
-
-
-def _replay(spec: GameSpec, record: TranscriptRecord) -> GameResult:
-    header = [kv for kv in record.header if kv[0] not in ("maker", "breaker")]
-    if header != list(transcript_header(spec)):
-        raise DomainError("transcript header does not describe the game spec")
-    pos = Position.initial(spec)
-    rounds = 0
-    for i, (player, tokens) in enumerate(record.moves):
-        elements = tuple(parse_element(spec, t) for t in tokens)
+    lines = text.split("\n")
+    try:
+        start = lines.index("moves") + 1
+        stop = lines.index("end", start)
+    except ValueError:
+        raise DomainError("transcript has no moves section") from None
+    names = dict(line.partition(" ")[::2] for line in lines[: start - 1])
+    if MAKER not in names or BREAKER not in names:
+        raise DomainError("transcript does not name both strategies")
+    tokens = {element_token(spec, el): el for el in spec.board()}
+    pos, witness, rounds = Position.initial(spec), None, 0
+    for line in lines[start:stop]:
+        if witness is not None or len(pos.claimed()) == len(spec.board_set):
+            break  # the game is over; the lines left make the text differ
+        tag, _, rest = line.partition(" ")
+        if tag not in ("M", "B"):
+            raise DomainError(f"bad move line {line!r}")
+        try:
+            elements = [tokens[t] for t in rest.split()]
+        except KeyError as exc:
+            raise DomainError(f"unknown element token {exc.args[0]!r}") from None
+        player = MAKER if tag == "M" else BREAKER
+        pos, witness = apply_moves(spec, pos, player, elements)
         if player == MAKER:
             rounds += 1
-        pos, witness = apply_moves(spec, pos, player, elements)
-        if witness is not None:
-            if len(pos.log[-1][1]) < len(elements) or i + 1 < len(record.moves):
-                raise DomainError("transcript goes on after Maker's winning claim")
-            return GameResult(MAKER, witness, rounds, pos, "objective")
-    loser = dict(record.result).get("forfeit", "none")
-    full = len(pos.claimed()) == len(spec.board_set)
-    if loser == "none" and full:
-        return _full_board_result(spec, pos, rounds)
-    if full or loser != pos.to_move:
-        raise DomainError("transcript ends without a win, a full board or a forfeit by the mover")
-    winner = BREAKER if loser == MAKER else MAKER
-    return GameResult(winner, None, rounds, pos, "forfeit", True, loser)
+    if witness is not None:
+        result = GameResult(MAKER, witness, rounds, pos, "objective")
+    elif len(pos.claimed()) == len(spec.board_set):
+        result = _full_board_result(spec, pos, rounds)
+    else:
+        loser = pos.to_move
+        winner = BREAKER if loser == MAKER else MAKER
+        result = GameResult(winner, None, rounds, pos, "forfeit", True, loser)
+    if format_transcript(spec, result, names[MAKER], names[BREAKER]) != text:
+        raise DomainError("transcript differs from the one its moves replay to")
+    return result

@@ -46,6 +46,14 @@ DECOMPOSE_VERSION = "decompose-v1"
 # -- strategy identifiers -----------------------------------------------------------
 
 
+def parse_fraction(text: str) -> Fraction:
+    """``text``, such as ``6/7`` or ``0.5``, as an exact fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"not a fraction: {text!r}") from None
+
+
 def _parse_value(text: str):
     if text in ("true", "false"):
         return text == "true"
@@ -54,10 +62,7 @@ def _parse_value(text: str):
     except ValueError:
         pass
     if "/" in text:
-        try:
-            return Fraction(text)
-        except ValueError:
-            pass
+        return parse_fraction(text)
     try:
         return float(text)
     except ValueError:

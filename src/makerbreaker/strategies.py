@@ -149,11 +149,6 @@ def dominates(g: Graph, members) -> bool:
     return all(v in s or g.neighbors(v) & s for v in range(g.n))
 
 
-def sample_uniform_vertices(g: Graph, count: int, rng: random.Random) -> frozenset:
-    """``count`` i.i.d. uniform draws from V(g); collisions collapse."""
-    return frozenset(rng.randrange(g.n) for _ in range(count))
-
-
 # -- shared helpers ---------------------------------------------------------------
 
 
@@ -216,9 +211,6 @@ class ConnectivityMaker(Strategy):
         else:
             self.vertices = frozenset(range(g.n))
         self.ident = "connectivity"
-
-    def reset(self, spec, seed):
-        pass
 
     def _pick(self, claimed, maker_edges) -> tuple | None:
         best_cut = _smallest_cut(self.g.n, maker_edges, self.vertices, self.pool_masks, claimed)
@@ -286,9 +278,6 @@ class BipartiteGuardBreaker(Strategy):
     ident = "bipartite-guard"
     position_pure = True
 
-    def reset(self, spec, seed):
-        pass
-
     def propose(self, spec, pos):
         free = legal_moves(spec, pos)
         need = batch_size(spec, pos)
@@ -333,9 +322,6 @@ class CutAttackBreaker(Strategy):
 
     ident = "cut-attack"
     position_pure = True
-
-    def reset(self, spec, seed):
-        pass
 
     def propose(self, spec, pos):
         free = legal_moves(spec, pos)

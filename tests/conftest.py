@@ -1,5 +1,6 @@
 """Shared graph builders, a scripted strategy, the decomposition-backed
-Makers on forced cores and the small-graph isomorphism-class enumeration."""
+Makers on forced cores, uniform vertex sampling and the small-graph
+isomorphism-class enumeration."""
 
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -35,6 +36,11 @@ def forced_dense_edge_maker(g: Graph, delta) -> DenseEdgeMaker:
 def forced_dense_vertex_maker(g: Graph, delta, b: int) -> DenseVertexMaker:
     """A DenseVertexMaker on the chromatic core extracted with ``force=True``."""
     return DenseVertexMaker(g, delta, b, extract_chromatic_core(g, delta, b, force=True))
+
+
+def sample_uniform_vertices(g: Graph, count: int, rng) -> frozenset:
+    """``count`` i.i.d. uniform draws from V(g); collisions collapse."""
+    return frozenset(rng.randrange(g.n) for _ in range(count))
 
 
 def gray_code_side_lists(g: Graph):

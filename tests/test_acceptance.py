@@ -9,7 +9,12 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import forced_dense_edge_maker, forced_dense_vertex_maker, iso_classes
+from conftest import (
+    forced_dense_edge_maker,
+    forced_dense_vertex_maker,
+    iso_classes,
+    sample_uniform_vertices,
+)
 from makerbreaker.connectivity import vertex_connectivity
 from makerbreaker.decompose import highly_connected_partition, robust_partition
 from makerbreaker.engine import (
@@ -39,7 +44,6 @@ from makerbreaker.strategies import (
     RandomStrategy,
     bound_report,
     dominates,
-    sample_uniform_vertices,
 )
 
 COLLECTED_WINS = []  # (host, GameResult) pairs accumulated for criterion 9

@@ -4,7 +4,7 @@ import pytest
 
 from makerbreaker import coloring
 from makerbreaker.cli import main
-from makerbreaker.engine import GameSpec, WinPredicate, parse_transcript, replay_transcript
+from makerbreaker.engine import GameSpec, WinPredicate, replay_transcript
 from makerbreaker.graphs import Graph, format_graph, parse_graph
 
 
@@ -91,6 +91,13 @@ class TestDecompose:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["bfkm", "robust"])
+    @pytest.mark.parametrize("delta", ["1/0", "x/2", "1/"])
+    def test_bad_delta_is_clean(self, tripartite_file, capsys, mode, delta):
+        code = run_cli("decompose", str(tripartite_file), "--mode", mode, "--delta", delta)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: not a fraction")
+
 
 class TestPlay:
     def test_transcript_file_replays(self, tripartite_file, tmp_path):
@@ -103,15 +110,20 @@ class TestPlay:
         )
         assert code == 0
         text = out.read_text()
-        record = parse_transcript(text)
         g = parse_graph(tripartite_file.read_text())
         spec = GameSpec(
             host=g, board_kind="edges", objective=WinPredicate("odd-cycle"),
             maker_bias=1, breaker_bias=2,
         )
-        replayed = replay_transcript(spec, record)
+        replayed = replay_transcript(spec, text)
         assert replayed.winner in ("maker", "breaker")
-        assert dict(record.header)["host"].split()[0] == g.fingerprint()
+        assert f"\nhost {g.fingerprint()} n={g.n} m={g.m}\n" in text
+
+    def test_bad_strategy_fraction_is_clean(self, tripartite_file, capsys):
+        code = run_cli("play", str(tripartite_file), "--maker", "dense-edge(delta=1/0)",
+                       "--breaker", "random")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: not a fraction")
 
     def test_determinism(self, tripartite_file, tmp_path):
         outs = []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedStrategy, random_graphs
@@ -17,13 +17,10 @@ from makerbreaker.engine import (
     WinPredicate,
     _triangle,
     apply_moves,
-    format_record,
     format_transcript,
     legal_moves,
     maker_graph,
     maker_win_witness,
-    parse_transcript,
-    parse_witness,
     play,
     replay_transcript,
 )
@@ -460,6 +457,24 @@ class TestPlay:
         assert len(result.position.log[0][1]) == 3  # triangle closes on the last claim
 
 
+class QuittingStrategy(RandomStrategy):
+    """Random batches for ``turns`` turns, then a forfeit."""
+
+    def __init__(self, turns):
+        super().__init__()
+        self.turns = turns
+
+    def reset(self, spec, seed):
+        super().reset(spec, seed)
+        self.left = self.turns
+
+    def propose(self, spec, pos):
+        if self.left == 0:
+            return None
+        self.left -= 1
+        return super().propose(spec, pos)
+
+
 class TestTranscripts:
     def _result(self):
         g = Graph.complete(4)
@@ -467,34 +482,19 @@ class TestTranscripts:
         result = play(spec, ConnectivityMaker(g), RandomStrategy(), seed=9)
         return spec, result
 
-    def test_round_trip_bit_exact(self):
-        spec, result = self._result()
-        text = format_transcript(spec, result, "connectivity", "random")
-        record = parse_transcript(text)
-        assert format_record(record) == text
-
     def test_replay_reproduces_winner(self):
         spec, result = self._result()
-        record = parse_transcript(format_transcript(spec, result, "m", "b"))
-        replayed = replay_transcript(spec, record)
+        replayed = replay_transcript(spec, format_transcript(spec, result, "m", "b"))
         assert replayed.winner == result.winner
         assert replayed.position.maker == result.position.maker
-
-    def test_witness_parse(self):
-        spec, result = self._result()
-        text = format_transcript(spec, result, "m", "b")
-        record = parse_transcript(text)
-        witness = parse_witness(spec, record.witness_line)
-        assert witness == result.witness
+        assert replayed.witness == result.witness
 
     def test_forfeit_round_trip(self):
         g = Graph.complete(3)
         spec = edge_spec(g)
         result = play(spec, ScriptedStrategy([None]), RandomStrategy(), seed=0)
         text = format_transcript(spec, result, "scripted", "random")
-        record = parse_transcript(text)
-        assert format_record(record) == text
-        assert replay_transcript(spec, record).winner == BREAKER
+        assert replay_transcript(spec, text).winner == BREAKER
 
     def _maker_win_text(self, a=1):
         spec = edge_spec(Graph.complete(4), a=a)
@@ -510,24 +510,54 @@ class TestTranscripts:
 
     def test_replay_rejects_a_move_after_the_win(self):
         spec, text = self._maker_win_text()
-        assert replay_transcript(spec, parse_transcript(text)).winner == MAKER
-        record = parse_transcript(text.replace("end\n", "B e2-3\nend\n"))
+        assert replay_transcript(spec, text).winner == MAKER
         with pytest.raises(DomainError):
-            replay_transcript(spec, record)
+            replay_transcript(spec, text.replace("end\n", "B e2-3\nend\n"))
 
     def test_replay_rejects_a_claim_after_the_winning_claim(self):
         spec, text = self._maker_win_text(a=2)
         assert "M e0-2\n" in text
-        record = parse_transcript(text.replace("M e0-2\n", "M e0-2 e2-3\n"))
         with pytest.raises(DomainError):
-            replay_transcript(spec, record)
+            replay_transcript(spec, text.replace("M e0-2\n", "M e0-2 e2-3\n"))
 
     @pytest.mark.parametrize("key", ["board", "host", "bias", "first", "objective"])
     def test_replay_rejects_a_header_that_does_not_describe_the_spec(self, key):
         spec, text = self._maker_win_text()
         lines = [f"{key} x" if ln.startswith(key + " ") else ln for ln in text.split("\n")]
         with pytest.raises(DomainError):
-            replay_transcript(spec, parse_transcript("\n".join(lines)))
+            replay_transcript(spec, "\n".join(lines))
+
+    def test_replay_rejects_lines_after_the_witness(self):
+        spec, text = self._maker_win_text()
+        with pytest.raises(DomainError):
+            replay_transcript(spec, text + "M e0-1\nwitness none\n")
+
+    def test_replay_rejects_a_transcript_without_strategy_names(self):
+        spec, text = self._maker_win_text()
+        lines = [ln for ln in text.split("\n") if not ln.startswith(("maker ", "breaker "))]
+        with pytest.raises(DomainError):
+            replay_transcript(spec, "\n".join(lines))
+
+    def test_replay_rejects_a_missing_final_newline(self):
+        spec, text = self._maker_win_text()
+        with pytest.raises(DomainError):
+            replay_transcript(spec, text[:-1])
+
+    @pytest.mark.parametrize("token", ["e00-1", "e9-0-1", "ex0-1", "e0_1", "v0", "e1-0"])
+    def test_replay_rejects_a_malformed_edge_token(self, token):
+        spec, text = self._maker_win_text()
+        assert "M e0-1\n" in text
+        with pytest.raises(DomainError):
+            replay_transcript(spec, text.replace("M e0-1\n", f"M {token}\n"))
+
+    @pytest.mark.parametrize("token", ["v01", "vx", "v-1", "v9", "e0-1"])
+    def test_replay_rejects_a_malformed_vertex_token(self, token):
+        spec = vertex_spec(Graph.complete(4))
+        result = play(spec, RandomStrategy(), RandomStrategy(), seed=0)
+        text = format_transcript(spec, result, "random", "random")
+        first = next(ln for ln in text.split("\n") if ln.startswith("M "))
+        with pytest.raises(DomainError):
+            replay_transcript(spec, text.replace(first + "\n", f"M {token}\n", 1))
 
     def test_replay_rejects_moves_that_stop_early(self):
         spec = edge_spec(Graph.complete(3))
@@ -537,7 +567,7 @@ class TestTranscripts:
         lines = text.split("\n")
         del lines[lines.index("end") - 1]
         with pytest.raises(DomainError):
-            replay_transcript(spec, parse_transcript("\n".join(lines)))
+            replay_transcript(spec, "\n".join(lines))
 
     @pytest.mark.parametrize("forfeit", ["maker", "breaker"])
     def test_replay_rejects_a_forfeit_on_a_full_board(self, forfeit):
@@ -545,18 +575,16 @@ class TestTranscripts:
         result = play(spec, RandomStrategy(), RandomStrategy(), seed=0)
         assert result.reason == "exhausted"
         text = format_transcript(spec, result, "random", "random")
-        record = parse_transcript(text.replace("forfeit=none", f"forfeit={forfeit}"))
         with pytest.raises(DomainError):
-            replay_transcript(spec, record)
+            replay_transcript(spec, text.replace("forfeit=none", f"forfeit={forfeit}"))
 
     def test_replay_rejects_a_forfeit_by_the_player_not_to_move(self):
         spec = edge_spec(Graph.complete(3))
         result = play(spec, ScriptedStrategy([None]), RandomStrategy(), seed=0)
         text = format_transcript(spec, result, "scripted", "random")
         assert "forfeit=maker" in text
-        record = parse_transcript(text.replace("forfeit=maker", "forfeit=breaker"))
         with pytest.raises(DomainError):
-            replay_transcript(spec, record)
+            replay_transcript(spec, text.replace("forfeit=maker", "forfeit=breaker"))
 
     @pytest.mark.parametrize(
         "old, new",
@@ -570,7 +598,7 @@ class TestTranscripts:
         spec, text = self._maker_win_text()
         assert old in text
         with pytest.raises(DomainError):
-            replay_transcript(spec, parse_transcript(text.replace(old, new)))
+            replay_transcript(spec, text.replace(old, new))
 
     def test_replay_rejects_a_tampered_witness_cycle(self):
         spec, text = self._maker_win_text()
@@ -581,10 +609,10 @@ class TestTranscripts:
         # the game found
         lines[i] = "witness cycle " + " ".join(cycle[1:] + cycle[:1])
         with pytest.raises(DomainError):
-            replay_transcript(spec, parse_transcript("\n".join(lines)))
+            replay_transcript(spec, "\n".join(lines))
         lines[i] = "witness none"
         with pytest.raises(DomainError):
-            replay_transcript(spec, parse_transcript("\n".join(lines)))
+            replay_transcript(spec, "\n".join(lines))
 
     def test_illegal_batch_counts_no_round_and_replays(self):
         spec = edge_spec(Graph.complete(3))
@@ -592,7 +620,7 @@ class TestTranscripts:
         result = play(spec, bad, ScriptedStrategy([[(0, 2)]]), seed=0)
         assert result.forfeited_by == MAKER and result.rounds == 1
         text = format_transcript(spec, result, "scripted", "scripted")
-        replayed = replay_transcript(spec, parse_transcript(text))
+        replayed = replay_transcript(spec, text)
         assert (replayed.winner, replayed.rounds, replayed.reason) == (BREAKER, 1, "forfeit")
 
     def test_replay_rejects_a_short_breaker_turn(self):
@@ -603,19 +631,57 @@ class TestTranscripts:
         i = next(i for i, ln in enumerate(lines) if ln.startswith("B "))
         lines[i] = lines[i].rsplit(" ", 1)[0]
         with pytest.raises(IllegalMoveError):
-            replay_transcript(spec, parse_transcript("\n".join(lines)))
+            replay_transcript(spec, "\n".join(lines))
 
     @settings(max_examples=80, deadline=None)
-    @given(small_specs(), st.integers(min_value=0, max_value=10_000))
-    def test_replay_reproduces_random_games(self, spec, seed):
-        result = play(spec, RandomStrategy(), RandomStrategy(), seed=seed)
-        record = parse_transcript(format_transcript(spec, result, "random", "random"))
-        replayed = replay_transcript(spec, record)
+    @given(
+        small_specs(),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from((MAKER, BREAKER)),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_replay_reproduces_random_games(self, spec, seed, quitter, turns):
+        maker, breaker = RandomStrategy(), RandomStrategy()
+        if quitter == MAKER:
+            maker = QuittingStrategy(turns)
+        else:
+            breaker = QuittingStrategy(turns)
+        result = play(spec, maker, breaker, seed=seed)
+        replayed = replay_transcript(spec, format_transcript(spec, result, "m", "b"))
         assert replayed.winner == result.winner
         assert replayed.rounds == result.rounds
+        assert replayed.reason == result.reason
+        assert replayed.forfeited_by == result.forfeited_by
         assert replayed.position == result.position
         assert replayed.witness == result.witness
-        assert parse_witness(spec, record.witness_line) == result.witness
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_specs(),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(("delete", "duplicate", "truncate")),
+        st.data(),
+    )
+    def test_replay_rejects_a_mutated_transcript(self, spec, seed, how, data):
+        result = play(spec, RandomStrategy(), RandomStrategy(), seed=seed)
+        text = format_transcript(spec, result, "random", "random")
+        lines = text.split("\n")  # the last entry is what follows the final newline
+        i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            assume(lines[i])
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+        try:
+            replayed = replay_transcript(spec, "\n".join(lines))
+        except (DomainError, IllegalMoveError):
+            return
+        # Strategy names are free text: a shortened one still names the
+        # strategies of the same game.
+        assert how == "truncate" and lines[i].startswith(("maker ", "breaker "))
+        assert replayed == result
 
     def test_objective_tokens(self):
         for pred in (

@@ -20,7 +20,6 @@ from makerbreaker.engine import (
     format_transcript,
     legal_moves,
     maker_win_witness,
-    parse_transcript,
     play,
     replay_transcript,
 )
@@ -102,7 +101,7 @@ class TestSolve:
                 result = play(spec, maker, breaker)
                 assert result.position.log == line and not result.forfeit
                 text = format_transcript(spec, result, "scripted", "scripted")
-                replayed = replay_transcript(spec, parse_transcript(text))
+                replayed = replay_transcript(spec, text)
                 assert replayed.winner == v.winner
 
     def test_memoized_matches_reference_random_instances(self):

@@ -13,6 +13,7 @@ from conftest import (
     forced_dense_vertex_maker,
     gray_code_side_lists,
     random_graphs,
+    sample_uniform_vertices,
 )
 from makerbreaker.connectivity import edge_connectivity
 from makerbreaker.decompose import EXACT_CUT_LIMIT
@@ -58,7 +59,6 @@ from makerbreaker.strategies import (
     bound_report,
     dominates,
     merge_components,
-    sample_uniform_vertices,
 )
 
 STAGE_ORDER = {"I": 1, "II": 2, "III": 3, "IV": 4}
