@@ -5,11 +5,12 @@ Everything is exact.  Connectivity values come from unit-capacity max-flow;
 the threshold variants stop augmenting early, which keeps the decomposition
 pipeline fast without giving up soundness (a certified "at least t" answer is
 always a real lower bound, never a heuristic one).  Each vertex-disjoint s-t
-flow starts from greedily chosen paths of two and three edges, read off the
-host's neighbour sets.  When they reach the limit no flow network is built
-or copied; otherwise the split network is built (once per call of the public
-function) and augmenting paths, which may cancel seeded flow, complete them
-to a maximum flow.
+flow first counts the common neighbours of s and t, one popcount of the
+host's neighbour masks, and stops there when they reach the limit.
+Otherwise it starts from greedily chosen paths of two and three edges, read
+off the same masks, and when those still fall short the split network is
+built (once per call of the public function) and augmenting paths, which
+may cancel seeded flow, complete them to a maximum flow.
 """
 
 from __future__ import annotations
@@ -94,31 +95,43 @@ def _short_paths(g: Graph, s, t, limit):
     """Up to ``limit`` internally vertex-disjoint s-t paths of two and three
     edges, for non-adjacent s and t, as tuples of inner vertices: first
     s-x-t through each common neighbour x, then s-x-y-t for each other
-    neighbour x of s with y the first unused neighbour of t adjacent to x
-    (all in sorted order)."""
-    ns, nt = g.neighbors(s), g.neighbors(t)
-    paths = [(x,) for x in sorted(ns & nt)[:limit]]
+    neighbour x of s with y the lowest unused neighbour of t adjacent to x
+    (all in increasing order)."""
+    nbr = g.neighbor_masks()
+    ns, nt = nbr[s], nbr[t]
+    paths = []
+    common = ns & nt
+    while common and len(paths) < limit:
+        low = common & -common
+        paths.append((low.bit_length() - 1,))
+        common ^= low
     if len(paths) < limit:
         # every common neighbour is on a path, so the y's left are N(t) - N(s)
-        ys = sorted(nt - ns)
-        for x in sorted(ns - nt):
-            near_x = g.neighbors(x)
-            for i, y in enumerate(ys):
-                if y in near_x:
-                    paths.append((x, y))
-                    del ys[i]
+        ys = nt & ~ns
+        xs = ns & ~nt
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            x = low.bit_length() - 1
+            hit = nbr[x] & ys
+            if hit:
+                y = hit & -hit
+                paths.append((x, y.bit_length() - 1))
+                ys ^= y
+                if len(paths) == limit:
                     break
-            if len(paths) == limit:
-                break
     return paths
 
 
 def _local_vertex_flow(g: Graph, network, s, t, limit):
     """min(limit, number of internally disjoint s-t paths) for non-adjacent
     s and t, with the residual network when that is below ``limit`` (None
-    when the greedy short paths already reach it).  ``network()`` gives the
-    split network (capacities, adjacency); it is called only when the short
-    paths fall short."""
+    when the common neighbours or the greedy short paths already reach it).
+    ``network()`` gives the split network (capacities, adjacency); it is
+    called only when the short paths fall short."""
+    nbr = g.neighbor_masks()
+    if (nbr[s] & nbr[t]).bit_count() >= limit:
+        return limit, None
     paths = _short_paths(g, s, t, limit)
     if len(paths) == limit:
         return limit, None
@@ -257,13 +270,16 @@ def mader_subgraph(g: Graph, k):
         comps = connected_components(sub, frozenset(range(sub.n)) - cut)
         if not comps:
             return None
+        nbr = sub.neighbor_masks()
         best = None
         best_key = None
         for comp in comps:
-            side = sorted(comp | cut)
-            piece, _ = induced_subgraph(sub, side)
+            side = comp | cut
+            side_mask = sum(1 << v for v in side)
+            # the side's average degree: its degrees within the side over its size
+            degree_sum = sum((nbr[v] & side_mask).bit_count() for v in side)
             labels = sorted(to_parent[v] for v in side)
-            key = (piece.average_degree(), len(side), -labels[0])
+            key = (Fraction(degree_sum, len(side)), len(side), -labels[0])
             if best_key is None or key > best_key:
                 best, best_key = labels, key
         current = tuple(best)

@@ -13,8 +13,9 @@ can re-verify independently:
   degree inside its part, and one part carries a side of chromatic number
   above a requested floor.
 
-All threshold comparisons are exact: fractional bounds use Fraction, and the
-irrational bounds n^(3/2), n^(3/4) are compared through integer powers.
+All threshold comparisons are exact: fractional bounds use Fraction or, in
+the inner loops, cross-multiplied integers, and the irrational bounds
+n^(3/2), n^(3/4) are compared through integer powers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .graphs import (
     cut_edges,
     find_odd_cycle,
     frac_ceil,
-    gray_code_bipartitions,
     induced_subgraph,
     min_degree,
 )
@@ -264,16 +264,55 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
 
 
 def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
-    """Enumerate all bipartitions of ``members`` by Gray code; return the
-    sparsest balanced one as (sideA, sideB) plus the best cut value."""
+    """The sparsest balanced bipartition of ``members``, found exactly.
+
+    Returns ((sideA, sideB), best) when the smallest cut with both sides at
+    least ``min_side`` is below n^(3/2), (None, best) when it is not, and
+    (None, None) when no bipartition is balanced.
+
+    A depth-first search assigns vertices m-1 down to 1 (in sorted order of
+    ``members``; vertex 0 stays on side 0) and so meets the bipartitions in
+    binary-reflected Gray-code order: a forward node tries side 0 first, a
+    reversed one side 1, and a child's direction is the side chosen XOR its
+    parent's.  It prunes a subtree whose side sizes cannot be balanced, and
+    one whose cut so far, plus for each unassigned vertex the smaller of its
+    neighbour counts on the two sides, is not below the best cut found.  Only
+    a smaller cut replaces the best, so of the minimum cuts the first in Gray
+    order is kept.
+    """
     order = sorted(members)
     m = len(order)
     sub, _ = induced_subgraph(g, order)
+    nbr = sub.neighbor_masks()
     lo = frac_ceil(min_side)
     best = best_mask = None
-    for mask, ones, cut in gray_code_bipartitions(sub):
-        if lo <= ones <= m - lo and (best is None or cut < best):
-            best, best_mask = cut, mask
+    unassigned = [nbr[1 : v + 1] for v in range(m)]  # masks of vertices 1..v
+
+    def search(v, side0, side1, ones, cut, reverse):
+        # vertices 1..v are unassigned, and the sides can still be balanced
+        nonlocal best, best_mask
+        if best is not None:
+            bound = cut
+            for x in unassigned[v]:
+                a = (x & side0).bit_count()
+                b = (x & side1).bit_count()
+                bound += a if a < b else b
+            if bound >= best:
+                return
+        if v == 0:
+            best, best_mask = cut, side1
+            return
+        bit, x = 1 << v, nbr[v]
+        for one in (1, 0) if reverse else (0, 1):
+            if one:
+                if ones < m - lo:  # side 0 keeps at least lo
+                    search(v - 1, side0, side1 | bit, ones + 1,
+                           cut + (x & side0).bit_count(), not reverse)
+            elif ones + v > lo:  # side 1 can still reach lo
+                search(v - 1, side0 | bit, side1, ones, cut + (x & side1).bit_count(), reverse)
+
+    if lo <= m - lo:
+        search(m - 1, 1, 0, 0, 0, False)
     if best is None:
         return None, None
     if best * best >= n**3:
@@ -397,6 +436,8 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
             break
 
     floor = delta * delta * n
+    # d >= floor, compared as d * floor.denominator >= floor.numerator
+    floor_num, floor_den = floor.numerator, floor.denominator
     part_of = {}
     for i, part in enumerate(parts):
         for v in part:
@@ -404,7 +445,7 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
 
     def relocate(v):
         for j, pt in enumerate(parts):
-            if Fraction(g.degree_into(v, pt)) >= floor:
+            if g.degree_into(v, pt) * floor_den >= floor_num:
                 if j != part_of[v]:
                     parts[part_of[v]].discard(v)
                     pt.add(v)
@@ -418,12 +459,12 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
         relocate(v)
     while True:
         violators = sorted(
-            v for v in range(n) if Fraction(g.degree_into(v, parts[part_of[v]])) < floor
+            v for v in range(n) if g.degree_into(v, parts[part_of[v]]) * floor_den < floor_num
         )
         if not violators:
             break
         for v in violators:
-            if Fraction(g.degree_into(v, parts[part_of[v]])) < floor:
+            if g.degree_into(v, parts[part_of[v]]) * floor_den < floor_num:
                 relocate(v)
 
     t_bound = frac_ceil(1 / delta)
@@ -450,9 +491,10 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
 
 
 def _below_degree_floor(d, delta_n: Fraction, t: int, n: int) -> bool:
-    """Exact test for d < delta*n - t*n^(3/4), avoiding irrational arithmetic."""
-    diff = delta_n - d
-    return diff > 0 and diff**4 > Fraction(t) ** 4 * n**3
+    """Exact test for d < delta*n - t*n^(3/4), avoiding irrational arithmetic:
+    with delta*n = p/q, it is p - d*q > 0 and (p - d*q)^4 > (t*q)^4 * n^3."""
+    diff = delta_n.numerator - d * delta_n.denominator
+    return diff > 0 and diff**4 > (t * delta_n.denominator) ** 4 * n**3
 
 
 # -- bipartite core with a chromatic certificate --------------------------------

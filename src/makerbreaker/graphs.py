@@ -6,11 +6,15 @@ that derive a smaller graph return an explicit relabeling map back to the
 parent so callers can translate moves across decomposition layers.
 
 Besides neighbor sets, a graph hands out its adjacency as bitmasks
-(``neighbor_masks``, built once and kept).  The cut kernels -- the Gray-code
-bipartition walk here, behind the balanced cuts of ``decompose``, and the
-component cuts of ``strategies`` -- count crossing edges with one popcount
-per vertex instead of walking edges one at a time; the exact solver searches
-Maker's graph on them.
+(``neighbor_masks``, built once and kept).  The cut kernels -- the balanced
+cuts of ``decompose`` and the component cuts of ``strategies`` -- count
+crossing edges with one popcount per vertex instead of walking edges one at
+a time, the short paths that seed vertex flows are read off them, and the
+exact solver searches Maker's graph on them.  The Gray-code walk here only
+enumerates bipartitions as masks.
+
+A graph has at most ``MAX_VERTICES`` vertices; a larger one is refused with
+``ResourceLimitError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+MAX_VERTICES = 100_000
 
 
 def frac_ceil(x) -> int:
@@ -36,6 +42,11 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise DomainError(f"vertex count must be nonnegative, got {n}")
+        if n > MAX_VERTICES:
+            raise ResourceLimitError(
+                f"{n} vertices exceed the cap of {MAX_VERTICES}",
+                {"n": n, "cap": MAX_VERTICES},
+            )
         adj = [set() for _ in range(n)]
         eset = set()
         for pair in edges:
@@ -78,10 +89,7 @@ class Graph:
 
     def degree_into(self, v: int, members) -> int:
         """Number of neighbors of v inside the vertex set ``members``."""
-        nbrs = self._adj[v]
-        if len(nbrs) < len(members):
-            return sum(1 for u in nbrs if u in members)
-        return sum(1 for u in members if u in nbrs)
+        return len(self._adj[v].intersection(members))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u] if 0 <= u < self.n else False
@@ -282,31 +290,14 @@ def is_connected(g: Graph) -> bool:
 
 
 def gray_code_bipartitions(g: Graph):
-    """Every bipartition of V(g) with vertex 0 on side 0, each exactly once.
+    """Every bipartition of V(g) with vertex 0 on side 0, each exactly once,
+    as a mask whose bit v is set when v is on side 1.
 
-    Consecutive bipartitions differ in one vertex (binary-reflected Gray
-    code), so the cut is kept incrementally: flipping v changes it by v's
-    degree less twice the number of v's neighbors on v's new side, one
-    popcount of v's neighbor mask.  Yields ``(ones_mask, ones, cut)`` for
-    each bipartition, starting with the one where side 1 is empty: bit v of
-    ``ones_mask`` is set when v is on side 1, ``ones`` is the size of side 1
-    and ``cut`` the number of crossing edges.  g needs at least one vertex.
+    Consecutive masks differ in one vertex (binary-reflected Gray code),
+    starting with side 1 empty.  g needs at least one vertex.
     """
-    nbr = g.neighbor_masks()
-    deg = [g.degree(v) for v in range(g.n)]
-    mask = ones = cut = 0
-    yield mask, ones, cut
-    for code in range(1, 1 << (g.n - 1)):
-        v = (code & -code).bit_length()  # flips vertex 1..n-1, never 0
-        same = (nbr[v] & mask).bit_count()  # v's neighbors on side 1
-        mask ^= 1 << v
-        if mask >> v & 1:
-            ones += 1
-            cut += deg[v] - 2 * same
-        else:
-            ones -= 1
-            cut += 2 * same - deg[v]
-        yield mask, ones, cut
+    for code in range(1 << (g.n - 1)):
+        yield (code ^ code >> 1) << 1
 
 
 # -- text format --------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import tempfile
 import time
@@ -64,9 +65,12 @@ def _parse_value(text: str):
     if "/" in text:
         return parse_fraction(text)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    if not math.isfinite(value):
+        raise DomainError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_ident(ident: str) -> tuple[str, dict]:

@@ -431,7 +431,7 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
     if n <= EXACT_CUT_LIMIT:
         nbr = g.neighbor_masks()
         best = None
-        for mask, _, _ in gray_code_bipartitions(g):
+        for mask in gray_code_bipartitions(g):
             # every vertex needs a neighbor on the other side
             if not all(nbr[v] & (~mask if mask >> v & 1 else mask) for v in range(n)):
                 continue

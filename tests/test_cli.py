@@ -125,6 +125,14 @@ class TestPlay:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: not a fraction")
 
+    @pytest.mark.parametrize("delta", ["inf", "1e400", "nan"])
+    def test_non_finite_strategy_parameter_is_clean(self, tripartite_file, capsys, delta):
+        code = run_cli("play", str(tripartite_file), "--maker",
+                       f"dense-edge(delta={delta},force=true)", "--breaker", "random")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a finite number") and delta in err
+
     def test_determinism(self, tripartite_file, tmp_path):
         outs = []
         for name in ("a.txt", "b.txt"):
@@ -173,6 +181,14 @@ class TestSolveVerify:
     def test_solve_cap_error(self, tripartite_file, capsys):
         assert run_cli("solve", str(tripartite_file)) == 1
         assert "exceeds the solve cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [100_000_000_000, 3_000_000])
+    def test_vertex_cap_error(self, tmp_path, capsys, n):
+        path = tmp_path / "huge.graph"
+        path.write_text(f"p {n} 0\n")
+        assert run_cli("solve", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{n} vertices exceed the cap" in err
 
     def test_verify_json(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"

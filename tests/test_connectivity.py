@@ -23,7 +23,13 @@ from makerbreaker.connectivity import (
 )
 from makerbreaker.errors import DomainError
 from makerbreaker.generators import disjoint_union, gnp
-from makerbreaker.graphs import Graph, frac_ceil, induced_subgraph, min_degree
+from makerbreaker.graphs import (
+    Graph,
+    connected_components,
+    frac_ceil,
+    induced_subgraph,
+    min_degree,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -123,6 +129,25 @@ def unseeded_cut_below(g: Graph, threshold: int):
     return None
 
 
+def short_paths_by_sets(g: Graph, s, t, limit):
+    """``_short_paths`` as it was before it read the neighbour masks: sorted
+    neighbour sets, each y found by a scan of the unused N(t) - N(s)."""
+    ns, nt = g.neighbors(s), g.neighbors(t)
+    paths = [(x,) for x in sorted(ns & nt)[:limit]]
+    if len(paths) < limit:
+        ys = sorted(nt - ns)
+        for x in sorted(ns - nt):
+            near_x = g.neighbors(x)
+            for i, y in enumerate(ys):
+                if y in near_x:
+                    paths.append((x, y))
+                    del ys[i]
+                    break
+            if len(paths) == limit:
+                break
+    return paths
+
+
 @st.composite
 def flow_hosts(draw):
     """Seeded gnp hosts of 2-22 vertices, from sparse to dense, not complete."""
@@ -175,6 +200,27 @@ class TestSeededVertexFlow:
         for path in paths:
             walk = (s, *path, t)
             assert all(g.has_edge(u, v) for u, v in zip(walk, walk[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(flow_hosts())
+    def test_short_paths_match_set_reference(self, g):
+        for s in range(g.n):
+            for t in range(g.n):
+                if t == s or g.has_edge(s, t):
+                    continue
+                for limit in (1, len(g.neighbors(s) & g.neighbors(t)) + 1, g.n):
+                    assert _short_paths(g, s, t, limit) == short_paths_by_sets(g, s, t, limit)
+
+    def test_common_neighbours_reaching_the_limit_skip_the_paths(self, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("short paths were built")
+
+        monkeypatch.setattr(connectivity, "_short_paths", no_paths)
+        g = Graph.complete(6)
+        g = Graph(6, g.edges - {(0, 1)})  # 0 and 1 share the neighbours 2..5
+        assert _local_vertex_flow(g, None, 0, 1, 4) == (4, None)
+        with pytest.raises(AssertionError):
+            _local_vertex_flow(g, None, 0, 1, 5)
 
     def test_augmenting_path_cancels_seeded_flow(self):
         g = blocked_host()
@@ -263,6 +309,35 @@ class TestUnfriendlyPartition:
             assert 2 * g.degree_into(v, other) >= g.degree(v)
 
 
+def mader_subgraph_by_induced_subgraphs(g: Graph, k):
+    """``mader_subgraph`` as it was before it ranked the sides on neighbour
+    masks: each side's average degree read off its induced subgraph."""
+    target = frac_ceil(Fraction(k) / 4)
+    current = tuple(range(g.n))
+    while True:
+        if len(current) <= 1:
+            return None
+        sub, to_parent = induced_subgraph(g, current)
+        if sub.is_complete():
+            return frozenset(current) if sub.n - 1 >= target else None
+        cut = vertex_cut_below(sub, target)
+        if cut is None:
+            return frozenset(current)
+        comps = connected_components(sub, frozenset(range(sub.n)) - cut)
+        if not comps:
+            return None
+        best = None
+        best_key = None
+        for comp in comps:
+            side = sorted(comp | cut)
+            piece, _ = induced_subgraph(sub, side)
+            labels = sorted(to_parent[v] for v in side)
+            key = (piece.average_degree(), len(side), -labels[0])
+            if best_key is None or key > best_key:
+                best, best_key = labels, key
+        current = tuple(best)
+
+
 class TestMaderSubgraph:
     def test_k8(self):
         assert mader_subgraph(Graph.complete(8), 4) == frozenset(range(8))
@@ -293,6 +368,11 @@ class TestMaderSubgraph:
                 assert vertex_connectivity(sub) >= target
             else:
                 assert target <= 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(flow_hosts(), st.integers(min_value=1, max_value=24))
+    def test_matches_induced_subgraph_ranking(self, g, k):
+        assert mader_subgraph(g, k) == mader_subgraph_by_induced_subgraphs(g, k)
 
     def test_succeeds_when_average_degree_suffices(self):
         for seed in range(6):

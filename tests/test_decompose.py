@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gray_code_side_lists
@@ -9,7 +9,9 @@ from conftest import gray_code_side_lists
 from makerbreaker.coloring import chromatic_number, is_k_colorable
 from makerbreaker.connectivity import vertex_connectivity
 from makerbreaker.decompose import (
+    EXACT_CUT_LIMIT,
     _balanced_cut_exact,
+    _below_degree_floor,
     _normalize_sides,
     core_graph,
     extract_bipartite_core,
@@ -189,24 +191,61 @@ def balanced_cut_exact_by_side_lists(g, members, min_side, n):
     return _normalize_sides(order, [order[i] for i in range(m) if best_sides[i] == 0]), best
 
 
+def balanced_cut_exact_by_gray_walk(g, members, min_side, n):
+    """``_balanced_cut_exact`` as it was before the pruned search: every
+    bipartition in Gray-code order, its side-1 size and cut kept by one
+    popcount per step, and the first minimum balanced one kept."""
+    order = sorted(members)
+    m = len(order)
+    sub, _ = induced_subgraph(g, order)
+    nbr = sub.neighbor_masks()
+    lo = frac_ceil(min_side)
+    best = best_mask = None
+    mask = ones = cut = 0
+    for code in range(1 << (m - 1)):
+        if code:
+            v = (code & -code).bit_length()
+            same = (nbr[v] & mask).bit_count()  # v's neighbors on side 1
+            mask ^= 1 << v
+            if mask >> v & 1:
+                ones += 1
+                cut += sub.degree(v) - 2 * same
+            else:
+                ones -= 1
+                cut += 2 * same - sub.degree(v)
+        if lo <= ones <= m - lo and (best is None or cut < best):
+            best, best_mask = cut, mask
+    if best is None:
+        return None, None
+    if best * best >= n**3:
+        return None, best
+    return _normalize_sides(order, [order[i] for i in range(m) if not best_mask >> i & 1]), best
+
+
 @st.composite
-def balanced_cut_instances(draw):
-    """A gnp host of 2 to 18 vertices, a member set of at least two vertices,
-    a positive side floor up to half the members (as ``robust_partition``
-    passes), and the n the split bound uses."""
-    n = draw(st.integers(min_value=2, max_value=18))
+def balanced_cut_instances(draw, max_n=EXACT_CUT_LIMIT):
+    """A gnp host of 2 to ``max_n`` vertices, a member set of at least two
+    vertices, a positive side floor up to half the members (as
+    ``robust_partition`` passes), and the n the split bound uses (at 100n
+    every minimum cut is below the bound, so its sides are compared too)."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
     g = gnp(n, draw(st.sampled_from([0.2, 0.5, 0.8])), draw(st.integers(0, 2**16)))
     members = set(draw(st.permutations(range(n)))[: draw(st.integers(2, n))])
     min_side = Fraction(draw(st.integers(1, len(members))), 2)
-    big_n = draw(st.sampled_from([n, 4 * n]))
+    big_n = draw(st.sampled_from([n, 4 * n, 100 * n]))
     return g, members, min_side, big_n
 
 
 class TestBalancedCutExact:
     @settings(max_examples=40, deadline=None)
-    @given(balanced_cut_instances())
+    @given(balanced_cut_instances(max_n=18))
     def test_matches_side_list_walk(self, inst):
         assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_side_lists(*inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(balanced_cut_instances())
+    def test_matches_gray_walk(self, inst):
+        assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_gray_walk(*inst)
 
     @pytest.mark.parametrize("n,p,seed", [(12, 0.5, 1), (15, 0.3, 2), (18, 0.5, 3), (18, 0.8, 4)])
     def test_matches_side_list_walk_on_whole_hosts(self, n, p, seed):
@@ -214,11 +253,60 @@ class TestBalancedCutExact:
         for inst in ((g, range(n), Fraction(n, 4), n), (g, range(n), Fraction(n, 3), 4 * n)):
             assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_side_lists(*inst)
 
+    @pytest.mark.parametrize("p,seed", [(0.5, 5), (0.8, 6)])
+    def test_matches_gray_walk_on_hosts_at_the_limit(self, p, seed):
+        n = EXACT_CUT_LIMIT
+        g = gnp(n, p, seed)
+        for inst in ((g, range(n), Fraction(n, 4), 100 * n), (g, range(n), Fraction(n, 2), n)):
+            assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_gray_walk(*inst)
+
+    @pytest.mark.parametrize(
+        "g,min_side",
+        [
+            (Graph.empty(14), Fraction(7)),  # every balanced cut is empty
+            (disjoint_union(Graph.complete(8), Graph.complete(8)), Fraction(5)),
+            (complete_multipartite([4, 4, 4, 4]), Fraction(8)),
+            (complete_multipartite([4, 4, 4, 4]), Fraction(5)),
+            (Graph.complete(16), Fraction(8)),  # every bisection cuts 64 edges
+        ],
+        ids=["empty", "two-cliques", "k4x4-bisection", "k4x4", "k16-bisection"],
+    )
+    def test_ties_go_to_the_first_minimum_in_gray_order(self, g, min_side):
+        for big_n in (g.n, 100 * g.n):
+            inst = (g, range(g.n), min_side, big_n)
+            assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_gray_walk(*inst)
+
     def test_two_cliques(self):
         g = disjoint_union(Graph.complete(6), Graph.complete(6))
         found, best = _balanced_cut_exact(g, range(12), Fraction(3), 12)
         assert best == 0
         assert found == (frozenset(range(6)), frozenset(range(6, 12)))
+
+
+def below_degree_floor_by_fractions(d, delta_n, t, n):
+    """``_below_degree_floor`` as it was before it cross-multiplied."""
+    diff = delta_n - d
+    return diff > 0 and diff**4 > Fraction(t) ** 4 * n**3
+
+
+class TestBelowDegreeFloor:
+    # at n = 16, t = 1 the bound is delta*n - 8 exactly
+    @example(d=2, num=10, den=1, t=1, n=16)
+    @example(d=1, num=10, den=1, t=1, n=16)
+    @example(d=3, num=21, den=2, t=1, n=16)
+    @settings(max_examples=300)
+    @given(
+        d=st.integers(0, 300),
+        num=st.integers(1, 10**4),
+        den=st.integers(1, 60),
+        t=st.integers(1, 12),
+        n=st.integers(1, 300),
+    )
+    def test_matches_fraction_form(self, d, num, den, t, n):
+        delta_n = Fraction(num, den)
+        assert _below_degree_floor(d, delta_n, t, n) == below_degree_floor_by_fractions(
+            d, delta_n, t, n
+        )
 
 
 class TestExtractChromaticCore:

@@ -1,13 +1,15 @@
 import hashlib
+import tracemalloc
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, random_graphs, star
-from makerbreaker.errors import DomainError
+from conftest import all_labeled_graphs, gray_code_side_lists, random_graphs, star
+from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.graphs import (
+    MAX_VERTICES,
     Graph,
     OddCycleWitness,
     connected_components,
@@ -177,15 +179,38 @@ class TestGrayCodeBipartitions:
     @settings(max_examples=150)
     @given(random_graphs())
     def test_visits_each_bipartition_once_with_exact_counts(self, g):
-        visited = []
-        for mask, ones, cut in gray_code_bipartitions(g):
+        masks = list(gray_code_bipartitions(g))
+        assert len(masks) == len(set(masks)) == 2 ** (g.n - 1)
+        for mask in masks:
             assert not mask & 1  # vertex 0 stays on side 0
             assert 0 <= mask < 1 << g.n
-            visited.append(mask)
-            side = [mask >> v & 1 for v in range(g.n)]
-            assert ones == sum(side)
-            assert cut == sum(1 for u, v in g.edges if side[u] != side[v])
-        assert len(visited) == len(set(visited)) == 2 ** (g.n - 1)
+        assert masks[0] == 0
+        assert all((a ^ b).bit_count() == 1 for a, b in zip(masks, masks[1:]))
+        # the same order as the side-list walk the balanced-cut references use
+        assert masks == [
+            sum(bit << v for v, bit in enumerate(side)) for side, *_ in gray_code_side_lists(g)
+        ]
+
+
+def degree_into_by_sum(g, v, members):
+    """``Graph.degree_into`` as it was before it intersected the neighbor set:
+    a membership count over the smaller of the two collections."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) < len(members):
+        return sum(1 for u in nbrs if u in members)
+    return sum(1 for u in members if u in nbrs)
+
+
+class TestDegreeInto:
+    @settings(max_examples=150)
+    @given(random_graphs(max_n=12), st.data())
+    def test_matches_sum_reference(self, g, data):
+        members = data.draw(st.sets(st.integers(0, g.n - 1)))
+        lo = data.draw(st.integers(0, g.n))
+        hi = data.draw(st.integers(lo, g.n))
+        for v in range(g.n):
+            for kind in (set(members), frozenset(members), sorted(members), range(lo, hi)):
+                assert g.degree_into(v, kind) == degree_into_by_sum(g, v, kind)
 
 
 class TestNeighborMasks:
@@ -228,6 +253,18 @@ class TestTextFormat:
         g1 = Graph(4, [(0, 1), (2, 3)])
         g2 = Graph(4, [(2, 3), (0, 1)])
         assert g1.fingerprint() == g2.fingerprint()
+
+    @pytest.mark.parametrize("n", [100_000_000_000, 3_000_000, MAX_VERTICES + 1])
+    def test_vertex_count_above_the_cap_is_refused_before_allocation(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                parse_graph(f"p {n} 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.stats == {"n": n, "cap": MAX_VERTICES}
+        assert peak < 1 << 20
 
     @settings(max_examples=50, deadline=None)
     @given(random_graphs(max_n=10))
