@@ -10,6 +10,12 @@ predicate but ``aux-connect`` is monotone in Maker's claim set; on
 again, which the turn's early end rules out.  A strategy that cannot (or will
 not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
+
+``odd-cycle`` and ``spanning-connected`` each have one win decision in
+``MASK_WINS``, a layer-by-layer search over neighbour bitmasks: vertex v of
+Maker's graph sees the bits ``adj[v] & verts``.  ``maker_win_witness``
+decides the engine's win checks with it and the solver decides its claim
+masks with it; a witness is built only once the decision is a win.
 """
 
 from __future__ import annotations
@@ -242,9 +248,92 @@ def maker_graph(spec: GameSpec, claims) -> tuple:
     return induced_subgraph(spec.host, claims)
 
 
+def _bfs(adj, verts, root):
+    """Layer-by-layer search from the vertex bit ``root`` over the graph whose
+    vertex v sees the bits ``adj[v] & verts``.  Returns the reached bits and
+    whether an edge joins two vertices of one layer (an odd cycle)."""
+    seen = layer = root
+    odd = False
+    while layer:
+        reach = 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            nbrs = adj[low.bit_length() - 1] & verts
+            odd = odd or nbrs & layer != 0
+            reach |= nbrs
+            rest ^= low
+        layer = reach & ~seen
+        seen |= layer
+    return seen, odd
+
+
+def _spans(adj, verts: int) -> bool:
+    """Whether the graph on ``verts`` has a vertex and is connected."""
+    return verts != 0 and _bfs(adj, verts, verts & -verts)[0] == verts
+
+
+def _has_odd_cycle(adj, verts: int) -> bool:
+    """Whether some component of the graph on ``verts`` has an odd cycle."""
+    while verts:
+        seen, odd = _bfs(adj, verts, verts & -verts)
+        if odd:
+            return True
+        verts &= ~seen
+    return False
+
+
+# The win decision of each objective that is decided on neighbour masks:
+# Maker's graph has the vertex bits ``verts``, and its vertex v sees the bits
+# ``adj[v] & verts``.
+MASK_WINS = {"odd-cycle": _has_odd_cycle, "spanning-connected": _spans}
+
+
+def _claim_masks(spec: GameSpec, claims):
+    """Maker's graph on ``claims`` as ``MASK_WINS`` reads it, (adj, verts);
+    None when a claim is not in the board's own form (out of range, a loop,
+    an edge written high end first), which the Graph path then judges.
+
+    On an edge board adj holds each claimed edge's endpoint bits and verts is
+    every host vertex; on a vertex board adj is the host's and verts is the
+    claim mask.
+    """
+    n = spec.host.n
+    if spec.board_kind == EDGES:
+        adj = [0] * n
+        for u, v in claims:
+            if not 0 <= u < v < n:
+                return None
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj, (1 << n) - 1
+    verts = 0
+    for v in claims:
+        if not 0 <= v < n:
+            return None
+        verts |= 1 << v
+    return spec.host.neighbor_masks(), verts
+
+
 def maker_win_witness(spec: GameSpec, maker_claims):
-    """The witness if Maker's claims satisfy the objective, else None."""
+    """The witness if Maker's claims satisfy the objective, else None.
+
+    ``odd-cycle`` and ``spanning-connected`` are decided by ``MASK_WINS`` on
+    the claims' masks.  A loss returns None at once; on a win the
+    ``spanning-connected`` witness is the sorted claims, and the odd cycle is
+    found on Maker's graph as for the other objectives.  Claims that are not
+    board elements skip the masks, so a malformed one still raises
+    DomainError from the Graph it would build.
+    """
     obj = spec.objective
+    wins = MASK_WINS.get(obj.kind)
+    if wins is not None:
+        masks = _claim_masks(spec, maker_claims)
+        if masks is not None:
+            if not wins(*masks):
+                return None
+            if obj.kind == "spanning-connected":
+                return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind)
     if obj.kind == "aux-connect":
         union = frozenset(maker_claims) | obj.anchor
         if not union:

@@ -5,19 +5,40 @@ number are easy to construct: dense random graphs, complete multipartite
 graphs, blowups of odd cycles, random regular graphs, and disjoint-union /
 join compositions.  Every family is a pure function of its parameters and
 seed.
+
+Each family works out its vertex count and how many vertex pairs or edges it
+would walk before it walks any: more than ``graphs.MAX_VERTICES`` vertices,
+or more than ``MAX_PAIRS`` pairs, is refused with ``ResourceLimitError``
+(stats ``n``, ``pairs`` and ``cap``).
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import DomainError, require
-from .graphs import Graph
+from .errors import DomainError, ResourceLimitError, require
+from .graphs import MAX_VERTICES, Graph
+
+# The most vertex pairs (or edges, or configuration-model stubs) a generator
+# walks for one graph.
+MAX_PAIRS = 10**7
+
+
+def _check_size(family: str, n: int, pairs: int):
+    """Refuse a ``family`` graph on n vertices whose loops walk ``pairs``
+    pairs, when either count is above its cap."""
+    for count, cap, what in ((n, MAX_VERTICES, "vertices"), (pairs, MAX_PAIRS, "pairs")):
+        if count > cap:
+            raise ResourceLimitError(
+                f"{family} would walk {count} {what}, above the cap of {cap}",
+                {"n": n, "pairs": pairs, "cap": cap},
+            )
 
 
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
     if n < 0 or not 0 <= p <= 1:
         raise DomainError(f"bad gnp parameters n={n}, p={p}")
+    _check_size("gnp", n, n * (n - 1) // 2)
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -29,6 +50,8 @@ def complete_multipartite(sizes) -> Graph:
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise DomainError(f"class sizes must be positive, got {sizes}")
+    n = sum(sizes)
+    _check_size("complete_multipartite", n, (n * n - sum(s * s for s in sizes)) // 2)
     bounds = []
     start = 0
     for s in sizes:
@@ -48,6 +71,7 @@ def odd_cycle_blowup(length: int, m: int) -> Graph:
         raise DomainError(f"cycle length must be odd and >= 3, got {length}")
     if m < 1:
         raise DomainError(f"blowup factor must be positive, got {m}")
+    _check_size("odd_cycle_blowup", length * m, length * m * m)
     edges = []
     for i in range(length):
         j = (i + 1) % length
@@ -60,9 +84,11 @@ def odd_cycle_blowup(length: int, m: int) -> Graph:
 
 def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Configuration-model sample, rejecting pairings with loops or doubles;
-    gives up after 1000 pairings."""
+    gives up after 1000 pairings.  Each pairing walks n*d stubs, the count
+    held to ``MAX_PAIRS``."""
     if n < 1 or d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no {d}-regular graph on {n} vertices")
+    _check_size("random_regular", n, n * d)
     rng = random.Random(seed)
     for _ in range(1000):
         stubs = [v for v in range(n) for _ in range(d)]
@@ -81,6 +107,7 @@ def random_regular(n: int, d: int, seed: int = 0) -> Graph:
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    _check_size("union", g1.n + g2.n, g1.m + g2.m)
     shift = g1.n
     edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
     return Graph(g1.n + g2.n, edges)
@@ -88,6 +115,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
+    _check_size("join", g1.n + g2.n, g1.m + g2.m + g1.n * g2.n)
     shift = g1.n
     edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
     edges.extend((u, v + shift) for u in range(g1.n) for v in range(g2.n))

@@ -19,8 +19,9 @@ the first such set, fewest elements first.
 
 Claim sets are bitmasks over the board's element indices.  ``odd-cycle`` (on
 edge and vertex boards) and ``spanning-connected`` are decided straight from
-the mask by one layer-by-layer bitmask search of Maker's graph; the other
-objectives (``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
+the mask by the engine's ``MASK_WINS``, the same decision the engine's win
+check makes, on Maker's graph built per mask; the other objectives
+(``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
 ``maker_win_witness`` on the claimed elements.
 
 ``solve_reference`` is an intentionally plain recursive implementation kept
@@ -36,6 +37,7 @@ from .engine import (
     BREAKER,
     EDGES,
     MAKER,
+    MASK_WINS,
     GameSpec,
     Position,
     apply_moves,
@@ -68,77 +70,35 @@ def _mask_elements(board, mask):
     return tuple(board[i] for i in range(len(board)) if mask >> i & 1)
 
 
-def _bfs(adj, verts, root):
-    """Layer-by-layer search from the vertex bit ``root`` over the graph whose
-    vertex v sees the bits ``adj[v] & verts``.  Returns the reached bits and
-    whether an edge joins two vertices of one layer (an odd cycle)."""
-    seen = layer = root
-    odd = False
-    while layer:
-        reach = 0
-        rest = layer
-        while rest:
-            low = rest & -rest
-            nbrs = adj[low.bit_length() - 1] & verts
-            odd = odd or nbrs & layer != 0
-            reach |= nbrs
-            rest ^= low
-        layer = reach & ~seen
-        seen |= layer
-    return seen, odd
-
-
 def _mask_decider(spec: GameSpec):
     """A function of Maker's claim mask that says whether the claims win.
 
-    ``odd-cycle`` and ``spanning-connected`` are decided on bitmasks: vertex v
-    of Maker's graph sees the bits ``adj[v] & verts``.  On an edge board adj
-    is built per mask from each claimed edge's endpoints and verts is every
-    host vertex; on a vertex board (whose element i is vertex i) adj is the
-    host's and verts is the mask.  The other objectives call
-    ``maker_win_witness``.
+    ``odd-cycle`` and ``spanning-connected`` are decided by ``MASK_WINS`` on
+    Maker's graph built per mask: on an edge board adj comes from each
+    claimed edge's endpoints and verts is every host vertex; on a vertex
+    board (whose element i is vertex i) adj is the host's and verts is the
+    mask.  The other objectives call ``maker_win_witness``.
     """
     board = spec.board()
-    kind = spec.objective.kind
-    if kind not in ("odd-cycle", "spanning-connected"):
+    wins = MASK_WINS.get(spec.objective.kind)
+    if wins is None:
         return lambda mask: maker_win_witness(spec, _mask_elements(board, mask)) is not None
-    n = spec.host.n
-    if spec.board_kind == EDGES:
-        ends = tuple((u, v, 1 << u, 1 << v) for u, v in board)
-        everyone = (1 << n) - 1
-
-        def graph(mask):
-            adj = [0] * n
-            while mask:
-                low = mask & -mask
-                u, v, bu, bv = ends[low.bit_length() - 1]
-                adj[u] |= bv
-                adj[v] |= bu
-                mask ^= low
-            return adj, everyone
-
-    else:
+    if spec.board_kind != EDGES:
         host_adj = spec.host.neighbor_masks()
+        return lambda mask: wins(host_adj, mask)
+    n = spec.host.n
+    ends = tuple((u, v, 1 << u, 1 << v) for u, v in board)
+    everyone = (1 << n) - 1
 
-        def graph(mask):
-            return host_adj, mask
-
-    if kind == "spanning-connected":
-
-        def decide(mask):
-            adj, verts = graph(mask)
-            return verts != 0 and _bfs(adj, verts, verts & -verts)[0] == verts
-
-    else:
-
-        def decide(mask):
-            adj, verts = graph(mask)
-            while verts:
-                seen, odd = _bfs(adj, verts, verts & -verts)
-                if odd:
-                    return True
-                verts &= ~seen
-            return False
+    def decide(mask):
+        adj = [0] * n
+        while mask:
+            low = mask & -mask
+            u, v, bu, bv = ends[low.bit_length() - 1]
+            adj[u] |= bv
+            adj[v] |= bu
+            mask ^= low
+        return wins(adj, everyone)
 
     return decide
 

@@ -43,6 +43,7 @@ from .engine import (
     GameSpec,
     Position,
     Strategy,
+    _bfs,
     batch_size,
     legal_moves,
     maker_graph,
@@ -152,42 +153,138 @@ def dominates(g: Graph, members) -> bool:
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _smallest_cut(n: int, maker_edges, members, pool_masks, claimed) -> list:
-    """The smallest sorted list of unclaimed pool edges crossing one component
-    of Maker's graph on ``members`` (default: every vertex), the first on
-    ties; [] when Maker's graph is connected or no such edge crosses.
-    ``pool_masks`` holds the pool's edges as per-vertex neighbor masks, and
-    ``claimed`` every claimed edge."""
-    comps = connected_components(Graph(n, maker_edges), members)
-    if len(comps) < 2:
-        return []
-    avail = list(pool_masks)
-    for u, v in claimed:
-        avail[u] &= ~(1 << v)
-        avail[v] &= ~(1 << u)
+def _smallest_cut(maker, members: int, avail, limit: int | None = None) -> list:
+    """The smallest sorted list of available edges crossing one component of
+    Maker's graph on the vertex mask ``members``, the first on ties, cut
+    short after ``limit`` edges; [] when Maker's graph is connected there or
+    no such edge crosses.
+
+    ``maker[v]`` and ``avail[v]`` are vertex v's neighbour masks in Maker's
+    graph and among the available (unclaimed pool) edges.  Components come
+    from the engine's mask search rooted at the lowest member left, so they
+    are met in order of smallest member; each is sized by the popcount of its
+    members' available edges that leave it.
+    """
     best = best_size = None
-    for comp in comps:
-        inside = 0
-        for v in comp:
-            inside |= 1 << v
-        outside = ~inside
-        size = 0
-        for v in comp:
-            size += (avail[v] & outside).bit_count()
+    comps = 0
+    rest = members
+    while rest:
+        inside = rest & -rest
+        v = inside.bit_length() - 1
+        if maker[v] & members:
+            inside = _bfs(maker, members, inside)[0]
+            outside = ~inside
+            size = 0
+            bits = inside
+            while bits:
+                low = bits & -bits
+                size += (avail[low.bit_length() - 1] & outside).bit_count()
+                bits ^= low
+        else:
+            size = avail[v].bit_count()  # a lone vertex: all its edges leave
+        rest &= ~inside
+        comps += 1
         if size and (best_size is None or size < best_size):
             best, best_size = inside, size
-    if best is None:
+    if comps < 2 or best is None:
         return []
     # edge (u, v), u < v, crosses when exactly one end is inside; taking u
     # upwards, then v upwards from u + 1, emits the cut in sorted order
     cut = []
-    for u in range(n):
-        across = (avail[u] & (~best if best >> u & 1 else best)) >> (u + 1)
+    for u, row in enumerate(avail):
+        across = (row & (~best if best >> u & 1 else best)) >> (u + 1)
         while across:
             low = across & -across
             cut.append((u, u + low.bit_length()))
+            if len(cut) == limit:
+                return cut
             across ^= low
     return cut
+
+
+class _ClaimView:
+    """Maker's adjacency masks (``maker``) and the unclaimed pool's masks
+    (``avail``) at the last position seen, carried from turn to turn.
+
+    ``see(pos)`` reads only the entries that ``pos.log`` holds past the one
+    it read last, and trusts them when all of these hold:
+
+    * the entry read last is the same object at the same index of
+      ``pos.log`` (with none read yet, the view holds no claims);
+    * every element read lies in ``pos.maker`` or ``pos.breaker``, as its
+      entry's player says;
+    * the Maker and Breaker claims it then counts, its own and those read,
+      number ``len(pos.maker)`` and ``len(pos.breaker)``.
+
+    Otherwise it rebuilds from ``pos.maker`` and ``pos.breaker``: so it does
+    for a position earlier than the last one seen, a hand-built position
+    with an empty log, and a probe position holding a claim its log lacks.
+    """
+
+    def __init__(self, pool_masks):
+        self.pool_masks = pool_masks
+        self.maker = [0] * len(pool_masks)
+        self.avail = list(pool_masks)
+        self.counts = (0, 0)
+        self.read = 0
+        self.last = None
+
+    def see(self, pos: Position) -> "_ClaimView":
+        log = pos.log
+        i = self.read
+        if i > len(log) or (log[i - 1] is not self.last if i else self.counts != (0, 0)):
+            return self._rebuild(pos)
+        n_maker, n_breaker = self.counts
+        for k in range(i, len(log)):
+            player, elements = log[k]
+            owned, maker = (pos.maker, self.maker) if player == MAKER else (pos.breaker, None)
+            for e in elements:
+                if e not in owned:
+                    return self._rebuild(pos)
+                _apply_claim(maker, self.avail, e)
+            if player == MAKER:
+                n_maker += len(elements)
+            else:
+                n_breaker += len(elements)
+        if n_maker != len(pos.maker) or n_breaker != len(pos.breaker):
+            return self._rebuild(pos)
+        self._mark(pos)
+        return self
+
+    def _rebuild(self, pos: Position) -> "_ClaimView":
+        self.maker = [0] * len(self.pool_masks)
+        self.avail = list(self.pool_masks)
+        for e in pos.maker:
+            _apply_claim(self.maker, self.avail, e)
+        for e in pos.breaker:
+            _apply_claim(None, self.avail, e)
+        self._mark(pos)
+        return self
+
+    def _mark(self, pos: Position):
+        self.counts = (len(pos.maker), len(pos.breaker))
+        self.read = len(pos.log)
+        self.last = pos.log[-1] if pos.log else None
+
+
+def _apply_claim(maker, avail, edge):
+    """Take ``edge`` out of the masks ``avail`` and, unless ``maker`` is
+    None, put it into Maker's masks ``maker``."""
+    u, v = edge
+    avail[u] &= ~(1 << v)
+    avail[v] &= ~(1 << u)
+    if maker is not None:
+        maker[u] |= 1 << v
+        maker[v] |= 1 << u
+
+
+def _first_edge(avail) -> tuple | None:
+    """The smallest edge (u, v), u < v, left in the masks ``avail``."""
+    for u, row in enumerate(avail):
+        above = row >> (u + 1)
+        if above:
+            return (u, u + (above & -above).bit_length())
+    return None
 
 
 # -- connectivity maker ------------------------------------------------------------
@@ -202,37 +299,33 @@ class ConnectivityMaker(Strategy):
 
     def __init__(self, g: Graph, pool=None, vertices=None):
         self.g = g
-        self.pool = frozenset(pool) if pool is not None else g.edges
+        self.pool = g.edges if pool is None else frozenset(pool)
         pool_graph = g if self.pool == g.edges else Graph(g.n, self.pool)
-        self.pool_masks = pool_graph.neighbor_masks()
-        self.pool_order = tuple(sorted(self.pool))
-        if vertices is not None:
-            self.vertices = frozenset(vertices)
-        else:
-            self.vertices = frozenset(range(g.n))
+        self.view = _ClaimView(pool_graph.neighbor_masks())
+        self.members = sum(1 << v for v in (range(g.n) if vertices is None else set(vertices)))
         self.ident = "connectivity"
 
-    def _pick(self, claimed, maker_edges) -> tuple | None:
-        best_cut = _smallest_cut(self.g.n, maker_edges, self.vertices, self.pool_masks, claimed)
+    def _pick(self, maker, avail) -> tuple | None:
+        best_cut = _smallest_cut(maker, self.members, avail, 1)
         if best_cut:
             return best_cut[0]
-        return next((e for e in self.pool_order if e not in claimed), None)
+        return _first_edge(avail)
 
     def propose(self, spec: GameSpec, pos: Position):
         need = batch_size(spec, pos)
-        claimed = set(pos.claimed())
-        maker_edges = set(pos.maker)
+        view = self.view.see(pos)
+        # the turn's own picks go into copies, so the view stays at pos
+        maker, avail = list(view.maker), list(view.avail)
         batch = []
         for _ in range(need):
-            pick = self._pick(claimed, maker_edges)
+            pick = self._pick(maker, avail)
             if pick is None:
-                rest = spec.board_set - claimed
+                rest = spec.board_set - pos.claimed() - set(batch)
                 if not rest:
                     break
                 pick = min(rest)
             batch.append(pick)
-            claimed.add(pick)
-            maker_edges.add(pick)
+            _apply_claim(maker, avail, pick)
         return tuple(batch) if len(batch) == need else None
 
 
@@ -318,25 +411,32 @@ class BipartiteGuardBreaker(Strategy):
 
 class CutAttackBreaker(Strategy):
     """Starve the smallest unclaimed cut around a Maker component; on vertex
-    boards, grab the unclaimed vertices touching the most Maker components."""
+    boards, grab the unclaimed vertices touching the most Maker components.
+    On edge boards the cut comes from a claim view of the last host played,
+    made anew when the host changes."""
 
     ident = "cut-attack"
     position_pure = True
 
+    def __init__(self):
+        self.host = self.view = None
+
     def propose(self, spec, pos):
-        free = legal_moves(spec, pos)
         need = batch_size(spec, pos)
         host = spec.host
         if spec.board_kind == EDGES:
-            batch = _smallest_cut(
-                host.n, pos.maker, None, host.neighbor_masks(), pos.claimed()
-            )[:need]
-            for e in free:
-                if len(batch) == need:
-                    break
-                if e not in batch:
-                    batch.append(e)
+            if self.host is not host:
+                self.host, self.view = host, _ClaimView(host.neighbor_masks())
+            view = self.view.see(pos)
+            batch = _smallest_cut(view.maker, (1 << host.n) - 1, view.avail, need)
+            if len(batch) < need:
+                for e in legal_moves(spec, pos):
+                    if len(batch) == need:
+                        break
+                    if e not in batch:
+                        batch.append(e)
             return tuple(batch)
+        free = legal_moves(spec, pos)
         comp_of = {}
         for i, comp in enumerate(connected_components(host, pos.maker)):
             for v in comp:

@@ -81,6 +81,13 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'p'" in err
 
+    def test_generator_above_its_cap_is_refused_at_once(self, capsys):
+        # 5 * 10**9 vertex pairs: refused before the pair loop starts
+        argv = ("generate", "--family", "gnp", "--param", "n=100000", "--param", "p=0.5")
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err
+
     def test_unconvertible_generator_parameter_is_clean(self, capsys):
         assert run_cli("generate", "--family", "gnp", "--param", "n=x", "--param", "p=0.5") == 1
         err = capsys.readouterr().err

@@ -377,6 +377,28 @@ class TestOneMakerGraph:
         spec = edge_spec(Graph(0), objective=WinPredicate("spanning-connected"))
         assert maker_win_witness(spec, ()) is None is two_branch_win_witness(spec, ())
 
+    @pytest.mark.parametrize(
+        "board_kind, objective, claim",
+        [
+            (board_kind, objective, claim)
+            for board_kind, objectives, claims in (
+                (EDGES, ("odd-cycle", "spanning-connected"), ((0, 9), (-1, 2), (1, 1))),
+                (VERTICES, ("odd-cycle",), (-1, 9)),
+            )
+            for objective in objectives
+            for claim in claims
+        ],
+    )
+    def test_malformed_claim_is_a_domain_error(self, board_kind, objective, claim):
+        spec = GameSpec(Graph.complete(4), board_kind, WinPredicate(objective))
+        with pytest.raises(DomainError):
+            maker_win_witness(spec, {claim})
+
+    @pytest.mark.parametrize("objective", ["odd-cycle", "spanning-connected"])
+    def test_reversed_edge_is_not_a_win(self, objective):
+        spec = edge_spec(Graph.complete(4), objective=WinPredicate(objective))
+        assert maker_win_witness(spec, {(2, 0)}) is None
+
     def test_maker_graph_on_both_boards(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         sub, to_host = maker_graph(edge_spec(g), {(0, 1), (3, 4)})

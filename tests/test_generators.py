@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 
 from makerbreaker.coloring import chromatic_number, is_k_colorable
-from makerbreaker.errors import DomainError
+from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.generators import (
+    MAX_PAIRS,
+    _check_size,
     complete_multipartite,
     disjoint_union,
     generate,
@@ -11,7 +15,7 @@ from makerbreaker.generators import (
     odd_cycle_blowup,
     random_regular,
 )
-from makerbreaker.graphs import Graph, OddCycleWitness, find_odd_cycle, min_degree
+from makerbreaker.graphs import MAX_VERTICES, Graph, OddCycleWitness, find_odd_cycle, min_degree
 
 
 class TestGnp:
@@ -68,6 +72,46 @@ class TestRandomRegular:
     def test_parity_rejected(self):
         with pytest.raises(DomainError):
             random_regular(5, 3)
+
+
+def large(n, m=0):
+    """The counts of a large graph, which is never built."""
+    return SimpleNamespace(n=n, m=m, edges=())
+
+
+class TestSizeCaps:
+    """Every family is refused before its loops run, so none of these
+    allocates or walks anything."""
+
+    @pytest.mark.parametrize(
+        "make, n, pairs, cap",
+        [
+            (lambda: gnp(MAX_VERTICES + 1, 0.5), MAX_VERTICES + 1, None, MAX_VERTICES),
+            (lambda: gnp(100_000, 0.5), 100_000, 100_000 * 99_999 // 2, MAX_PAIRS),
+            (lambda: generate("gnp", {"n": 5000, "p": 0.01}), 5000, 5000 * 4999 // 2, MAX_PAIRS),
+            (lambda: complete_multipartite([5000, 5000]), 10_000, 25_000_000, MAX_PAIRS),
+            (lambda: complete_multipartite([1] * (MAX_VERTICES + 1)), MAX_VERTICES + 1, None,
+             MAX_VERTICES),
+            (lambda: odd_cycle_blowup(3, 2000), 6000, 12_000_000, MAX_PAIRS),
+            (lambda: odd_cycle_blowup(3, 40_000), 120_000, None, MAX_VERTICES),
+            (lambda: random_regular(100_000, 200), 100_000, 20_000_000, MAX_PAIRS),
+            (lambda: random_regular(10**9, 2), 10**9, None, MAX_VERTICES),
+            (lambda: join(large(4000), large(4000)), 8000, 16_000_000, MAX_PAIRS),
+            (lambda: disjoint_union(large(60_000), large(60_000)), 120_000, 0, MAX_VERTICES),
+        ],
+    )
+    def test_refused_at_once(self, make, n, pairs, cap):
+        with pytest.raises(ResourceLimitError) as info:
+            make()
+        stats = info.value.stats
+        assert stats["n"] == n and stats["cap"] == cap
+        if pairs is not None:
+            assert stats["pairs"] == pairs
+
+    def test_at_the_caps_is_not_refused(self):
+        _check_size("gnp", MAX_VERTICES, MAX_PAIRS)
+        with pytest.raises(ResourceLimitError):
+            _check_size("gnp", MAX_VERTICES, MAX_PAIRS + 1)
 
 
 class TestCompositions:

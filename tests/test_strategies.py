@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -28,6 +28,7 @@ from makerbreaker.engine import (
     Position,
     Strategy,
     WinPredicate,
+    apply_moves,
     batch_size,
     legal_moves,
     maker_win_witness,
@@ -144,12 +145,21 @@ def smallest_cut_by_component_scan(n, maker_edges, members, edges):
     return best
 
 
+def masks_of(n, edges):
+    return list(Graph(n, edges).neighbor_masks())
+
+
+def member_mask(n, members):
+    return (1 << n) - 1 if members is None else sum(1 << v for v in members)
+
+
 @st.composite
 def cut_instances(draw, with_members):
     """A host, Maker's edges, a pool of host edges (every edge or a strict
     subset), Breaker's edges (disjoint from Maker's, in or out of the pool)
-    and a member set or None.  Returns the arguments of ``_smallest_cut`` and
-    the available edges the component scan takes."""
+    and a member set or None.  Returns the arguments of ``_smallest_cut``
+    (Maker's masks, the member mask, the available pool's masks) and those
+    of the component scan."""
     g = draw(random_graphs(max_n=9))
     edges = sorted(g.edges)
     maker = draw(st.sets(st.sampled_from(edges))) if edges else set()
@@ -161,40 +171,183 @@ def cut_instances(draw, with_members):
     members = None
     if with_members:
         members = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-    claimed = maker | breaker
-    masks = Graph(g.n, pool).neighbor_masks()
-    return (g.n, maker, members, masks, claimed), pool - claimed
+    available = pool - (maker | breaker)
+    args = (masks_of(g.n, maker), member_mask(g.n, members), masks_of(g.n, available))
+    return args, (g.n, maker, members, available)
 
 
 class TestSmallestCut:
+    """``smallest_cut_by_component_scan`` is the reference for the mask form."""
+
     @settings(max_examples=200, deadline=None)
     @given(cut_instances(with_members=False))
     def test_matches_component_scan_on_every_vertex(self, inst):
-        args, available = inst
-        n, maker, members = args[:3]
-        assert _smallest_cut(*args) == smallest_cut_by_component_scan(
-            n, maker, members, available
-        )
+        args, scan = inst
+        assert _smallest_cut(*args) == smallest_cut_by_component_scan(*scan)
 
     @settings(max_examples=200, deadline=None)
-    @given(cut_instances(with_members=True))
-    def test_matches_component_scan_on_a_member_subset(self, inst):
-        args, available = inst
-        n, maker, members = args[:3]
-        assert _smallest_cut(*args) == smallest_cut_by_component_scan(
-            n, maker, members, available
-        )
+    @given(cut_instances(with_members=True), st.integers(min_value=1, max_value=4))
+    def test_matches_component_scan_on_a_member_subset(self, inst, limit):
+        args, scan = inst
+        expected = smallest_cut_by_component_scan(*scan)
+        assert _smallest_cut(*args) == expected
+        assert _smallest_cut(*args, limit) == expected[:limit]
 
     def test_ties_go_to_the_first_component(self):
         # components {0, 1}, {2, 3}, {4, 5}, each crossed by two edges
         maker = {(0, 1), (2, 3), (4, 5)}
         available = {(1, 2), (3, 4), (0, 5)}
-        masks = Graph(6, maker | available).neighbor_masks()
-        assert _smallest_cut(6, maker, None, masks, maker) == [(0, 5), (1, 2)]
+        everyone = member_mask(6, None)
+        cut = _smallest_cut(masks_of(6, maker), everyone, masks_of(6, available))
+        assert cut == [(0, 5), (1, 2)]
         # one more edge out of {0, 1} leaves {2, 3} the only smallest cut
         available.add((0, 4))
-        masks = Graph(6, maker | available).neighbor_masks()
-        assert _smallest_cut(6, maker, None, masks, maker) == [(1, 2), (3, 4)]
+        cut = _smallest_cut(masks_of(6, maker), everyone, masks_of(6, available))
+        assert cut == [(1, 2), (3, 4)]
+
+
+def view_matches_rebuild(view, pool, pos):
+    """The view's masks equal a rebuild from ``pos.maker`` and ``pos.claimed()``."""
+    n = len(view.maker)
+    return view.maker == masks_of(n, pos.maker) and view.avail == masks_of(
+        n, set(pool) - pos.claimed()
+    )
+
+
+class CheckedMaker(Strategy):
+    """Plays a ConnectivityMaker and checks its view and its pick each turn."""
+
+    ident = "checked-connectivity"
+
+    def __init__(self, g):
+        self.inner = ConnectivityMaker(g)
+        self.turns = 0
+
+    def propose(self, spec, pos):
+        batch = self.inner.propose(spec, pos)
+        assert view_matches_rebuild(self.inner.view, spec.host.edges, pos)
+        maker, available = set(pos.maker), set(spec.host.edges - pos.claimed())
+        for pick in batch:
+            cut = smallest_cut_by_component_scan(spec.host.n, maker, None, available)
+            assert pick == (cut[0] if cut else min(available))
+            maker.add(pick)
+            available.remove(pick)
+        self.turns += 1
+        return batch
+
+
+class CheckedCutAttack(CutAttackBreaker):
+    """A cut-attack Breaker that checks its view and its batch each turn."""
+
+    def propose(self, spec, pos):
+        batch = super().propose(spec, pos)
+        assert view_matches_rebuild(self.view, spec.host.edges, pos)
+        available = spec.host.edges - pos.claimed()
+        cut = smallest_cut_by_component_scan(spec.host.n, pos.maker, None, available)
+        need = batch_size(spec, pos)
+        assert list(batch[: len(cut)]) == cut[:need]
+        return batch
+
+
+class TestClaimView:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_graphs(max_n=10),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_view_follows_every_turn_of_edge_games(self, g, a, b, seed):
+        assume(g.m > 0)
+        spec = edge_spec(g, a, b, objective="spanning-connected")
+        maker = CheckedMaker(g)
+        for breaker in (CheckedCutAttack(), RandomStrategy()):
+            # one Maker across games, as an experiment keeps it
+            for game_seed in (seed, seed + 1):
+                result = play(spec, maker, breaker, seed=game_seed)
+                assert not result.forfeit
+        assert maker.turns >= 4
+
+    def test_probe_position_is_rebuilt(self):
+        g = Graph.complete(6)
+        spec = edge_spec(g, a=2, objective="spanning-connected")
+        maker = ConnectivityMaker(g)
+        pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1), (2, 3)])[0]
+        pos = apply_moves(spec, pos, BREAKER, [(0, 2)])[0]
+        maker.propose(spec, pos)
+        probe = Position(pos.maker | {(4, 5)}, pos.breaker, pos.to_move, pos.log)
+        assert maker.propose(spec, probe) == ConnectivityMaker(g).propose(spec, probe)
+        assert view_matches_rebuild(maker.view, g.edges, probe)
+        # the real position after the probed turn holds one claim fewer than
+        # the probe plus its new log entry
+        nxt = apply_moves(spec, pos, MAKER, [(4, 5), (0, 3)])[0]
+        assert maker.propose(spec, nxt) == ConnectivityMaker(g).propose(spec, nxt)
+        assert view_matches_rebuild(maker.view, g.edges, nxt)
+
+    def test_a_log_entry_outside_the_claims_is_rebuilt(self):
+        g = Graph.complete(6)
+        spec = edge_spec(g, objective="spanning-connected")
+        maker = ConnectivityMaker(g)
+        pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])[0]
+        pos = apply_moves(spec, pos, BREAKER, [(0, 2)])[0]
+        maker.propose(spec, pos)
+        # the log says Maker took (1, 2), the claims say (3, 4): counts agree
+        log = pos.log + ((MAKER, ((1, 2),)), (BREAKER, ((0, 3),)))
+        odd = Position(pos.maker | {(3, 4)}, pos.breaker | {(0, 3)}, MAKER, log)
+        assert maker.propose(spec, odd) == ConnectivityMaker(g).propose(spec, odd)
+        assert view_matches_rebuild(maker.view, g.edges, odd)
+
+    def test_positions_with_an_empty_log_are_rebuilt(self):
+        g = Graph.complete(5)
+        spec = edge_spec(g, objective="spanning-connected")
+        maker = ConnectivityMaker(g)
+        # equal claim counts, no log: only a rebuild tells them apart
+        for claims in ({(0, 1), (1, 2)}, {(3, 4), (2, 4)}, {(0, 4), (1, 3)}):
+            pos = Position(frozenset(claims), frozenset({(0, 2)}), MAKER)
+            assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
+            assert view_matches_rebuild(maker.view, g.edges, pos)
+
+    def test_an_earlier_position_is_rebuilt(self):
+        g = Graph.complete(7)
+        spec = edge_spec(g, b=2, objective="spanning-connected")
+        result = play(spec, ConnectivityMaker(g), RandomStrategy(), seed=3)
+        positions = [Position.initial(spec)]
+        for player, elements in result.position.log:
+            positions.append(apply_moves(spec, positions[-1], player, elements)[0])
+        makers_turns = [p for p in positions if p.to_move == MAKER][:-1]
+        maker = ConnectivityMaker(g)
+        for pos in makers_turns[::-1]:
+            assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
+            assert view_matches_rebuild(maker.view, g.edges, pos)
+
+    def test_two_games_in_turn_are_rebuilt(self):
+        g = Graph.complete(7)
+        spec = edge_spec(g, b=2, objective="spanning-connected")
+        games = []
+        for seed in (1, 2):
+            log = play(spec, ConnectivityMaker(g), RandomStrategy(), seed=seed).position.log
+            positions = [Position.initial(spec)]
+            for player, elements in log:
+                positions.append(apply_moves(spec, positions[-1], player, elements)[0])
+            games.append([p for p in positions if p.to_move == MAKER][:-1])
+        assert games[0][1].log != games[1][1].log
+        # game 1's next position has the claim counts the view expects after
+        # game 0's, and its new entries lie in its own claims
+        maker = ConnectivityMaker(g)
+        for turn in range(min(map(len, games)) - 1):
+            for pos in (games[0][turn], games[1][turn + 1]):
+                assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
+                assert view_matches_rebuild(maker.view, g.edges, pos)
+
+    def test_cut_attack_is_reused_on_two_hosts(self):
+        first, second = Graph.complete(6), Graph.cycle(6)
+        breaker = CutAttackBreaker()
+        for g in (first, second, first):
+            spec = edge_spec(g, b=2, objective="spanning-connected")
+            fresh = play(spec, ConnectivityMaker(g), CutAttackBreaker(), seed=1)
+            reused = play(spec, ConnectivityMaker(g), breaker, seed=1)
+            assert reused.position.log == fresh.position.log
+            assert breaker.host is g
 
 
 class TestDenseEdgeMaker:
