@@ -32,7 +32,7 @@ from .harness import (
     run_experiment,
     sweep_bias,
 )
-from .solver import SOLVE_BOARD_CAP, VERIFY_NODE_BUDGET, solve, verify_maker_strategy
+from .solver import VERIFY_NODE_BUDGET, solve, verify_maker_strategy
 
 
 def _read_graph(path: str):
@@ -169,7 +169,7 @@ def _log_tokens(spec: GameSpec, log) -> list:
 
 def _cmd_solve(args):
     spec = _game_spec(args)
-    verdict = solve(spec, board_cap=args.cap)
+    verdict = solve(spec)
     doc = {
         "winner": verdict.winner,
         "nodes_expanded": verdict.nodes_expanded,
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[game_common], help="optimal-play winner")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=SOLVE_BOARD_CAP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", parents=[game_common], help="exhaust breaker replies")

@@ -12,10 +12,9 @@ not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
 
 ``odd-cycle`` and ``spanning-connected`` each have one win decision in
-``MASK_WINS``, a layer-by-layer search over neighbour bitmasks: vertex v of
-Maker's graph sees the bits ``adj[v] & verts``.  ``maker_win_witness``
-decides the engine's win checks with it and the solver decides its claim
-masks with it; a witness is built only once the decision is a win.
+``MASK_WINS``, made by ``graphs.mask_search`` on ``maker_masks``.  The
+engine's win check and the solver decide them with it alone; a witness is
+built only once the decision is a win.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .graphs import (
     find_odd_cycle,
     induced_subgraph,
     is_connected,
+    mask_search,
 )
 
 MAKER = "maker"
@@ -55,7 +55,7 @@ class WinPredicate:
 
     def __post_init__(self):
         if self.kind in ("non-k-colorable", "k-edge-connected"):
-            if self.k is None or self.k < 1:
+            if type(self.k) is not int or self.k < 1:
                 raise DomainError(f"{self.kind} needs a positive k")
         elif self.k is not None:
             raise DomainError(f"{self.kind} takes no k")
@@ -248,36 +248,16 @@ def maker_graph(spec: GameSpec, claims) -> tuple:
     return induced_subgraph(spec.host, claims)
 
 
-def _bfs(adj, verts, root):
-    """Layer-by-layer search from the vertex bit ``root`` over the graph whose
-    vertex v sees the bits ``adj[v] & verts``.  Returns the reached bits and
-    whether an edge joins two vertices of one layer (an odd cycle)."""
-    seen = layer = root
-    odd = False
-    while layer:
-        reach = 0
-        rest = layer
-        while rest:
-            low = rest & -rest
-            nbrs = adj[low.bit_length() - 1] & verts
-            odd = odd or nbrs & layer != 0
-            reach |= nbrs
-            rest ^= low
-        layer = reach & ~seen
-        seen |= layer
-    return seen, odd
-
-
 def _spans(adj, verts: int) -> bool:
     """Whether the graph on ``verts`` has a vertex and is connected."""
-    return verts != 0 and _bfs(adj, verts, verts & -verts)[0] == verts
+    return verts != 0 and mask_search(adj, verts, verts & -verts)[0] == verts
 
 
 def _has_odd_cycle(adj, verts: int) -> bool:
     """Whether some component of the graph on ``verts`` has an odd cycle."""
     while verts:
-        seen, odd = _bfs(adj, verts, verts & -verts)
-        if odd:
+        seen, _, clash = mask_search(adj, verts, verts & -verts)
+        if clash:
             return True
         verts &= ~seen
     return False
@@ -289,28 +269,26 @@ def _has_odd_cycle(adj, verts: int) -> bool:
 MASK_WINS = {"odd-cycle": _has_odd_cycle, "spanning-connected": _spans}
 
 
-def _claim_masks(spec: GameSpec, claims):
-    """Maker's graph on ``claims`` as ``MASK_WINS`` reads it, (adj, verts);
-    None when a claim is not in the board's own form (out of range, a loop,
-    an edge written high end first), which the Graph path then judges.
-
-    On an edge board adj holds each claimed edge's endpoint bits and verts is
-    every host vertex; on a vertex board adj is the host's and verts is the
-    claim mask.
-    """
+def maker_masks(spec: GameSpec, claims) -> tuple:
+    """Maker's graph on ``claims`` as ``mask_search`` reads it, (adj, verts):
+    on an edge board, each claimed edge's endpoint bits (either end first)
+    and every host vertex; on a vertex board, the host's masks and the claim
+    mask.  A loop or a claim out of range raises DomainError."""
     n = spec.host.n
     if spec.board_kind == EDGES:
         adj = [0] * n
         for u, v in claims:
+            if u > v:
+                u, v = v, u
             if not 0 <= u < v < n:
-                return None
+                raise DomainError(f"claim {(u, v)} is a loop or out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return adj, (1 << n) - 1
     verts = 0
     for v in claims:
         if not 0 <= v < n:
-            return None
+            raise DomainError(f"claim {v} out of range for n={n}")
         verts |= 1 << v
     return spec.host.neighbor_masks(), verts
 
@@ -319,21 +297,19 @@ def maker_win_witness(spec: GameSpec, maker_claims):
     """The witness if Maker's claims satisfy the objective, else None.
 
     ``odd-cycle`` and ``spanning-connected`` are decided by ``MASK_WINS`` on
-    the claims' masks.  A loss returns None at once; on a win the
-    ``spanning-connected`` witness is the sorted claims, and the odd cycle is
-    found on Maker's graph as for the other objectives.  Claims that are not
-    board elements skip the masks, so a malformed one still raises
-    DomainError from the Graph it would build.
+    ``maker_masks``; on a win the odd cycle is found on Maker's graph, on
+    which the other objectives are decided.
     """
     obj = spec.objective
     wins = MASK_WINS.get(obj.kind)
     if wins is not None:
-        masks = _claim_masks(spec, maker_claims)
-        if masks is not None:
-            if not wins(*masks):
-                return None
-            if obj.kind == "spanning-connected":
-                return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind)
+        if not wins(*maker_masks(spec, maker_claims)):
+            return None
+        if obj.kind == "spanning-connected":
+            return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind)
+        g, to_host = maker_graph(spec, maker_claims)
+        cycle = find_odd_cycle(g)
+        return cycle if to_host is None else cycle.relabeled(to_host)
     if obj.kind == "aux-connect":
         union = frozenset(maker_claims) | obj.anchor
         if not union:
@@ -345,16 +321,9 @@ def maker_win_witness(spec: GameSpec, maker_claims):
         if tri is not None:
             return OddCycleWitness(tuple(to_parent[v] for v in tri))
         return None
-    g, to_host = maker_graph(spec, maker_claims)
-    if obj.kind == "odd-cycle":
-        res = find_odd_cycle(g)
-        if not isinstance(res, OddCycleWitness):
-            return None
-        return res if to_host is None else res.relabeled(to_host)
+    g, _ = maker_graph(spec, maker_claims)
     if obj.kind == "non-k-colorable":
         won = is_k_colorable(g, obj.k) is None
-    elif obj.kind == "spanning-connected":
-        won = g.n >= 1 and is_connected(g)
     elif obj.kind == "k-edge-connected":
         won = (
             g.n >= 2

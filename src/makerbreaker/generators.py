@@ -84,24 +84,22 @@ def odd_cycle_blowup(length: int, m: int) -> Graph:
 
 def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Configuration-model sample, rejecting pairings with loops or doubles;
-    gives up after 1000 pairings.  Each pairing walks n*d stubs, the count
-    held to ``MAX_PAIRS``."""
+    gives up after 1000 pairings.  The pairings together shuffle at most
+    ``MAX_PAIRS`` stubs, n*d each; the one past it raises ResourceLimitError."""
     if n < 1 or d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no {d}-regular graph on {n} vertices")
-    _check_size("random_regular", n, n * d)
     rng = random.Random(seed)
-    for _ in range(1000):
+    for tries in range(1, 1001):
+        _check_size("random_regular", n, tries * n * d)
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
-        ok = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
             if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
                 break
             edges.add((min(u, v), max(u, v)))
-        if ok:
+        else:
             return Graph(n, edges)
     raise DomainError(f"could not sample a {d}-regular graph on {n} vertices")
 
@@ -136,9 +134,12 @@ def generate(family: str, params: dict, seed: int = 0) -> Graph:
     """Dispatch by family name; compositions recurse into child generator specs.
 
     A missing parameter, or one that does not convert to the type the family
-    needs, raises DomainError naming the key.
+    needs, raises DomainError naming the key; so do parameters that are not
+    a mapping and a seed that is not an integer.
     """
     context = f"generator {family!r}"
+    if not isinstance(params, dict) or type(seed) is not int:
+        raise DomainError(f"{context} needs a parameter mapping and an integer seed")
 
     def param(key, convert):
         value = require(params, key, context)
@@ -147,13 +148,10 @@ def generate(family: str, params: dict, seed: int = 0) -> Graph:
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"{context} has a bad {key!r}: {value!r}") from None
 
-    def sizes(value):
-        return [int(s) for s in value]
-
     if family == "gnp":
         return gnp(param("n", int), param("p", float), seed)
     if family == "complete_multipartite":
-        return complete_multipartite(param("sizes", sizes))
+        return complete_multipartite(param("sizes", lambda value: [int(s) for s in value]))
     if family == "odd_cycle_blowup":
         return odd_cycle_blowup(param("length", int), param("m", int))
     if family == "random_regular":

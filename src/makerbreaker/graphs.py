@@ -9,9 +9,12 @@ Besides neighbor sets, a graph hands out its adjacency as bitmasks
 (``neighbor_masks``, built once and kept).  The cut kernels -- the balanced
 cuts of ``decompose`` and the component cuts of ``strategies`` -- count
 crossing edges with one popcount per vertex instead of walking edges one at
-a time, the short paths that seed vertex flows are read off them, and the
-exact solver searches Maker's graph on them.  The Gray-code walk here only
-enumerates bipartitions as masks.
+a time, and the short paths that seed vertex flows are read off them.  The
+Gray-code walk here only enumerates bipartitions as masks.
+
+``mask_search``, the one search over neighbor masks, answers every
+component, connectivity, bipartiteness and 2-coloring question about Maker's
+graph; ``find_odd_cycle`` only builds the odd cycle of a witness.
 
 A graph has at most ``MAX_VERTICES`` vertices; a larger one is refused with
 ``ResourceLimitError`` before anything is allocated.
@@ -208,11 +211,7 @@ def cut_edges(g: Graph, a, b) -> list:
     sb = _check_vertex_set(g, b)
     if sa & sb:
         raise DomainError("cut sides must be disjoint")
-    out = []
-    for u, v in g.edges:
-        if (u in sa and v in sb) or (u in sb and v in sa):
-            out.append((u, v))
-    return sorted(out)
+    return sorted((u, v) for u, v in g.edges if (u in sa and v in sb) or (u in sb and v in sa))
 
 
 def find_odd_cycle(g: Graph):
@@ -260,33 +259,65 @@ def _tree_cycle(u, v, parent, depth) -> OddCycleWitness:
     return OddCycleWitness(tuple(cycle))
 
 
+def mask_search(adj, verts: int, root: int) -> tuple:
+    """Layer-by-layer search from the vertex bit ``root`` over the graph
+    whose vertex v sees the bits ``adj[v] & verts``.  Returns (reached, odd,
+    clash): the bits reached, those at odd distance from the root, and
+    whether an edge joins two vertices of one layer, that is, whether the
+    component has an odd cycle; without one, ``odd`` is its color 1."""
+    seen = layer = root
+    odd = 0
+    clash = at_odd = False
+    while layer:
+        reach = 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            nbrs = adj[low.bit_length() - 1] & verts
+            clash = clash or nbrs & layer != 0
+            reach |= nbrs
+            rest ^= low
+        layer = reach & ~seen
+        seen |= layer
+        at_odd = not at_odd
+        if at_odd:
+            odd |= layer
+    return seen, odd, clash
+
+
+def mask_components(adj, verts: int):
+    """``mask_search`` once per component of the graph on ``verts``, rooted
+    at its smallest vertex; yields (reached, odd, clash) by smallest vertex."""
+    while verts:  # a component found is whole, so the rest holds the others
+        found = mask_search(adj, verts, verts & -verts)
+        yield found
+        verts &= ~found[0]
+
+
+def mask_bits(mask: int) -> list:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def connected_components(g: Graph, members=None) -> list[frozenset]:
     """Components of the subgraph of g induced on ``members`` (default: every
-    vertex), as frozensets ordered by smallest member."""
+    vertex), as frozensets ordered by smallest member; a member out of range
+    raises DomainError."""
     if members is None:
-        seen = [False] * g.n
+        verts = (1 << g.n) - 1
     else:
-        # vertices outside ``members`` start out seen, so the search skips them
-        seen = [True] * g.n
-        for v in members:
-            seen[v] = False
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        for x in comp:  # grows while it is read: a breadth-first search
-            for y in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        comps.append(frozenset(comp))
-    return comps
+        verts = sum(1 << v for v in _check_vertex_set(g, members))
+    return [frozenset(mask_bits(c)) for c, _, _ in mask_components(g.neighbor_masks(), verts)]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    full = (1 << g.n) - 1
+    return g.n <= 1 or mask_search(g.neighbor_masks(), full, 1)[0] == full
 
 
 def gray_code_bipartitions(g: Graph):

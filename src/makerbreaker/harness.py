@@ -169,22 +169,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config; a missing, unknown or mistyped key raises DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError("an experiment config is a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise DomainError(f"unknown experiment config key(s): {', '.join(unknown)}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             raise DomainError(f"experiment config needs key(s): {', '.join(missing)}")
+        for f in fields(cls):
+            value = data.get(f.name, f.default)
+            if type(value).__name__ != f.type:  # annotations are type names
+                raise DomainError(f"experiment config {f.name!r} must be of type {f.type}: {value!r}")
         return cls(**data)
 
     def predicate(self) -> WinPredicate:
         obj = dict(self.objective)
         anchor = obj.get("anchor")
-        return WinPredicate(
-            kind=require(obj, "kind", "objective"),
-            k=obj.get("k"),
-            anchor=frozenset(anchor) if anchor is not None else None,
-        )
+        if anchor is not None:
+            if type(anchor) is not list or any(type(v) is not int for v in anchor):
+                raise DomainError(f"an objective's anchor is a list of vertices, got {anchor!r}")
+            anchor = frozenset(anchor)
+        return WinPredicate(kind=require(obj, "kind", "objective"), k=obj.get("k"), anchor=anchor)
 
     def game_spec(self, g: Graph) -> GameSpec:
         return GameSpec(

@@ -20,9 +20,10 @@ the first such set, fewest elements first.
 Claim sets are bitmasks over the board's element indices.  ``odd-cycle`` (on
 edge and vertex boards) and ``spanning-connected`` are decided straight from
 the mask by the engine's ``MASK_WINS``, the same decision the engine's win
-check makes, on Maker's graph built per mask; the other objectives
-(``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
-``maker_win_witness`` on the claimed elements.
+check makes, on neighbour masks the solver builds per claim mask; the other
+objectives (``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
+``maker_win_witness`` on the claimed elements.  A board over its cap is
+refused by the host's size, before the board is built.
 
 ``solve_reference`` is an intentionally plain recursive implementation kept
 free of memoization and pruning, used to cross-check the main solver.
@@ -204,14 +205,20 @@ class _Solver:
         return tuple(line)
 
 
-def solve(spec: GameSpec, *, board_cap: int = SOLVE_BOARD_CAP) -> SolveVerdict:
-    """Optimal-play winner of the game, with one principal line."""
-    board = spec.board()
-    if len(board) > board_cap:
+def _check_board(spec: GameSpec, cap: int, name: str):
+    """Refuse a board of more than ``cap`` elements, counted on the host."""
+    size = spec.host.m if spec.board_kind == EDGES else spec.host.n
+    if size > cap:
         raise ResourceLimitError(
-            f"board of {len(board)} elements exceeds the solve cap {board_cap}",
-            stats={"board": len(board), "cap": board_cap},
+            f"board of {size} elements exceeds the {name} cap {cap}",
+            stats={"board": size, "cap": cap},
         )
+
+
+def solve(spec: GameSpec) -> SolveVerdict:
+    """Optimal-play winner of the game, with one principal line; boards above
+    ``SOLVE_BOARD_CAP`` elements are refused."""
+    _check_board(spec, SOLVE_BOARD_CAP, "solve")
     solver = _Solver(spec)
     maker_wins = solver.win(0, 0, spec.first)
     return SolveVerdict(
@@ -225,13 +232,8 @@ def solve_reference(spec: GameSpec) -> str:
     """Winner by plain unmemoized recursion; the game stops at a Maker win,
     on an objective that is not monotone at the first winning claim of a
     turn.  Boards above ``REFERENCE_BOARD_CAP`` elements are refused."""
+    _check_board(spec, REFERENCE_BOARD_CAP, "reference")
     board = spec.board()
-    if len(board) > REFERENCE_BOARD_CAP:
-        raise ResourceLimitError(
-            f"board of {len(board)} elements exceeds the reference cap {REFERENCE_BOARD_CAP}",
-            stats={"board": len(board), "cap": REFERENCE_BOARD_CAP},
-        )
-
     monotone = _monotone(spec)
 
     def recurse(maker_set, breaker_set, mover):

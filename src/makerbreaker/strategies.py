@@ -19,6 +19,9 @@ edge-connectivity-game strategy; nothing is proved about it here, and its
 adequacy is checked empirically and by the exhaustive verifier on small
 boards.  It sits behind the Strategy interface so a faithful implementation
 can replace it without touching the rest.
+
+Maker's components, 2-coloring and component cuts come from
+``graphs.mask_search``, on ``maker_masks`` or a claim view kept across turns.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from .engine import (
     GameSpec,
     Position,
     Strategy,
-    _bfs,
     batch_size,
     legal_moves,
-    maker_graph,
+    maker_masks,
 )
 from .errors import DomainError, ResourceLimitError
 from .graphs import (
@@ -57,6 +59,9 @@ from .graphs import (
     find_odd_cycle,
     frac_ceil,
     gray_code_bipartitions,
+    mask_bits,
+    mask_components,
+    mask_search,
 )
 
 # -- exact bound calculators -----------------------------------------------------
@@ -161,7 +166,7 @@ def _smallest_cut(maker, members: int, avail, limit: int | None = None) -> list:
 
     ``maker[v]`` and ``avail[v]`` are vertex v's neighbour masks in Maker's
     graph and among the available (unclaimed pool) edges.  Components come
-    from the engine's mask search rooted at the lowest member left, so they
+    from ``mask_search`` rooted at the lowest member left, so they
     are met in order of smallest member; each is sized by the popcount of its
     members' available edges that leave it.
     """
@@ -172,7 +177,7 @@ def _smallest_cut(maker, members: int, avail, limit: int | None = None) -> list:
         inside = rest & -rest
         v = inside.bit_length() - 1
         if maker[v] & members:
-            inside = _bfs(maker, members, inside)[0]
+            inside = mask_search(maker, members, inside)[0]
             outside = ~inside
             size = 0
             bits = inside
@@ -223,11 +228,7 @@ class _ClaimView:
 
     def __init__(self, pool_masks):
         self.pool_masks = pool_masks
-        self.maker = [0] * len(pool_masks)
-        self.avail = list(pool_masks)
-        self.counts = (0, 0)
-        self.read = 0
-        self.last = None
+        self._rebuild(Position(frozenset(), frozenset(), MAKER))  # no claims yet
 
     def see(self, pos: Position) -> "_ClaimView":
         log = pos.log
@@ -298,7 +299,6 @@ class ConnectivityMaker(Strategy):
     position_pure = True
 
     def __init__(self, g: Graph, pool=None, vertices=None):
-        self.g = g
         self.pool = g.edges if pool is None else frozenset(pool)
         pool_graph = g if self.pool == g.edges else Graph(g.n, self.pool)
         self.view = _ClaimView(pool_graph.neighbor_masks())
@@ -307,11 +307,11 @@ class ConnectivityMaker(Strategy):
 
     def _pick(self, maker, avail) -> tuple | None:
         best_cut = _smallest_cut(maker, self.members, avail, 1)
-        if best_cut:
-            return best_cut[0]
-        return _first_edge(avail)
+        return best_cut[0] if best_cut else _first_edge(avail)
 
     def propose(self, spec: GameSpec, pos: Position):
+        if spec.board_kind != EDGES:
+            raise DomainError("this maker plays edge games only")
         need = batch_size(spec, pos)
         view = self.view.see(pos)
         # the turn's own picks go into copies, so the view stays at pos
@@ -352,15 +352,14 @@ def _maker_two_coloring(spec: GameSpec, pos: Position):
     """(component id, color) per host vertex of Maker's graph, or None if it
     already contains an odd cycle (then the game is effectively over).  On an
     edge board every host vertex is labeled, an untouched one as a component
-    of its own."""
-    claimed, to_host = maker_graph(spec, pos.maker)
-    coloring = find_odd_cycle(claimed)
-    if isinstance(coloring, OddCycleWitness):
-        return None
+    of its own.  Components are numbered by smallest vertex, and color 1 is
+    odd distance from that vertex."""
     labels = {}
-    for i, comp in enumerate(connected_components(claimed)):
-        for v in comp:
-            labels[v if to_host is None else to_host[v]] = (i, coloring[v])
+    for comp, (seen, odd, clash) in enumerate(mask_components(*maker_masks(spec, pos.maker))):
+        if clash:
+            return None
+        for v in mask_bits(seen):
+            labels[v] = (comp, odd >> v & 1)
     return labels
 
 
@@ -394,18 +393,14 @@ class BipartiteGuardBreaker(Strategy):
                             danger.append(w)
                             break
                         seen_colors[comp] = col
-        flagged = set(danger)
         if spec.board_kind == EDGES:
-            rest = sorted(
-                (e for e in free if e not in flagged),
-                key=lambda e: (-(host.degree(e[0]) + host.degree(e[1])), e),
-            )
+            def key(e):
+                return -(host.degree(e[0]) + host.degree(e[1])), e
         else:
-            rest = sorted(
-                (w for w in free if w not in flagged),
-                key=lambda w: (-host.degree(w), w),
-            )
-        ranked = sorted(danger) + rest
+            def key(w):
+                return -host.degree(w), w
+        flagged = set(danger)
+        ranked = sorted(danger) + sorted((x for x in free if x not in flagged), key=key)
         return tuple(ranked[:need])
 
 
@@ -489,7 +484,6 @@ class DenseEdgeMaker(_SpecialEdgeMaker):
     Stage II: connectivity play restricted to the core's crossing edges."""
 
     def __init__(self, g: Graph, delta, core: BipartiteCore):
-        self.g = g
         self.delta = Fraction(delta)
         self.core = core
         self.witness_edge = self.special_edge = self.core.witness_edge
@@ -572,7 +566,6 @@ class ConnectedEdgeMaker(_SpecialEdgeMaker):
             raise DomainError(f"b must be a positive integer, got {b}")
         if not isinstance(find_odd_cycle(g), OddCycleWitness):
             raise DomainError("host is bipartite; the odd cycle game is unwinnable")
-        self.g = g
         self.b = b
         rng = random.Random(seed)
         found = _spanning_bipartition_search(g, k_prime, rng)

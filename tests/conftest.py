@@ -1,6 +1,6 @@
 """Shared graph builders, a scripted strategy, the decomposition-backed
-Makers on forced cores, uniform vertex sampling and the small-graph
-isomorphism-class enumeration."""
+Makers on forced cores, uniform vertex sampling, the small-graph
+isomorphism-class enumeration and the set-based component search."""
 
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -63,6 +63,31 @@ def gray_code_side_lists(g: Graph):
         cut += d - 2 * cross[v]
         cross[v] = d - cross[v]
         yield side, cross, ones, cut
+
+
+def components_by_set_search(g: Graph, members=None) -> list:
+    """``graphs.connected_components`` as it was before the mask search: a
+    breadth-first search over neighbor sets, with the vertices outside
+    ``members`` marked seen from the start."""
+    if members is None:
+        seen = [False] * g.n
+    else:
+        seen = [True] * g.n
+        for v in members:
+            seen[v] = False
+    comps = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for x in comp:
+            for y in g.neighbors(x):
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        comps.append(frozenset(comp))
+    return comps
 
 
 @st.composite

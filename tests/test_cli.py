@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_graphs
 from makerbreaker import coloring
 from makerbreaker.cli import main
 from makerbreaker.engine import GameSpec, WinPredicate, replay_transcript
+from makerbreaker.generators import FAMILIES
 from makerbreaker.graphs import Graph, format_graph, parse_graph
 
 
@@ -197,6 +205,11 @@ class TestSolveVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{n} vertices exceed the cap" in err
 
+    def test_solve_takes_no_cap(self, tripartite_file):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", str(tripartite_file), "--cap", "40")
+        assert exc.value.code == 2
+
     def test_verify_json(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         run_cli("generate", "--family", "complete_multipartite",
@@ -287,3 +300,301 @@ class TestExperimentAndSweep:
         assert run_cli("experiment", str(config_file)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "trails" in err
+
+
+# -- fuzzing the whole command line ---------------------------------------------------
+
+
+def good_or_bad(good, bad):
+    """Values from ``good`` four times in five, otherwise from ``bad``; the
+    bad ones sit mid-list, away from the ends the draws lean to."""
+    good, bad = list(good), list(bad)
+    return st.sampled_from(good * (2 * len(bad)) + bad * len(good) + good * (2 * len(bad)))
+
+
+GRAPH_TEXTS = st.one_of(
+    *[random_graphs(max_n=8).map(format_graph)] * 4,
+    st.sampled_from(
+        [
+            "",
+            "p 0 0\n",
+            "p 3 1\n",
+            "p x y\n",
+            "p -1 0\n",
+            "p 3\n",
+            "e 0 1\n",
+            "p 3 1\ne 0 5\n",
+            "p 3 1\ne 1 1\n",
+            "p 3 2\ne 0 1\ne 1 0\n",
+            "p 3 1\ne 0 x\n",
+            "p 3 1\nq 0 1\n",
+        ]
+    )
+)
+STRATEGIES = good_or_bad(
+    [
+        "random",
+        "bipartite-guard",
+        "cut-attack",
+        "connectivity",
+        "dense-edge(delta=1/2,force=true)",
+        "connected-edge(b=1)",
+        "connected-edge(b=1,k=2,seed=3)",
+        "dense-vertex(delta=1/2,b=1,force=true)",
+        "dense-vertex(delta=2/3,b=2,force=true,seed=1)",
+    ],
+    [
+        "dense-edge(delta=1/2)",
+        "dense-edge(delta=nan)",
+        "dense-edge(delta=0)",
+        "connected-edge(b=0)",
+        "dense-vertex(delta=2)",
+        "dense-vertex(delta=1/2,b=1",
+        "random(x=1)",
+        "random(x)",
+        "bogus",
+        "",
+    ],
+)
+OBJECTIVES = good_or_bad(
+    [
+        "odd-cycle",
+        "spanning-connected",
+        "non-2-colorable",
+        "1-edge-connected",
+        "2-edge-connected",
+        "aux-connect 0,1",
+    ],
+    ["non-0-colorable", "non-x-colorable", "aux-connect 9", "aux-connect", "aux-connect a", "bogus"],
+)
+BIASES = good_or_bad(["1:1", "1:2", "2:1", "2:2"], ["0:1", "1:0", "1", ":", "a:b", "-1:1"])
+DELTAS = good_or_bad(["1/2", "2/3", "6/7", "0.5"], ["0", "1", "-1", "x", "1/0", "nan", "1e9"])
+def good_or_bad(good, bad):
+    """Values from ``good`` four times in five, otherwise from ``bad``; the
+    bad ones sit mid-list, away from the ends the draws lean to."""
+    good, bad = list(good), list(bad)
+    return st.sampled_from(good * (2 * len(bad)) + bad * len(good) + good * (2 * len(bad)))
+
+
+GRAPH_TEXTS = st.one_of(
+    *[random_graphs(max_n=8).map(format_graph)] * 4,
+    st.sampled_from(
+        [
+            "",
+            "p 0 0\n",
+            "p 3 1\n",
+            "p x y\n",
+            "p -1 0\n",
+            "p 3\n",
+            "e 0 1\n",
+            "p 3 1\ne 0 5\n",
+            "p 3 1\ne 1 1\n",
+            "p 3 2\ne 0 1\ne 1 0\n",
+            "p 3 1\ne 0 x\n",
+            "p 3 1\nq 0 1\n",
+        ]
+    )
+)
+STRATEGIES = good_or_bad(
+    [
+        "random",
+        "bipartite-guard",
+        "cut-attack",
+        "connectivity",
+        "dense-edge(delta=1/2,force=true)",
+        "connected-edge(b=1)",
+        "connected-edge(b=1,k=2,seed=3)",
+        "dense-vertex(delta=1/2,b=1,force=true)",
+        "dense-vertex(delta=2/3,b=2,force=true,seed=1)",
+    ],
+    [
+        "dense-edge(delta=1/2)",
+        "dense-edge(delta=nan)",
+        "dense-edge(delta=0)",
+        "connected-edge(b=0)",
+        "dense-vertex(delta=2)",
+        "dense-vertex(delta=1/2,b=1",
+        "random(x=1)",
+        "random(x)",
+        "bogus",
+        "",
+    ],
+)
+OBJECTIVES = good_or_bad(
+    [
+        "odd-cycle",
+        "spanning-connected",
+        "non-2-colorable",
+        "1-edge-connected",
+        "2-edge-connected",
+        "aux-connect 0,1",
+    ],
+    ["non-0-colorable", "non-x-colorable", "aux-connect 9", "aux-connect", "aux-connect a", "bogus"],
+)
+BIASES = good_or_bad(["1:1", "1:2", "2:1", "2:2"], ["0:1", "1:0", "1", ":", "a:b", "-1:1"])
+DELTAS = good_or_bad(["1/2", "2/3", "6/7", "0.5"], ["0", "1", "-1", "x", "1/0", "nan", "1e9"])
+
+# Parameters each generator family needs, and good and bad values to add.
+FAMILY_PARAMS = {
+    "gnp": {"n": 6, "p": 0.5},
+    "complete_multipartite": {"sizes": [2, 3]},
+    "odd_cycle_blowup": {"length": 3, "m": 2},
+    "random_regular": {"n": 6, "d": 3},
+    "union": {"left": {"family": "gnp", "params": {"n": 3, "p": 1}},
+              "right": {"family": "complete_multipartite", "params": {"sizes": [1, 2]}}},
+    "join": {"left": {"family": "gnp", "params": {"n": 2, "p": 0.5}},
+             "right": {"family": "odd_cycle_blowup", "params": {"length": 3, "m": 1}}},
+}
+EXTRA_PARAMS = st.dictionaries(
+    st.sampled_from(["n", "p", "sizes", "length", "m", "d", "left", "right"]),
+    good_or_bad(
+        [1, 5, 8, 0.5, [1, 1, 1], {"family": "gnp", "params": {"n": 3, "p": 1}}],
+        [0, -1, "x", 2.5, None, [], [0], "1x", {}, {"family": "bogus"}],
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def generator_params(draw):
+    """A family and its parameters, with extra ones sometimes added over
+    those it needs."""
+    family = draw(good_or_bad(FAMILIES, ["bogus"]))
+    params = dict(FAMILY_PARAMS.get(family, {}))
+    if draw(st.booleans()):
+        params.update(draw(EXTRA_PARAMS))
+    return family, params
+
+
+def param_text(value) -> str:
+    """A parameter value as ``generate --param`` reads it."""
+    if isinstance(value, list) and all(type(v) is int for v in value):
+        return "-".join(map(str, value))
+    return json.dumps(value) if isinstance(value, (dict, list)) else str(value)
+
+
+@st.composite
+def generator_docs(draw):
+    family, params = draw(generator_params())
+    doc = {"family": family, "params": draw(good_or_bad([params], [[params], 5, None]))}
+    if draw(st.booleans()):
+        doc["seed"] = draw(good_or_bad([0, 1], ["x"]))
+    return draw(good_or_bad([doc], [{"params": params}, [family], family]))
+
+
+@st.composite
+def config_docs(draw):
+    """An experiment config: each key's value good four times in five, a key
+    left out one time in ten, an unknown key added one time in ten, and one
+    config in ten not an object at all."""
+    values = {
+        "generator": generator_docs(),
+        "board_kind": good_or_bad(["edges", "vertices"], ["faces", 1]),
+        "objective": good_or_bad(
+            [
+                {"kind": "odd-cycle"},
+                {"kind": "spanning-connected"},
+                {"kind": "non-k-colorable", "k": 2},
+                {"kind": "k-edge-connected", "k": 1},
+                {"kind": "aux-connect", "anchor": [0, 1]},
+            ],
+            [
+                {"kind": "non-k-colorable", "k": "x"},
+                {"kind": "aux-connect", "anchor": 3},
+                {"kind": "aux-connect", "anchor": [9]},
+                {"kind": "aux-connect", "anchor": ["a"]},
+                {"kind": "odd-cycle", "k": 2},
+                {},
+                [],
+                "odd-cycle",
+            ],
+        ),
+        "maker": STRATEGIES,
+        "breaker": STRATEGIES,
+        "maker_bias": good_or_bad([1, 2], [0, "1", None, 1.5, True]),
+        "breaker_bias": good_or_bad([1, 2], [0, "2", None]),
+        "first": good_or_bad(["maker", "breaker"], ["nobody", None]),
+        "trials": good_or_bad([0, 1, 3], [-1, "2", None]),
+        "seed_base": good_or_bad([0, 7], ["x", None]),
+    }
+    doc = {}
+    for key, value in values.items():
+        if draw(st.integers(min_value=0, max_value=9)) < 9:
+            doc[key] = draw(value)
+    if draw(st.integers(min_value=0, max_value=9)) == 9:
+        doc["trails"] = 1
+    return draw(good_or_bad([doc], [[doc], 5, "x", None]))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line for any subcommand, with its files' contents; "{graph}"
+    and "{config}" in it stand for the files."""
+    command = draw(
+        good_or_bad(
+            ["generate", "decompose", "play", "solve", "verify", "experiment", "sweep"], ["bogus"]
+        )
+    )
+    argv = [command]
+    if command in ("decompose", "play", "solve", "verify"):
+        argv.append("{graph}")
+    if command in ("experiment", "sweep"):
+        argv.append("{config}")
+    if command in ("play", "solve", "verify"):
+        for flag, values in (
+            ("--board", good_or_bad(["edges", "vertices"], ["faces"])),
+            ("--objective", OBJECTIVES),
+            ("--bias", BIASES),
+            ("--first", good_or_bad(["maker", "breaker"], ["nobody"])),
+        ):
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+    if command == "generate":
+        family, params = draw(generator_params())
+        argv += ["--family", family]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={param_text(value)}"]
+        if draw(st.booleans()):
+            argv += ["--param", draw(good_or_bad(["n=4"], ["junk", "sizes=a", "left={"]))]
+    elif command == "decompose":
+        argv += ["--mode", draw(good_or_bad(["bfkm", "core", "robust", "key2"], ["bogus"]))]
+        argv += ["--delta", draw(DELTAS), "--b", str(draw(st.integers(-1, 3)))]
+        if draw(st.booleans()):
+            argv.append("--force")
+    elif command == "play":
+        argv += ["--maker", draw(STRATEGIES), "--breaker", draw(STRATEGIES)]
+    elif command == "verify":
+        argv += ["--maker", draw(STRATEGIES), "--budget", str(draw(st.integers(0, 300)))]
+    elif command == "experiment":
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    elif command == "sweep":
+        argv += ["--b-range", draw(good_or_bad(["1:2", "2", "2:1"], ["a:b", "1:"]))]
+    if command in ("generate", "decompose", "play") and draw(st.booleans()):
+        argv += ["--seed", draw(good_or_bad(["0", "3"], ["x"]))]
+    if draw(st.integers(min_value=0, max_value=19)) == 19:
+        argv.append("--no-such-flag")
+    return argv, draw(GRAPH_TEXTS), json.dumps(draw(config_docs()))
+
+
+class TestCommandLineFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_every_command_line_ends_in_an_exit_code(self, case):
+        """Any command line ends in exit 0, a clean error (1) or a usage
+        error (2, raised by argparse as SystemExit), never another exception."""
+        argv, graph_text, config_text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"{graph}": os.path.join(tmp, "g.graph"),
+                     "{config}": os.path.join(tmp, "config.json")}
+            with open(files["{graph}"], "w") as f:
+                f.write(graph_text)
+            with open(files["{config}"], "w") as f:
+                f.write(config_text)
+            argv = [files.get(a, a) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)

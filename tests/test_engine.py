@@ -20,6 +20,7 @@ from makerbreaker.engine import (
     format_transcript,
     legal_moves,
     maker_graph,
+    maker_masks,
     maker_win_witness,
     play,
     replay_transcript,
@@ -398,6 +399,26 @@ class TestOneMakerGraph:
     def test_reversed_edge_is_not_a_win(self, objective):
         spec = edge_spec(Graph.complete(4), objective=WinPredicate(objective))
         assert maker_win_witness(spec, {(2, 0)}) is None
+
+    def test_maker_masks_take_a_reversed_edge_in_its_normal_order(self):
+        spec = edge_spec(Graph.complete(4))
+        assert maker_masks(spec, {(2, 0), (1, 3)}) == maker_masks(spec, {(0, 2), (3, 1)})
+        assert maker_masks(spec, {(2, 0)}) == ([0b100, 0, 0b1, 0], 0b1111)
+
+    @pytest.mark.parametrize(
+        "board_kind, claim",
+        [(EDGES, c) for c in ((1, 1), (0, 4), (4, 0), (-1, 2), (2, -1))]
+        + [(VERTICES, c) for c in (-1, 4)],
+    )
+    def test_maker_masks_refuse_a_loop_or_a_claim_out_of_range(self, board_kind, claim):
+        spec = GameSpec(Graph.complete(4), board_kind, WinPredicate("odd-cycle"))
+        with pytest.raises(DomainError):
+            maker_masks(spec, {claim})
+
+    def test_maker_masks_on_a_vertex_board(self):
+        g = Graph.path(4)
+        adj, verts = maker_masks(vertex_spec(g), {0, 2})
+        assert adj is g.neighbor_masks() and verts == 0b101
 
     def test_maker_graph_on_both_boards(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

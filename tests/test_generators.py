@@ -1,7 +1,9 @@
+import random
 from types import SimpleNamespace
 
 import pytest
 
+from makerbreaker import generators
 from makerbreaker.coloring import chromatic_number, is_k_colorable
 from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.generators import (
@@ -15,7 +17,14 @@ from makerbreaker.generators import (
     odd_cycle_blowup,
     random_regular,
 )
-from makerbreaker.graphs import MAX_VERTICES, Graph, OddCycleWitness, find_odd_cycle, min_degree
+from makerbreaker.graphs import (
+    MAX_VERTICES,
+    Graph,
+    OddCycleWitness,
+    find_odd_cycle,
+    format_graph,
+    min_degree,
+)
 
 
 class TestGnp:
@@ -72,6 +81,54 @@ class TestRandomRegular:
     def test_parity_rejected(self):
         with pytest.raises(DomainError):
             random_regular(5, 3)
+
+    @pytest.mark.parametrize(
+        "n, d, seed",
+        [(12, 5, 3), (10, 3, 9), (30, 4, 0), (60, 3, 2), (16, 5, 4), (8, 6, 5), (20, 6, 1)],
+    )
+    def test_samples_as_the_uncapped_pairings_do(self, n, d, seed):
+        assert sample_text(random_regular, n, d, seed) == sample_text(
+            regular_by_uncapped_pairings, n, d, seed
+        )
+
+    def test_pairings_together_are_held_to_the_cap(self, monkeypatch):
+        # nearly every pairing of 4,000 stubs has a loop or a double edge,
+        # so the sampler would go on for all of its 1,000 tries
+        monkeypatch.setattr(generators, "MAX_PAIRS", 40_000)
+        with pytest.raises(ResourceLimitError) as info:
+            random_regular(100, 40)
+        assert info.value.stats == {"n": 100, "pairs": 44_000, "cap": 40_000}
+
+    def test_a_pairing_within_the_cap_still_samples(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_PAIRS", 36)
+        assert random_regular(12, 3, seed=1) == regular_by_uncapped_pairings(12, 3, 1)
+
+
+def sample_text(sampler, n, d, seed) -> str:
+    """The sampled graph's text, or the message of its DomainError."""
+    try:
+        return format_graph(sampler(n, d, seed))
+    except DomainError as exc:
+        return str(exc)
+
+
+def regular_by_uncapped_pairings(n, d, seed):
+    """``random_regular`` as it was before the pairings were capped
+    together: 1,000 configuration-model pairings, each checked for loops and
+    double edges."""
+    rng = random.Random(seed)
+    for _ in range(1000):
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                break
+            edges.add((min(u, v), max(u, v)))
+        else:
+            return Graph(n, edges)
+    raise DomainError(f"could not sample a {d}-regular graph on {n} vertices")
 
 
 def large(n, m=0):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, gray_code_side_lists, random_graphs, star
+from conftest import (
+    all_labeled_graphs,
+    components_by_set_search,
+    gray_code_side_lists,
+    random_graphs,
+    star,
+)
 from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.graphs import (
     MAX_VERTICES,
@@ -18,6 +24,9 @@ from makerbreaker.graphs import (
     format_graph,
     gray_code_bipartitions,
     induced_subgraph,
+    is_connected,
+    mask_bits,
+    mask_search,
     min_degree,
     parse_graph,
     verify_odd_cycle,
@@ -161,8 +170,11 @@ class TestOddCycle:
 
 
 class TestConnectedComponents:
-    @settings(max_examples=150)
-    @given(random_graphs(), st.data())
+    """networkx and the set search the mask search replaced are the
+    references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
     def test_matches_networkx_outside_a_banned_set(self, g, data):
         banned = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
         members = set(range(g.n)) - banned
@@ -171,8 +183,37 @@ class TestConnectedComponents:
         h.add_edges_from((u, v) for u, v in g.edges if u in members and v in members)
         expected = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
         assert connected_components(g, members) == expected
+        assert components_by_set_search(g, members) == expected
         if not banned:
-            assert connected_components(g) == expected
+            assert connected_components(g) == expected == components_by_set_search(g)
+            by_set_search = g.n <= 1 or len(components_by_set_search(g)) == 1
+            assert is_connected(g) == by_set_search == nx.is_connected(h)
+
+    def test_a_member_out_of_range_is_a_domain_error(self):
+        g = Graph(4, [(2, 3)])
+        for members in ({-1}, {4}, {0, 9}):
+            with pytest.raises(DomainError):
+                connected_components(g, members)
+
+
+class TestMaskSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
+    def test_odd_bits_are_the_two_coloring_of_find_odd_cycle(self, g, data):
+        members = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        adj = g.neighbor_masks()
+        verts = rest = sum(1 << v for v in members)
+        while rest:
+            seen, odd, clash = mask_search(adj, verts, rest & -rest)
+            comp, order = induced_subgraph(g, mask_bits(seen))
+            coloring = find_odd_cycle(comp)
+            assert clash == isinstance(coloring, OddCycleWitness)
+            if not clash:
+                assert odd == sum(c << v for v, c in zip(order, coloring))
+            rest &= ~seen
+
+    def test_mask_bits(self):
+        assert mask_bits(0) == [] and mask_bits(0b101001) == [0, 3, 5]
 
 
 class TestGrayCodeBipartitions:

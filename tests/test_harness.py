@@ -141,6 +141,59 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("data", [[], 5, "x", None])
+    def test_a_config_that_is_not_an_object_is_refused(self, data):
+        with pytest.raises(DomainError, match="JSON object"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("generator", []),
+            ("board_kind", 1),
+            ("objective", "odd-cycle"),
+            ("maker", None),
+            ("maker_bias", "1"),
+            ("maker_bias", True),
+            ("trials", 2.0),
+            ("seed_base", None),
+        ],
+    )
+    def test_a_value_of_another_json_type_is_refused(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            multipartite_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            {"kind": "aux-connect", "anchor": 3},
+            {"kind": "aux-connect", "anchor": ["a"]},
+            {"kind": "aux-connect", "anchor": [[0]]},
+            {"kind": "non-k-colorable", "k": "2"},
+            {"kind": "non-k-colorable", "k": 2.0},
+        ],
+    )
+    def test_a_malformed_objective_is_refused(self, objective):
+        with pytest.raises(DomainError):
+            multipartite_config(objective=objective).predicate()
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"family": "gnp", "params": [5, 0.5], "seed": 0},
+            {"family": "gnp", "params": 5},
+            {"family": "gnp", "params": {"n": 5, "p": 0.5}, "seed": "x"},
+            {"family": "union", "params": {"left": {"family": "gnp", "params": {"n": 2, "p": 1}},
+                                           "right": {"family": "gnp", "params": {"n": 2, "p": 1}}},
+             "seed": 1.5},
+        ],
+    )
+    def test_a_malformed_generator_is_refused(self, generator):
+        with pytest.raises(DomainError):
+            run_experiment(multipartite_config(generator=generator, maker="random"))
+
+
 @pytest.fixture
 def host_log(monkeypatch):
     """Empty process memos, and a log of every host ``generate`` builds and

@@ -27,6 +27,7 @@ from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.generators import gnp
 from makerbreaker.graphs import Graph
 from makerbreaker.solver import (
+    SOLVE_BOARD_CAP,
     SolveVerdict,
     _mask_decider,
     solve,
@@ -89,6 +90,22 @@ class TestSolve:
     def test_board_cap(self):
         with pytest.raises(ResourceLimitError):
             solve(odd_cycle_spec(Graph.complete(7)))
+
+    @pytest.mark.parametrize(
+        "spec, size",
+        [
+            (odd_cycle_spec(Graph.complete(7)), 21),
+            (GameSpec(Graph.path(19), VERTICES, WinPredicate("odd-cycle")), 19),
+        ],
+    )
+    def test_board_size_is_read_from_the_host_before_the_board_is_built(self, spec, size):
+        with pytest.raises(ResourceLimitError) as info:
+            solve(spec)
+        assert info.value.stats == {"board": size, "cap": SOLVE_BOARD_CAP}
+        assert "_board" not in vars(spec)  # the sorted board was never built
+        with pytest.raises(ResourceLimitError):
+            solve_reference(spec)
+        assert "_board" not in vars(spec)
 
     def test_principal_line_replays_to_winner(self):
         for g in (Graph.complete(5), Graph.cycle(5), Graph.complete(4)):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    components_by_set_search,
     forced_dense_edge_maker,
     forced_dense_vertex_maker,
     gray_code_side_lists,
@@ -31,6 +32,7 @@ from makerbreaker.engine import (
     apply_moves,
     batch_size,
     legal_moves,
+    maker_graph,
     maker_win_witness,
     play,
 )
@@ -130,6 +132,14 @@ class TestConnectivityMaker:
             for s in range(200)
         )
         assert wins == 200
+
+
+def test_connectivity_maker_refuses_a_vertex_board():
+    # Breaker's vertex claims in the log are no edges for the claim view
+    g = Graph.complete(4)
+    pos = Position(frozenset(), frozenset({0}), MAKER, ((BREAKER, (0,)),))
+    with pytest.raises(DomainError, match="edge games only"):
+        ConnectivityMaker(g).propose(vertex_spec(g), pos)
 
 
 def smallest_cut_by_component_scan(n, maker_edges, members, edges):
@@ -774,6 +784,43 @@ class TestGuardOnEdgeBoards:
     def test_guard_matches_the_per_board_guard(self, spec_pos):
         spec, pos = spec_pos
         assert BipartiteGuardBreaker().propose(spec, pos) == per_board_guard(spec, pos)
+
+
+def two_coloring_on_a_graph(spec, pos):
+    """``_maker_two_coloring`` as it was before the mask search: Maker's
+    graph built, ``find_odd_cycle`` for the colors, then a second pass for
+    the components."""
+    claimed, to_host = maker_graph(spec, pos.maker)
+    coloring = find_odd_cycle(claimed)
+    if isinstance(coloring, OddCycleWitness):
+        return None
+    labels = {}
+    for i, comp in enumerate(components_by_set_search(claimed)):
+        for v in comp:
+            labels[v if to_host is None else to_host[v]] = (i, coloring[v])
+    return labels
+
+
+@st.composite
+def board_positions(draw):
+    """Breaker to move on a random host of up to 9 vertices, on either
+    board, with random disjoint Maker and Breaker claims."""
+    g = draw(random_graphs(max_n=9))
+    spec = edge_spec(g) if draw(st.booleans()) else vertex_spec(g)
+    board = spec.board()
+    owner = draw(st.lists(st.sampled_from((None, MAKER, BREAKER)), min_size=len(board),
+                          max_size=len(board)))
+    maker = frozenset(e for e, o in zip(board, owner) if o == MAKER)
+    breaker = frozenset(e for e, o in zip(board, owner) if o == BREAKER)
+    return spec, Position(maker=maker, breaker=breaker, to_move=BREAKER)
+
+
+class TestTwoColoringOnMasks:
+    @settings(max_examples=400, deadline=None)
+    @given(board_positions())
+    def test_matches_the_graph_two_coloring(self, spec_pos):
+        spec, pos = spec_pos
+        assert _maker_two_coloring(spec, pos) == two_coloring_on_a_graph(spec, pos)
 
 
 class TestBoundReport:
