@@ -18,7 +18,7 @@ from .decompose import (
     robust_partition,
 )
 from .engine import GameSpec, WinPredicate, element_token
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, parse_int
 from .generators import FAMILIES, generate
 from .graphs import format_graph, frac_ceil, parse_graph
 from .harness import (
@@ -53,14 +53,18 @@ def _parse_params(pairs):
         key, sep, value = pair.partition("=")
         if not sep:
             raise DomainError(f"expected key=value, got {pair!r}")
+        where = f"--param {pair!r}"
         if value.startswith("{"):
-            params[key] = json.loads(value)
+            try:
+                params[key] = json.loads(value)
+            except ValueError as exc:
+                raise DomainError(f"{where} is not valid JSON: {exc}") from None
         elif key == "sizes":
             if "x" in value:
-                m, r = value.split("x")
-                params[key] = [int(m)] * int(r)
+                m, _, r = value.partition("x")
+                params[key] = [parse_int(m, where)] * parse_int(r, where)
             else:
-                params[key] = [int(s) for s in value.split("-")]
+                params[key] = [parse_int(s, where) for s in value.split("-")]
         else:
             try:
                 params[key] = int(value)
@@ -74,7 +78,7 @@ def _parse_params(pairs):
 
 def _parse_bias(text: str) -> tuple[int, int]:
     a, _, b = text.partition(":")
-    return int(a), int(b)
+    return parse_int(a, f"--bias {text!r}"), parse_int(b, f"--bias {text!r}")
 
 
 def _cmd_generate(args):
@@ -206,8 +210,10 @@ def _cmd_experiment(args):
 
 def _cmd_sweep(args):
     config = _load_config(args.config)
+    where = f"--b-range {args.b_range!r}"
     lo, _, hi = args.b_range.partition(":")
-    values = range(int(lo), int(hi) + 1) if hi else [int(lo)]
+    lo = parse_int(lo, where)
+    values = range(lo, parse_int(hi, where) + 1) if hi else [lo]
     docs, summary = sweep_bias(config, values, out_dir=args.out_dir)
     text = json.dumps({"summary": summary}, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)

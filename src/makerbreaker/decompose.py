@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coloring import is_k_colorable, chromatic_number
 from .connectivity import (
@@ -107,25 +108,17 @@ def _edges_inside(g: Graph, members) -> list:
     return sorted((u, v) for u, v in g.edges if u in members and v in members)
 
 
-_last_core_graph: tuple = (None, None, None)
-
-
+@lru_cache(maxsize=1)
 def core_graph(g: Graph, core: BipartiteCore) -> tuple[Graph, tuple]:
     """The bipartite crossing graph (a+b, edges between a and b), relabeled.
 
-    The last result is kept with the latest call's arguments, so a strategy
-    built again for an equal host and core gets it without rescanning the
-    host's edges, and calls on that same host object compare by identity.
+    The last result is kept, so a strategy built again for an equal host and
+    core gets it without rescanning the host's edges.
     """
-    global _last_core_graph
-    last_g, last_core, result = _last_core_graph
-    if core != last_core or g != last_g:
-        order = tuple(sorted(core.a | core.b))
-        index = {old: new for new, old in enumerate(order)}
-        edges = [(index[u], index[v]) for u, v in cut_edges(g, core.a, core.b)]
-        result = (Graph(len(order), edges), order)
-    _last_core_graph = (g, core, result)
-    return result
+    order = tuple(sorted(core.a | core.b))
+    index = {old: new for new, old in enumerate(order)}
+    edges = [(index[u], index[v]) for u, v in cut_edges(g, core.a, core.b)]
+    return Graph(len(order), edges), order
 
 
 # -- partition into highly connected parts -------------------------------------
@@ -472,7 +465,7 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
     stats = []
     for i, part in kept:
         degrees = [g.degree_into(v, part) for v in sorted(part)]
-        low = sum(1 for d in degrees if _below_degree_floor(d, delta * n, t_bound, n))
+        low = sum(1 for d in degrees if below_degree_floor(d, delta * n, t_bound, n))
         best = final_best[i] if i < len(final_best) else None
         stats.append(
             PartStats(
@@ -490,7 +483,7 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
     )
 
 
-def _below_degree_floor(d, delta_n: Fraction, t: int, n: int) -> bool:
+def below_degree_floor(d, delta_n: Fraction, t: int, n: int) -> bool:
     """Exact test for d < delta*n - t*n^(3/4), avoiding irrational arithmetic:
     with delta*n = p/q, it is p - d*q > 0 and (p - d*q)^4 > (t*q)^4 * n^3."""
     diff = delta_n.numerator - d * delta_n.denominator

@@ -15,6 +15,10 @@ players.
 ``MASK_WINS``, made by ``graphs.mask_search`` on ``maker_masks``.  The
 engine's win check and the solver decide them with it alone; a witness is
 built only once the decision is a win.
+
+``_outcome`` is the one place a game's result is worked out: ``play`` and
+``replay_transcript`` stop at Maker's winning claim, a full board or a
+forfeit, and hand it the position, the witness and the round count.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import cached_property
 
 from .coloring import is_k_colorable
 from .connectivity import edge_connectivity
-from .errors import DomainError, IllegalMoveError
+from .errors import DomainError, IllegalMoveError, parse_int
 from .graphs import (
     Graph,
     OddCycleWitness,
@@ -81,13 +85,14 @@ class WinPredicate:
             return cls("odd-cycle")
         if token == "spanning-connected":
             return cls("spanning-connected")
+        where = f"objective {token!r}"
         if token.startswith("non-") and token.endswith("-colorable"):
-            return cls("non-k-colorable", k=int(token[4:-10]))
+            return cls("non-k-colorable", k=parse_int(token[4:-10], where))
         if token.endswith("-edge-connected"):
-            return cls("k-edge-connected", k=int(token[: -len("-edge-connected")]))
+            return cls("k-edge-connected", k=parse_int(token[: -len("-edge-connected")], where))
         if token.startswith("aux-connect"):
             rest = token[len("aux-connect") :].strip()
-            anchor = frozenset(int(x) for x in rest.split(",") if x)
+            anchor = frozenset(parse_int(x, where) for x in rest.split(",") if x)
             return cls("aux-connect", anchor=anchor)
         raise DomainError(f"unknown objective token: {token!r}")
 
@@ -360,32 +365,35 @@ def play(spec: GameSpec, maker: Strategy, breaker: Strategy, seed: int = 0) -> G
     """Run one game to completion; deterministic given the seed."""
     maker.reset(spec, 2 * seed)
     breaker.reset(spec, 2 * seed + 1)
-    pos = Position.initial(spec)
-    rounds = 0
-    while len(pos.claimed()) < len(spec.board_set):
+    pos, witness, rounds = Position.initial(spec), None, 0
+    while witness is None and len(pos.claimed()) < len(spec.board_set):
         mover = pos.to_move
-        strategy = maker if mover == MAKER else breaker
-        proposal = strategy.propose(spec, pos)
+        proposal = (maker if mover == MAKER else breaker).propose(spec, pos)
         if proposal is None:
-            winner = BREAKER if mover == MAKER else MAKER
-            return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
+            break
         try:
             pos, witness = apply_moves(spec, pos, mover, proposal)
         except IllegalMoveError:
-            winner = BREAKER if mover == MAKER else MAKER
-            return GameResult(winner, None, rounds, pos, "forfeit", True, mover)
+            break
         if mover == MAKER:
             rounds += 1
-        if witness is not None:
-            return GameResult(MAKER, witness, rounds, pos, "objective")
-    return _full_board_result(spec, pos, rounds)
+    return _outcome(spec, pos, witness, rounds)
 
 
-def _full_board_result(spec: GameSpec, pos: Position, rounds: int) -> GameResult:
-    witness = maker_win_witness(spec, pos.maker)
+def _outcome(spec: GameSpec, pos: Position, witness, rounds: int) -> GameResult:
+    """The result of a game that stopped at ``pos``: Maker's win when the
+    last claim gave ``witness`` or the full board wins, Breaker's when the
+    board is full and does not, and otherwise a forfeit by the player to
+    move.  A full board is checked only when ``witness`` is None."""
+    if witness is None and len(pos.claimed()) == len(spec.board_set):
+        witness = maker_win_witness(spec, pos.maker)
+        if witness is None:
+            return GameResult(BREAKER, None, rounds, pos, "exhausted")
     if witness is not None:
         return GameResult(MAKER, witness, rounds, pos, "objective")
-    return GameResult(BREAKER, None, rounds, pos, "exhausted")
+    loser = pos.to_move
+    winner = BREAKER if loser == MAKER else MAKER
+    return GameResult(winner, None, rounds, pos, "forfeit", True, loser)
 
 
 # -- transcripts ------------------------------------------------------------------
@@ -476,14 +484,7 @@ def replay_transcript(spec: GameSpec, text: str) -> GameResult:
         pos, witness = apply_moves(spec, pos, player, elements)
         if player == MAKER:
             rounds += 1
-    if witness is not None:
-        result = GameResult(MAKER, witness, rounds, pos, "objective")
-    elif len(pos.claimed()) == len(spec.board_set):
-        result = _full_board_result(spec, pos, rounds)
-    else:
-        loser = pos.to_move
-        winner = BREAKER if loser == MAKER else MAKER
-        result = GameResult(winner, None, rounds, pos, "forfeit", True, loser)
+    result = _outcome(spec, pos, witness, rounds)
     if format_transcript(spec, result, names[MAKER], names[BREAKER]) != text:
         raise DomainError("transcript differs from the one its moves replay to")
     return result

@@ -12,6 +12,14 @@ def require(mapping, key, context: str):
     return mapping[key]
 
 
+def parse_int(text: str, context: str) -> int:
+    """``int(text)``, or a DomainError saying that ``context`` needs an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{context} needs an integer, got {text!r}") from None
+
+
 class PreconditionError(ValueError):
     """The input graph does not satisfy the hypotheses the routine requires."""
 

@@ -362,7 +362,10 @@ def parse_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "e":
             raise DomainError(f"malformed edge line: {ln!r}")
-        u, v = int(parts[1]), int(parts[2])
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise DomainError(f"malformed edge line: {ln!r}") from None
         if u == v:
             raise DomainError(f"loop line: {ln!r}")
         key = (min(u, v), max(u, v))

@@ -124,21 +124,32 @@ class _Solver:
         free = [bit for bit in self.bits if unclaimed & bit]
         return map(sum, combinations(free, min(bias, len(free))))
 
-    def winning_subset(self, m, unclaimed):
-        """The first non-empty set of at most ``maker_bias`` unclaimed
-        elements, fewest first, that wins added to ``m``; or None."""
-        most = min(self.spec.maker_bias, unclaimed.bit_count())
-        for size in range(1, most + 1):
-            for batch in self.batches(unclaimed, size):
-                if self.eval_win(m | batch):
-                    return batch
-        return None
-
     def eval_win(self, maker_mask) -> bool:
         won = self.eval_cache.get(maker_mask)
         if won is None:
             won = self.eval_cache[maker_mask] = self.decide(maker_mask)
         return won
+
+    def choose(self, m, b, mover):
+        """The batch ``mover`` plays from a position that is not over to win
+        it, the first in batch order; None when every batch loses.  Off a
+        monotone objective Maker first plays the first non-empty set of at
+        most bias elements that wins, fewest first."""
+        unclaimed = self.full & ~m & ~b
+        if mover == BREAKER:
+            for batch in self.batches(unclaimed, self.spec.breaker_bias):
+                if not self.win(m, b | batch, MAKER):
+                    return batch
+            return None
+        if not self.monotone:
+            for size in range(1, min(self.spec.maker_bias, unclaimed.bit_count()) + 1):
+                for batch in self.batches(unclaimed, size):
+                    if self.eval_win(m | batch):
+                        return batch
+        for batch in self.batches(unclaimed, self.spec.maker_bias):
+            if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
+                return batch
+        return None
 
     def win(self, m, b, mover) -> bool:
         key = (m, b, mover)
@@ -151,20 +162,8 @@ class _Solver:
             res = self.eval_win(m)
         elif self.monotone and not self.eval_win(m | unclaimed):
             res = False
-        elif mover == MAKER:
-            res = not self.monotone and self.winning_subset(m, unclaimed) is not None
-            if not res:
-                for batch in self.batches(unclaimed, self.spec.maker_bias):
-                    nm = m | batch
-                    if self.eval_win(nm) or self.win(nm, b, BREAKER):
-                        res = True
-                        break
         else:
-            res = True
-            for batch in self.batches(unclaimed, self.spec.breaker_bias):
-                if not self.win(m, b | batch, MAKER):
-                    res = False
-                    break
+            res = (self.choose(m, b, mover) is None) != (mover == MAKER)
         self.memo[key] = res
         return res
 
@@ -176,23 +175,9 @@ class _Solver:
             unclaimed = self.full & ~m & ~b
             if not unclaimed:
                 break
-            bias = self.spec.bias_of(mover)
-            chosen = None
-            if mover == MAKER:
-                if not self.monotone:
-                    chosen = self.winning_subset(m, unclaimed)
-                if chosen is None:
-                    for batch in self.batches(unclaimed, bias):
-                        if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
-                            chosen = batch
-                            break
-            else:
-                for batch in self.batches(unclaimed, bias):
-                    if not self.win(m, b | batch, MAKER):
-                        chosen = batch
-                        break
+            chosen = self.choose(m, b, mover)
             if chosen is None:
-                chosen = next(self.batches(unclaimed, bias))
+                chosen = next(self.batches(unclaimed, self.spec.bias_of(mover)))
             line.append((mover, _mask_elements(self.board, chosen)))
             if mover == MAKER:
                 m |= chosen

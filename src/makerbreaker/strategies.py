@@ -20,8 +20,8 @@ adequacy is checked empirically and by the exhaustive verifier on small
 boards.  It sits behind the Strategy interface so a faithful implementation
 can replace it without touching the rest.
 
-Maker's components, 2-coloring and component cuts come from
-``graphs.mask_search``, on ``maker_masks`` or a claim view kept across turns.
+Maker's components, 2-coloring and component cuts come from ``mask_search``,
+on ``maker_masks`` or a claim view that reads only each position's claim sets.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .connectivity import edge_connectivity
 from .decompose import (
     EXACT_CUT_LIMIT,
     BipartiteCore,
-    _below_degree_floor,
+    below_degree_floor,
     core_graph,
 )
 from .engine import (
@@ -209,63 +209,32 @@ def _smallest_cut(maker, members: int, avail, limit: int | None = None) -> list:
 
 class _ClaimView:
     """Maker's adjacency masks (``maker``) and the unclaimed pool's masks
-    (``avail``) at the last position seen, carried from turn to turn.
+    (``avail``) at the claim sets ``seen`` last seen, carried from turn to
+    turn.  It reads only a position's claim sets, never its log.
 
-    ``see(pos)`` reads only the entries that ``pos.log`` holds past the one
-    it read last, and trusts them when all of these hold:
-
-    * the entry read last is the same object at the same index of
-      ``pos.log`` (with none read yet, the view holds no claims);
-    * every element read lies in ``pos.maker`` or ``pos.breaker``, as its
-      entry's player says;
-    * the Maker and Breaker claims it then counts, its own and those read,
-      number ``len(pos.maker)`` and ``len(pos.breaker)``.
-
-    Otherwise it rebuilds from ``pos.maker`` and ``pos.breaker``: so it does
-    for a position earlier than the last one seen, a hand-built position
-    with an empty log, and a probe position holding a claim its log lacks.
+    ``see(pos)`` applies the claims of ``pos.maker`` and ``pos.breaker`` not
+    seen yet.  When a claim seen is missing from them (an earlier position,
+    another game), it starts again from no claims.
     """
 
     def __init__(self, pool_masks):
         self.pool_masks = pool_masks
-        self._rebuild(Position(frozenset(), frozenset(), MAKER))  # no claims yet
+        self.maker, self.avail = [0] * len(pool_masks), list(pool_masks)
+        self.seen = frozenset(), frozenset()
 
     def see(self, pos: Position) -> "_ClaimView":
-        log = pos.log
-        i = self.read
-        if i > len(log) or (log[i - 1] is not self.last if i else self.counts != (0, 0)):
-            return self._rebuild(pos)
-        n_maker, n_breaker = self.counts
-        for k in range(i, len(log)):
-            player, elements = log[k]
-            owned, maker = (pos.maker, self.maker) if player == MAKER else (pos.breaker, None)
-            for e in elements:
-                if e not in owned:
-                    return self._rebuild(pos)
-                _apply_claim(maker, self.avail, e)
-            if player == MAKER:
-                n_maker += len(elements)
-            else:
-                n_breaker += len(elements)
-        if n_maker != len(pos.maker) or n_breaker != len(pos.breaker):
-            return self._rebuild(pos)
-        self._mark(pos)
-        return self
-
-    def _rebuild(self, pos: Position) -> "_ClaimView":
-        self.maker = [0] * len(self.pool_masks)
-        self.avail = list(self.pool_masks)
-        for e in pos.maker:
+        seen_maker, seen_breaker = self.seen
+        new_maker, new_breaker = pos.maker - seen_maker, pos.breaker - seen_breaker
+        kept = len(pos.maker) - len(new_maker), len(pos.breaker) - len(new_breaker)
+        if kept != (len(seen_maker), len(seen_breaker)):
+            self.maker, self.avail = [0] * len(self.pool_masks), list(self.pool_masks)
+            new_maker, new_breaker = pos.maker, pos.breaker
+        for e in new_maker:
             _apply_claim(self.maker, self.avail, e)
-        for e in pos.breaker:
+        for e in new_breaker:
             _apply_claim(None, self.avail, e)
-        self._mark(pos)
+        self.seen = pos.maker, pos.breaker
         return self
-
-    def _mark(self, pos: Position):
-        self.counts = (len(pos.maker), len(pos.breaker))
-        self.read = len(pos.log)
-        self.last = pos.log[-1] if pos.log else None
 
 
 def _apply_claim(maker, avail, edge):
@@ -468,12 +437,7 @@ class _SpecialEdgeMaker(Strategy):
         need = batch_size(spec, pos)
         batch = [edge]
         if need > 1:
-            probe = Position(
-                maker=pos.maker | {edge},
-                breaker=pos.breaker,
-                to_move=pos.to_move,
-                log=pos.log,
-            )
+            probe = Position(pos.maker | {edge}, pos.breaker, pos.to_move)
             extra = self.inner.propose(spec, probe)
             batch.extend((extra or ())[: need - 1])
         return tuple(batch) if len(batch) == need else None
@@ -566,7 +530,6 @@ class ConnectedEdgeMaker(_SpecialEdgeMaker):
             raise DomainError(f"b must be a positive integer, got {b}")
         if not isinstance(find_odd_cycle(g), OddCycleWitness):
             raise DomainError("host is bipartite; the odd cycle game is unwinnable")
-        self.b = b
         rng = random.Random(seed)
         found = _spanning_bipartition_search(g, k_prime, rng)
         if found is not None:
@@ -727,7 +690,6 @@ class DenseVertexMaker(Strategy):
     def __init__(self, g: Graph, delta, b: int, core: BipartiteCore):
         self.g = g
         self.delta = Fraction(delta)
-        self.b = b
         self.core = core
         self.h, self.to_host = core_graph(g, self.core)
         self.to_local = {host: i for i, host in enumerate(self.to_host)}
@@ -757,7 +719,7 @@ class DenseVertexMaker(Strategy):
         # H-degree at least (delta*n - ceil(1/delta)*n^(3/4)) / 2, exactly
         d = self.h.degree(local_v)
         t = frac_ceil(1 / self.delta)
-        return not _below_degree_floor(
+        return not below_degree_floor(
             Fraction(2 * d), self.delta * self.g.n, t, self.g.n
         )
 

@@ -1,6 +1,7 @@
 """Shared graph builders, a scripted strategy, the decomposition-backed
 Makers on forced cores, uniform vertex sampling, the small-graph
-isomorphism-class enumeration and the set-based component search."""
+isomorphism-class enumeration, the set-based component search and the
+solver's node loop before its one choice routine."""
 
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -8,8 +9,9 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from makerbreaker.decompose import extract_bipartite_core, extract_chromatic_core
-from makerbreaker.engine import Strategy
+from makerbreaker.engine import BREAKER, MAKER, Strategy
 from makerbreaker.graphs import Graph
+from makerbreaker.solver import _mask_elements, _Solver
 from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
 
 
@@ -148,3 +150,80 @@ class ScriptedStrategy(Strategy):
         batch = self.batches[self.cursor]
         self.cursor += 1
         return batch
+
+
+class SolverBeforeChoose(_Solver):
+    """``solver._Solver`` as it was before ``choose``: ``win`` and
+    ``principal_line`` each work out the batch a player makes."""
+
+    def winning_subset(self, m, unclaimed):
+        most = min(self.spec.maker_bias, unclaimed.bit_count())
+        for size in range(1, most + 1):
+            for batch in self.batches(unclaimed, size):
+                if self.eval_win(m | batch):
+                    return batch
+        return None
+
+    def win(self, m, b, mover) -> bool:
+        key = (m, b, mover)
+        res = self.memo.get(key)
+        if res is not None:
+            return res
+        self.nodes += 1
+        unclaimed = self.full & ~m & ~b
+        if not unclaimed:
+            res = self.eval_win(m)
+        elif self.monotone and not self.eval_win(m | unclaimed):
+            res = False
+        elif mover == MAKER:
+            res = not self.monotone and self.winning_subset(m, unclaimed) is not None
+            if not res:
+                for batch in self.batches(unclaimed, self.spec.maker_bias):
+                    nm = m | batch
+                    if self.eval_win(nm) or self.win(nm, b, BREAKER):
+                        res = True
+                        break
+        else:
+            res = True
+            for batch in self.batches(unclaimed, self.spec.breaker_bias):
+                if not self.win(m, b | batch, MAKER):
+                    res = False
+                    break
+        self.memo[key] = res
+        return res
+
+    def principal_line(self) -> tuple:
+        line = []
+        m = b = 0
+        mover = self.spec.first
+        while True:
+            unclaimed = self.full & ~m & ~b
+            if not unclaimed:
+                break
+            bias = self.spec.bias_of(mover)
+            chosen = None
+            if mover == MAKER:
+                if not self.monotone:
+                    chosen = self.winning_subset(m, unclaimed)
+                if chosen is None:
+                    for batch in self.batches(unclaimed, bias):
+                        if self.eval_win(m | batch) or self.win(m | batch, b, BREAKER):
+                            chosen = batch
+                            break
+            else:
+                for batch in self.batches(unclaimed, bias):
+                    if not self.win(m, b | batch, MAKER):
+                        chosen = batch
+                        break
+            if chosen is None:
+                chosen = next(self.batches(unclaimed, bias))
+            line.append((mover, _mask_elements(self.board, chosen)))
+            if mover == MAKER:
+                m |= chosen
+                if self.eval_win(m):
+                    break
+                mover = BREAKER
+            else:
+                b |= chosen
+                mover = MAKER
+        return tuple(line)

@@ -229,21 +229,23 @@ class TestSolveVerify:
         assert exc.value.code == 2
 
 
+EXPERIMENT_CONFIG = {
+    "generator": {"family": "complete_multipartite",
+                  "params": {"sizes": [3] * 7}, "seed": 0},
+    "board_kind": "vertices",
+    "objective": {"kind": "odd-cycle"},
+    "maker": "dense-vertex(delta=6/7,b=2,force=true)",
+    "breaker": "random",
+    "maker_bias": 1, "breaker_bias": 2, "first": "maker",
+    "trials": 5, "seed_base": 10,
+}
+
+
 class TestExperimentAndSweep:
     @pytest.fixture
     def config_file(self, tmp_path):
-        cfg = {
-            "generator": {"family": "complete_multipartite",
-                          "params": {"sizes": [3] * 7}, "seed": 0},
-            "board_kind": "vertices",
-            "objective": {"kind": "odd-cycle"},
-            "maker": "dense-vertex(delta=6/7,b=2,force=true)",
-            "breaker": "random",
-            "maker_bias": 1, "breaker_bias": 2, "first": "maker",
-            "trials": 5, "seed_base": 10,
-        }
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(EXPERIMENT_CONFIG))
         return path
 
     def test_experiment_json(self, config_file, capsys):
@@ -300,6 +302,48 @@ class TestExperimentAndSweep:
         assert run_cli("experiment", str(config_file)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "trails" in err
+
+
+class TestMalformedNumbers:
+    """A malformed number or JSON value ends in exit 1 with a message that
+    names the flag, the line or the token it came from, not Python's own
+    ``int()`` text."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["solve", "@triangle", "--bias", "1"], "--bias '1'"),
+            (["solve", "@triangle", "--bias", "1:x"], "--bias '1:x'"),
+            (["solve", "@triangle", "--bias", "y:1"], "--bias 'y:1'"),
+            (["solve", "@bad_line"], "'e 0 x'"),
+            (["solve", "@triangle", "--objective", "non-x-colorable"], "'non-x-colorable'"),
+            (["solve", "@triangle", "--objective", "k-edge-connected"], "'k-edge-connected'"),
+            (["solve", "@triangle", "--board", "vertices", "--objective", "aux-connect 0,y"],
+             "'aux-connect 0,y'"),
+            (["generate", "--family", "complete_multipartite", "--param", "sizes=3x"],
+             "--param 'sizes=3x'"),
+            (["generate", "--family", "complete_multipartite", "--param", "sizes=3x2x2"],
+             "--param 'sizes=3x2x2'"),
+            (["generate", "--family", "complete_multipartite", "--param", "sizes=3-z"],
+             "--param 'sizes=3-z'"),
+            (["generate", "--family", "union", "--param", "left={x"], "--param 'left={x'"),
+            (["sweep", "@config", "--b-range", "1:x"], "--b-range '1:x'"),
+            (["sweep", "@config", "--b-range", "x"], "--b-range 'x'"),
+        ],
+    )
+    def test_message_names_the_input(self, tmp_path, capsys, argv, named):
+        files = {
+            "triangle": "p 3 3\ne 0 1\ne 1 2\ne 0 2\n",
+            "bad_line": "p 3 1\ne 0 x\n",
+            "config": json.dumps(EXPERIMENT_CONFIG),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "invalid literal" not in err
 
 
 # -- fuzzing the whole command line ---------------------------------------------------
@@ -529,7 +573,7 @@ def config_docs(draw):
 @st.composite
 def command_lines(draw):
     """A command line for any subcommand, with its files' contents; "{graph}"
-    and "{config}" in it stand for the files."""
+    and "@config" in it stand for the files."""
     command = draw(
         good_or_bad(
             ["generate", "decompose", "play", "solve", "verify", "experiment", "sweep"], ["bogus"]
@@ -539,7 +583,7 @@ def command_lines(draw):
     if command in ("decompose", "play", "solve", "verify"):
         argv.append("{graph}")
     if command in ("experiment", "sweep"):
-        argv.append("{config}")
+        argv.append("@config")
     if command in ("play", "solve", "verify"):
         for flag, values in (
             ("--board", good_or_bad(["edges", "vertices"], ["faces"])),
@@ -585,10 +629,10 @@ class TestCommandLineFuzz:
         argv, graph_text, config_text = case
         with tempfile.TemporaryDirectory() as tmp:
             files = {"{graph}": os.path.join(tmp, "g.graph"),
-                     "{config}": os.path.join(tmp, "config.json")}
+                     "@config": os.path.join(tmp, "config.json")}
             with open(files["{graph}"], "w") as f:
                 f.write(graph_text)
-            with open(files["{config}"], "w") as f:
+            with open(files["@config"], "w") as f:
                 f.write(config_text)
             argv = [files.get(a, a) for a in argv]
             out, err = io.StringIO(), io.StringIO()

@@ -11,8 +11,8 @@ from makerbreaker.connectivity import vertex_connectivity
 from makerbreaker.decompose import (
     EXACT_CUT_LIMIT,
     _balanced_cut_exact,
-    _below_degree_floor,
     _normalize_sides,
+    below_degree_floor,
     core_graph,
     extract_bipartite_core,
     extract_chromatic_core,
@@ -284,7 +284,7 @@ class TestBalancedCutExact:
 
 
 def below_degree_floor_by_fractions(d, delta_n, t, n):
-    """``_below_degree_floor`` as it was before it cross-multiplied."""
+    """``below_degree_floor`` as it was before it cross-multiplied."""
     diff = delta_n - d
     return diff > 0 and diff**4 > Fraction(t) ** 4 * n**3
 
@@ -304,7 +304,7 @@ class TestBelowDegreeFloor:
     )
     def test_matches_fraction_form(self, d, num, den, t, n):
         delta_n = Fraction(num, den)
-        assert _below_degree_floor(d, delta_n, t, n) == below_degree_floor_by_fractions(
+        assert below_degree_floor(d, delta_n, t, n) == below_degree_floor_by_fractions(
             d, delta_n, t, n
         )
 

@@ -200,7 +200,7 @@ def host_log(monkeypatch):
     every host a strategy is built on."""
     monkeypatch.setattr(harness, "_last_host", (None, None))
     monkeypatch.setattr(harness, "_core_cache", {})
-    monkeypatch.setattr(decompose, "_last_core_graph", (None, None, None))
+    decompose.core_graph.cache_clear()
     log = {"generated": [], "built_on": []}
     generate, build = harness.generate, harness.build_strategy
 
@@ -245,7 +245,7 @@ class TestHostMemo:
         warm = run_experiment(cfg).canonical_json()
         monkeypatch.setattr(harness, "_last_host", (None, None))
         monkeypatch.setattr(harness, "_core_cache", {})
-        monkeypatch.setattr(decompose, "_last_core_graph", (None, None, None))
+        decompose.core_graph.cache_clear()
         assert run_experiment(cfg).canonical_json() == warm
         assert len(host_log["generated"]) == 2
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedStrategy, iso_classes, random_graphs
+from conftest import ScriptedStrategy, SolverBeforeChoose, iso_classes, random_graphs
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -429,6 +429,51 @@ class TestAgainstPreviousSolver:
             for b in (1, 2):
                 spec = odd_cycle_spec(g, b=b)
                 assert solve(spec) == PreviousSolver(spec).verdict()
+
+
+@st.composite
+def choice_specs(draw):
+    """A spec on at most 10 board elements: ``odd-cycle`` or ``non-2-colorable``
+    on either board, ``spanning-connected`` on edges or ``aux-connect`` on
+    vertices, biases 1-3 and either player first."""
+    kind = draw(st.sampled_from(
+        ("odd-cycle", "spanning-connected", "non-k-colorable", "aux-connect")
+    ))
+    if kind == "spanning-connected":
+        board_kind = EDGES
+    elif kind == "aux-connect":
+        board_kind = VERTICES
+    else:
+        board_kind = draw(st.sampled_from((EDGES, VERTICES)))
+    if board_kind == EDGES:
+        host = draw(random_graphs(max_n=7, max_edges=10))
+    else:
+        host = draw(random_graphs(max_n=10))
+    anchor = None
+    if kind == "aux-connect":
+        anchor = frozenset(draw(st.sets(st.integers(0, host.n - 1), max_size=2)))
+    return GameSpec(
+        host=host,
+        board_kind=board_kind,
+        objective=WinPredicate(kind, k=2 if kind == "non-k-colorable" else None, anchor=anchor),
+        maker_bias=draw(st.integers(min_value=1, max_value=3)),
+        breaker_bias=draw(st.integers(min_value=1, max_value=3)),
+        first=draw(st.sampled_from((MAKER, BREAKER))),
+    )
+
+
+class TestChooseAgainstReference:
+    """``_Solver.choose`` gives the same verdict, node count and principal
+    line as the node loop before it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(choice_specs())
+    def test_same_verdict_nodes_and_line(self, spec):
+        reference = SolverBeforeChoose(spec)
+        maker_wins = reference.win(0, 0, spec.first)
+        line = reference.principal_line()
+        expected = SolveVerdict(MAKER if maker_wins else BREAKER, line, reference.nodes)
+        assert solve(spec) == expected
 
 
 def playout_winner(spec):

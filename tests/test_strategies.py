@@ -56,6 +56,7 @@ from makerbreaker.strategies import (
     DenseVertexMaker,
     MergePlan,
     RandomStrategy,
+    _ClaimView,
     _maker_two_coloring,
     _smallest_cut,
     _spanning_bipartition_search,
@@ -260,6 +261,36 @@ class CheckedCutAttack(CutAttackBreaker):
 
 
 class TestClaimView:
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs(max_n=8), st.data())
+    def test_view_matches_a_rebuild_after_every_see(self, g, data):
+        """Claims played forward, a jump back, a probe and a hand-built
+        position with an empty log: the view reads only the claim sets."""
+        assume(g.m > 0)
+        view = _ClaimView(g.neighbor_masks())
+        order = data.draw(st.permutations(sorted(g.edges)))
+        owners = data.draw(st.lists(st.sampled_from((MAKER, BREAKER)),
+                                    min_size=len(order), max_size=len(order)))
+        positions = [Position(frozenset(), frozenset(), MAKER)]
+        for e, player in zip(order, owners):
+            pos = positions[-1]
+            maker = pos.maker | {e} if player == MAKER else pos.maker
+            breaker = pos.breaker | {e} if player == BREAKER else pos.breaker
+            log = pos.log + ((player, (e,)),)
+            positions.append(Position(maker, breaker, BREAKER if player == MAKER else MAKER, log))
+            assert view_matches_rebuild(view.see(positions[-1]), g.edges, positions[-1])
+        parent = positions[data.draw(st.integers(0, len(positions) - 1))]
+        assert view_matches_rebuild(view.see(parent), g.edges, parent)
+        free = sorted(g.edges - parent.claimed())
+        if free:
+            e = data.draw(st.sampled_from(free))
+            probe = Position(parent.maker | {e}, parent.breaker, parent.to_move, parent.log)
+            assert view_matches_rebuild(view.see(probe), g.edges, probe)
+        claims = data.draw(st.lists(st.sampled_from(order), unique=True))
+        split = data.draw(st.integers(0, len(claims)))
+        built = Position(frozenset(claims[:split]), frozenset(claims[split:]), MAKER)
+        assert view_matches_rebuild(view.see(built), g.edges, built)
+
     @settings(max_examples=60, deadline=None)
     @given(
         random_graphs(max_n=10),
@@ -288,8 +319,8 @@ class TestClaimView:
         probe = Position(pos.maker | {(4, 5)}, pos.breaker, pos.to_move, pos.log)
         assert maker.propose(spec, probe) == ConnectivityMaker(g).propose(spec, probe)
         assert view_matches_rebuild(maker.view, g.edges, probe)
-        # the real position after the probed turn holds one claim fewer than
-        # the probe plus its new log entry
+        # the real position after the probed turn holds the probe's claims
+        # and one more
         nxt = apply_moves(spec, pos, MAKER, [(4, 5), (0, 3)])[0]
         assert maker.propose(spec, nxt) == ConnectivityMaker(g).propose(spec, nxt)
         assert view_matches_rebuild(maker.view, g.edges, nxt)
@@ -301,7 +332,8 @@ class TestClaimView:
         pos = apply_moves(spec, Position.initial(spec), MAKER, [(0, 1)])[0]
         pos = apply_moves(spec, pos, BREAKER, [(0, 2)])[0]
         maker.propose(spec, pos)
-        # the log says Maker took (1, 2), the claims say (3, 4): counts agree
+        # the log says Maker took (1, 2), the claims say (3, 4): the view
+        # follows the claims
         log = pos.log + ((MAKER, ((1, 2),)), (BREAKER, ((0, 3),)))
         odd = Position(pos.maker | {(3, 4)}, pos.breaker | {(0, 3)}, MAKER, log)
         assert maker.propose(spec, odd) == ConnectivityMaker(g).propose(spec, odd)
@@ -311,7 +343,7 @@ class TestClaimView:
         g = Graph.complete(5)
         spec = edge_spec(g, objective="spanning-connected")
         maker = ConnectivityMaker(g)
-        # equal claim counts, no log: only a rebuild tells them apart
+        # equal claim counts, no log: only the claim sets tell them apart
         for claims in ({(0, 1), (1, 2)}, {(3, 4), (2, 4)}, {(0, 4), (1, 3)}):
             pos = Position(frozenset(claims), frozenset({(0, 2)}), MAKER)
             assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
@@ -341,8 +373,8 @@ class TestClaimView:
                 positions.append(apply_moves(spec, positions[-1], player, elements)[0])
             games.append([p for p in positions if p.to_move == MAKER][:-1])
         assert games[0][1].log != games[1][1].log
-        # game 1's next position has the claim counts the view expects after
-        # game 0's, and its new entries lie in its own claims
+        # game 1's next position holds as many claims as the view expects
+        # after game 0's, but not game 0's claims
         maker = ConnectivityMaker(g)
         for turn in range(min(map(len, games)) - 1):
             for pos in (games[0][turn], games[1][turn + 1]):
