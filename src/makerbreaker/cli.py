@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 from .decompose import (
     extract_bipartite_core,
@@ -57,7 +59,7 @@ def _parse_params(pairs):
         if value.startswith("{"):
             try:
                 params[key] = json.loads(value)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DomainError(f"{where} is not valid JSON: {exc}") from None
         elif key == "sizes":
             if "x" in value:
@@ -86,6 +88,27 @@ def _cmd_generate(args):
     _emit(format_graph(g), args.out)
 
 
+# The record fields a decomposition document carries, per mode.
+DOCUMENT_FIELDS = {
+    "bfkm": ("parts", "certified_connectivity", "guarantees"),
+    "core": ("a", "b", "witness_edge", "certified_connectivity", "h_min_degree"),
+    "robust": ("parts", "moved", "split_count", "part_stats"),
+    "key2": ("a", "b", "chi_floor", "h_min_degree"),
+}
+
+
+def _plain(value):
+    """``value`` as JSON data: frozensets become sorted lists, tuples lists,
+    Fractions strings, and dataclasses objects of their fields."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
 def _cmd_decompose(args):
     g = _read_graph(args.graph)
     delta = parse_fraction(args.delta)
@@ -98,49 +121,15 @@ def _cmd_decompose(args):
         "host": {"fingerprint": g.fingerprint(), "n": g.n, "m": g.m},
     }
     if args.mode == "bfkm":
-        k = frac_ceil(delta * g.n)
-        part = highly_connected_partition(g, k)
-        doc["k"] = k
-        doc["parts"] = [sorted(p) for p in part.parts]
-        doc["certified_connectivity"] = part.certified_connectivity
-        doc["guarantees"] = [
-            {
-                "size": gu.size,
-                "size_floor": str(gu.size_floor),
-                "size_ok": gu.size_ok,
-                "certified_connectivity": gu.certified_connectivity,
-            }
-            for gu in part.guarantees
-        ]
+        doc["k"] = frac_ceil(delta * g.n)
+        record = highly_connected_partition(g, doc["k"])
     elif args.mode == "core":
-        core = extract_bipartite_core(g, delta, force=args.force)
-        doc["a"] = sorted(core.a)
-        doc["b"] = sorted(core.b)
-        doc["witness_edge"] = list(core.witness_edge)
-        doc["certified_connectivity"] = core.certified_connectivity
-        doc["h_min_degree"] = core.h_min_degree
+        record = extract_bipartite_core(g, delta, force=args.force)
     elif args.mode == "robust":
-        rp = robust_partition(g, delta, seed=args.seed)
-        doc["parts"] = [sorted(p) for p in rp.parts]
-        doc["moved"] = sorted(rp.moved)
-        doc["split_count"] = rp.split_count
-        doc["part_stats"] = [
-            {
-                "size": s.size,
-                "min_internal_degree": s.min_internal_degree,
-                "low_degree_count": s.low_degree_count,
-                "sparsest_balanced_cut": s.sparsest_balanced_cut,
-            }
-            for s in rp.part_stats
-        ]
-    elif args.mode == "key2":
-        core = extract_chromatic_core(g, delta, args.b, force=args.force, seed=args.seed)
-        doc["a"] = sorted(core.a)
-        doc["b"] = sorted(core.b)
-        doc["chi_floor"] = core.chi_floor
-        doc["h_min_degree"] = core.h_min_degree
-    else:
-        raise DomainError(f"unknown decompose mode {args.mode!r}")
+        record = robust_partition(g, delta, seed=args.seed)
+    else:  # key2, the last of the modes argparse admits
+        record = extract_chromatic_core(g, delta, args.b, force=args.force, seed=args.seed)
+    doc.update((name, _plain(getattr(record, name))) for name in DOCUMENT_FIELDS[args.mode])
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
@@ -196,7 +185,10 @@ def _cmd_verify(args):
 
 def _load_config(path: str) -> ExperimentConfig:
     with open(path) as f:
-        return ExperimentConfig.from_dict(json.load(f))
+        try:
+            return ExperimentConfig.from_dict(json.load(f))
+        except RecursionError:
+            raise DomainError(f"config {path!r} nests too deeply to decode") from None
 
 
 def _cmd_experiment(args):
@@ -235,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", parents=[common, seeded], help="run a decomposition")
     p.add_argument("graph")
-    p.add_argument("--mode", choices=("bfkm", "core", "robust", "key2"), required=True)
+    p.add_argument("--mode", choices=DOCUMENT_FIELDS, required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--force", action="store_true")

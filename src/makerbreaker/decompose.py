@@ -34,10 +34,10 @@ from .connectivity import (
 from .errors import DomainError, PreconditionError
 from .graphs import (
     Graph,
-    OddCycleWitness,
     cut_edges,
-    find_odd_cycle,
+    first_edge_inside,
     frac_ceil,
+    has_odd_cycle,
     induced_subgraph,
     min_degree,
 )
@@ -102,10 +102,6 @@ class RobustPartition:
     moved: frozenset
     split_count: int
     part_stats: tuple
-
-
-def _edges_inside(g: Graph, members) -> list:
-    return sorted((u, v) for u, v in g.edges if u in members and v in members)
 
 
 @lru_cache(maxsize=1)
@@ -218,26 +214,22 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
     k = frac_ceil(delta * n / 2)
     partition = highly_connected_partition(crossing, k)
 
-    chosen = None
-    for part in partition.parts:
-        sub, _ = induced_subgraph(g, part)
-        if isinstance(find_odd_cycle(sub), OddCycleWitness):
-            chosen = part
-            break
+    adj = g.neighbor_masks()
+    chosen = next(
+        (p for p in partition.parts if has_odd_cycle(adj, sum(1 << v for v in p))), None
+    )
     if chosen is None:
         raise PreconditionError(
             "every part is 2-colorable; the input did not satisfy the hypotheses"
         )
 
-    side1, side2 = chosen & x1, chosen & x2
-    inside1 = _edges_inside(g, side1)
-    if inside1:
-        a, b, witness = side1, side2, inside1[0]
-    else:
-        inside2 = _edges_inside(g, side2)
-        if not inside2:
-            raise RuntimeError("non-2-colorable part with no intra-side edge")
-        a, b, witness = side2, side1, inside2[0]
+    a, b = chosen & x1, chosen & x2
+    witness = first_edge_inside(g, a)
+    if witness is None:
+        a, b = b, a
+        witness = first_edge_inside(g, a)
+    if witness is None:
+        raise RuntimeError("non-2-colorable part with no intra-side edge")
 
     cert = partition.certified_connectivity
     if cert < frac_ceil(delta * delta * n / 64):

@@ -12,9 +12,10 @@ not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
 
 ``odd-cycle`` and ``spanning-connected`` each have one win decision in
-``MASK_WINS``, made by ``graphs.mask_search`` on ``maker_masks``.  The
-engine's win check and the solver decide them with it alone; a witness is
-built only once the decision is a win.
+``MASK_WINS``: ``graphs.has_odd_cycle`` and ``graphs.spans`` on
+``maker_masks``.  The engine's win check and the solver decide them with it
+alone; a witness is built only once the decision is a win.  ``aux-connect``
+is decided on the same masks by ``spans`` and then a triangle search.
 
 ``_outcome`` is the one place a game's result is worked out: ``play`` and
 ``replay_transcript`` stop at Maker's winning claim, a full board or a
@@ -33,9 +34,11 @@ from .graphs import (
     Graph,
     OddCycleWitness,
     find_odd_cycle,
+    has_odd_cycle,
     induced_subgraph,
     is_connected,
-    mask_search,
+    mask_bits,
+    spans,
 )
 
 MAKER = "maker"
@@ -233,11 +236,13 @@ def apply_moves(spec: GameSpec, pos: Position, player: str, elements) -> tuple:
     ), witness
 
 
-def _triangle(g: Graph):
-    for u, v in sorted(g.edges):
-        common = g.neighbors(u) & g.neighbors(v)
-        if common:
-            return (u, v, min(common))
+def _triangle(adj, verts: int):
+    """The least edge u < v on ``verts`` with a common neighbour, and the least one."""
+    for u in mask_bits(verts):
+        for v in mask_bits(adj[u] & verts >> u + 1 << u + 1):  # the v > u
+            common = adj[u] & adj[v] & verts
+            if common:
+                return (u, v, (common & -common).bit_length() - 1)
     return None
 
 
@@ -253,25 +258,10 @@ def maker_graph(spec: GameSpec, claims) -> tuple:
     return induced_subgraph(spec.host, claims)
 
 
-def _spans(adj, verts: int) -> bool:
-    """Whether the graph on ``verts`` has a vertex and is connected."""
-    return verts != 0 and mask_search(adj, verts, verts & -verts)[0] == verts
-
-
-def _has_odd_cycle(adj, verts: int) -> bool:
-    """Whether some component of the graph on ``verts`` has an odd cycle."""
-    while verts:
-        seen, _, clash = mask_search(adj, verts, verts & -verts)
-        if clash:
-            return True
-        verts &= ~seen
-    return False
-
-
 # The win decision of each objective that is decided on neighbour masks:
 # Maker's graph has the vertex bits ``verts``, and its vertex v sees the bits
 # ``adj[v] & verts``.
-MASK_WINS = {"odd-cycle": _has_odd_cycle, "spanning-connected": _spans}
+MASK_WINS = {"odd-cycle": has_odd_cycle, "spanning-connected": spans}
 
 
 def maker_masks(spec: GameSpec, claims) -> tuple:
@@ -317,15 +307,11 @@ def maker_win_witness(spec: GameSpec, maker_claims):
         return cycle if to_host is None else cycle.relabeled(to_host)
     if obj.kind == "aux-connect":
         union = frozenset(maker_claims) | obj.anchor
-        if not union:
-            return None
-        sub, to_parent = induced_subgraph(spec.host, union)
-        if is_connected(sub):
+        adj, verts = maker_masks(spec, union)
+        if spans(adj, verts):
             return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
-        tri = _triangle(sub)
-        if tri is not None:
-            return OddCycleWitness(tuple(to_parent[v] for v in tri))
-        return None
+        tri = _triangle(adj, verts)
+        return None if tri is None else OddCycleWitness(tri)
     g, _ = maker_graph(spec, maker_claims)
     if obj.kind == "non-k-colorable":
         won = is_k_colorable(g, obj.k) is None

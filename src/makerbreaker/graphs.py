@@ -13,8 +13,9 @@ a time, and the short paths that seed vertex flows are read off them.  The
 Gray-code walk here only enumerates bipartitions as masks.
 
 ``mask_search``, the one search over neighbor masks, answers every
-component, connectivity, bipartiteness and 2-coloring question about Maker's
-graph; ``find_odd_cycle`` only builds the odd cycle of a witness.
+component, connectivity, bipartiteness and 2-coloring question; every yes/no
+one is ``has_odd_cycle`` or ``spans`` on a vertex mask, for Maker's graph and
+a host's part alike.  ``find_odd_cycle`` only builds the odd cycle of a witness.
 
 A graph has at most ``MAX_VERTICES`` vertices; a larger one is refused with
 ``ResourceLimitError`` before anything is allocated.
@@ -294,6 +295,21 @@ def mask_components(adj, verts: int):
         verts &= ~found[0]
 
 
+def spans(adj, verts: int) -> bool:
+    """Whether the graph on ``verts`` has a vertex and is connected."""
+    return verts != 0 and mask_search(adj, verts, verts & -verts)[0] == verts
+
+
+def has_odd_cycle(adj, verts: int) -> bool:
+    """Whether some component of the graph on ``verts`` has an odd cycle."""
+    while verts:
+        seen, _, clash = mask_search(adj, verts, verts & -verts)
+        if clash:
+            return True
+        verts &= ~seen
+    return False
+
+
 def mask_bits(mask: int) -> list:
     """The indices of the set bits of ``mask``, ascending."""
     out = []
@@ -316,8 +332,14 @@ def connected_components(g: Graph, members=None) -> list[frozenset]:
 
 
 def is_connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return g.n <= 1 or mask_search(g.neighbor_masks(), full, 1)[0] == full
+    return g.n <= 1 or spans(g.neighbor_masks(), (1 << g.n) - 1)
+
+
+def first_edge_inside(g: Graph, members):
+    """The smallest edge of g with both ends in ``members``, or None; a
+    member out of range raises DomainError."""
+    s = _check_vertex_set(g, members)
+    return min((e for e in g.edges if e[0] in s and e[1] in s), default=None)
 
 
 def gray_code_bipartitions(g: Graph):

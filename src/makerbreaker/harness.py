@@ -10,6 +10,7 @@ byte-for-byte except for the timestamp.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import os
@@ -90,14 +91,11 @@ def parse_ident(ident: str) -> tuple[str, dict]:
     return name, kwargs
 
 
-_core_cache: dict = {}
-
-
-def _cached_core(key: tuple, extract, *args, **kwargs):
-    """``extract(*args, **kwargs)``, computed once per ``key`` in this process."""
-    if key not in _core_cache:
-        _core_cache[key] = extract(*args, **kwargs)
-    return _core_cache[key]
+@functools.cache
+def _cached_core(extract, g: Graph, delta: Fraction, *args, **kwargs):
+    """``extract(g, delta, *args, **kwargs)``, once per argument tuple in this
+    process; callers pass ``delta`` as a Fraction and ``force`` as a bool."""
+    return extract(g, delta, *args, **kwargs)
 
 
 # The parameters each strategy identifier takes.
@@ -133,18 +131,16 @@ def build_strategy(ident: str, g: Graph):
     if name == "connectivity":
         return ConnectivityMaker(g)
     if name == "dense-edge":
-        delta, force = param("delta"), kw.get("force", False)
-        key = ("bipartite", g.fingerprint(), Fraction(delta), bool(force))
-        core = _cached_core(key, extract_bipartite_core, g, delta, force=force)
+        delta, force = param("delta"), bool(kw.get("force", False))
+        core = _cached_core(extract_bipartite_core, g, Fraction(delta), force=force)
         return DenseEdgeMaker(g, delta, core=core)
     if name == "connected-edge":
         return ConnectedEdgeMaker(
             g, int(param("b")), k_prime=kw.get("k"), seed=int(kw.get("seed", 0))
         )
     delta, b = param("delta"), int(param("b"))  # dense-vertex, the last name left
-    force, seed = kw.get("force", False), int(kw.get("seed", 0))
-    key = ("chromatic", g.fingerprint(), Fraction(delta), b, bool(force), seed)
-    core = _cached_core(key, extract_chromatic_core, g, delta, b, force=force, seed=seed)
+    force, seed = bool(kw.get("force", False)), int(kw.get("seed", 0))
+    core = _cached_core(extract_chromatic_core, g, Fraction(delta), b, force=force, seed=seed)
     return DenseVertexMaker(g, delta, b, core=core)
 
 
@@ -278,7 +274,9 @@ _last_host: tuple = (None, None)
 def _experiment_host(gen: dict) -> Graph:
     """The host ``gen`` describes.  The previous experiment's host is reused
     when its family, params (nested child specs included) and seed compare
-    equal, so a bias sweep or a repeated config generates it once."""
+    equal, so a bias sweep or a repeated config generates it once.  Nested
+    dicts are unhashable, so ``functools.cache`` cannot keep this memo, and a
+    JSON-text key would raise TypeError on the non-JSON params the API takes."""
     global _last_host
     key = (require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
     if _last_host[0] != key:

@@ -23,7 +23,8 @@ the mask by the engine's ``MASK_WINS``, the same decision the engine's win
 check makes, on neighbour masks the solver builds per claim mask; the other
 objectives (``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
 ``maker_win_witness`` on the claimed elements.  A board over its cap is
-refused by the host's size, before the board is built.
+refused by the host's size, before the board is built; the verifier's walk
+recurses once per turn, and ``VERIFY_BOARD_CAP`` keeps it off ``RecursionError``.
 
 ``solve_reference`` is an intentionally plain recursive implementation kept
 free of memoization and pruning, used to cross-check the main solver.
@@ -50,6 +51,7 @@ from .errors import DomainError, IllegalMoveError, ResourceLimitError
 
 SOLVE_BOARD_CAP = 18
 REFERENCE_BOARD_CAP = 12
+VERIFY_BOARD_CAP = 300
 VERIFY_NODE_BUDGET = 2_000_000
 
 
@@ -264,8 +266,10 @@ def verify_maker_strategy(
     Requires a position-pure strategy (proposals depend only on the visible
     position), which makes subtree results memoizable.  Returns a concrete
     losing transcript when one exists; a proposal that is illegal or None
-    counts as an immediate loss by forfeit.
+    counts as an immediate loss by forfeit.  Boards above
+    ``VERIFY_BOARD_CAP`` elements are refused.
     """
+    _check_board(spec, VERIFY_BOARD_CAP, "verify")
     if not getattr(maker, "position_pure", False):
         raise DomainError("verification needs a position-pure maker strategy")
     maker.reset(spec, 0)

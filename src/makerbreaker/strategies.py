@@ -53,12 +53,12 @@ from .engine import (
 from .errors import DomainError, ResourceLimitError
 from .graphs import (
     Graph,
-    OddCycleWitness,
     connected_components,
     cut_edges,
-    find_odd_cycle,
+    first_edge_inside,
     frac_ceil,
     gray_code_bipartitions,
+    has_odd_cycle,
     mask_bits,
     mask_components,
     mask_search,
@@ -474,33 +474,33 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
     if n < 2 or g.m == 0:
         return None
 
+    nbr = g.neighbor_masks()
+
     def side_zero(ones_mask):
         return frozenset(i for i in range(n) if not ones_mask >> i & 1)
 
+    def cross_floor(ones_mask):  # the fewest neighbours a vertex has across
+        return min((x & (~ones_mask if ones_mask >> v & 1 else ones_mask)).bit_count()
+                   for v, x in enumerate(nbr))
+
     def achieved(ones_mask):
         cg = Graph(n, [(u, v) for u, v in g.edges if (ones_mask >> u ^ ones_mask >> v) & 1])
-        if any(cg.degree(v) == 0 for v in range(n)):
-            return 0
         return edge_connectivity(cg)
 
     if any(g.degree(v) == 0 for v in range(n)):
         return None
 
     if n <= EXACT_CUT_LIMIT:
-        nbr = g.neighbor_masks()
-        best = None
+        # the least lambda a mask must reach: k_prime, or beating the best so far
+        best, need = None, max(k_prime or 0, 1)
         for mask in gray_code_bipartitions(g):
-            # every vertex needs a neighbor on the other side
-            if not all(nbr[v] & (~mask if mask >> v & 1 else mask) for v in range(n)):
+            if cross_floor(mask) < need:  # lambda is at most the cross floor
                 continue
             lam = achieved(mask)
-            if lam == 0:
-                continue
-            if k_prime is not None:
-                if lam >= k_prime:
+            if lam >= need:
+                if k_prime is not None:
                     return side_zero(mask), lam
-            elif best is None or lam > best[1]:
-                best = (side_zero(mask), lam)
+                best, need = (side_zero(mask), lam), lam + 1
         return best
 
     # annealing max-cut, then one connectivity check on the outcome
@@ -513,7 +513,7 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
             side[v] ^= 1
         temp *= 0.999
     mask = sum(1 << v for v in range(n) if side[v])
-    lam = achieved(mask)
+    lam = cross_floor(mask) and achieved(mask)
     if lam == 0 or (k_prime is not None and lam < k_prime):
         return None
     return side_zero(mask), lam
@@ -528,21 +528,15 @@ class ConnectedEdgeMaker(_SpecialEdgeMaker):
     def __init__(self, g: Graph, b: int, *, k_prime: int | None = None, seed: int = 0):
         if b < 1:
             raise DomainError(f"b must be a positive integer, got {b}")
-        if not isinstance(find_odd_cycle(g), OddCycleWitness):
+        if not has_odd_cycle(g.neighbor_masks(), (1 << g.n) - 1):
             raise DomainError("host is bipartite; the odd cycle game is unwinnable")
         rng = random.Random(seed)
         found = _spanning_bipartition_search(g, k_prime, rng)
         if found is not None:
             side_a, lam = found
             side_b = frozenset(range(g.n)) - side_a
-            inside = sorted(
-                e for e in g.edges if (e[0] in side_a) == (e[1] in side_a)
-            )
-            pick = [e for e in inside if e[0] in side_a and e[1] in side_a]
-            if not pick:
-                pick = inside
             self.case = 1
-            self.special_edge = pick[0]
+            self.special_edge = first_edge_inside(g, side_a) or first_edge_inside(g, side_b)
             self.pool = frozenset(cut_edges(g, side_a, side_b))
             self.k_prime = lam
         else:

@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 from conftest import random_graphs
 from makerbreaker import coloring
 from makerbreaker.cli import main
+from makerbreaker.decompose import (
+    extract_bipartite_core,
+    extract_chromatic_core,
+    highly_connected_partition,
+    robust_partition,
+)
 from makerbreaker.engine import GameSpec, WinPredicate, replay_transcript
 from makerbreaker.generators import FAMILIES
-from makerbreaker.graphs import Graph, format_graph, parse_graph
+from makerbreaker.graphs import Graph, format_graph, frac_ceil, parse_graph
+from makerbreaker.harness import parse_fraction
 
 
 def run_cli(*argv):
@@ -112,6 +119,84 @@ class TestDecompose:
         code = run_cli("decompose", str(tripartite_file), "--mode", mode, "--delta", delta)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: not a fraction")
+
+
+def field_by_field_document(g, mode, delta_text, b=1, seed=0, force=False):
+    """A ``decompose-v1`` document as the CLI wrote it before documents were
+    read from the records: each field copied by hand."""
+    delta = parse_fraction(delta_text)
+    doc = {
+        "version": "decompose-v1",
+        "mode": mode,
+        "delta": str(delta),
+        "seed": seed,
+        "force": force,
+        "host": {"fingerprint": g.fingerprint(), "n": g.n, "m": g.m},
+    }
+    if mode == "bfkm":
+        k = frac_ceil(delta * g.n)
+        part = highly_connected_partition(g, k)
+        doc["k"] = k
+        doc["parts"] = [sorted(p) for p in part.parts]
+        doc["certified_connectivity"] = part.certified_connectivity
+        doc["guarantees"] = [
+            {
+                "size": gu.size,
+                "size_floor": str(gu.size_floor),
+                "size_ok": gu.size_ok,
+                "certified_connectivity": gu.certified_connectivity,
+            }
+            for gu in part.guarantees
+        ]
+    elif mode == "core":
+        core = extract_bipartite_core(g, delta, force=force)
+        doc["a"] = sorted(core.a)
+        doc["b"] = sorted(core.b)
+        doc["witness_edge"] = list(core.witness_edge)
+        doc["certified_connectivity"] = core.certified_connectivity
+        doc["h_min_degree"] = core.h_min_degree
+    elif mode == "robust":
+        rp = robust_partition(g, delta, seed=seed)
+        doc["parts"] = [sorted(p) for p in rp.parts]
+        doc["moved"] = sorted(rp.moved)
+        doc["split_count"] = rp.split_count
+        doc["part_stats"] = [
+            {
+                "size": s.size,
+                "min_internal_degree": s.min_internal_degree,
+                "low_degree_count": s.low_degree_count,
+                "sparsest_balanced_cut": s.sparsest_balanced_cut,
+            }
+            for s in rp.part_stats
+        ]
+    else:
+        core = extract_chromatic_core(g, delta, b, force=force, seed=seed)
+        doc["a"] = sorted(core.a)
+        doc["b"] = sorted(core.b)
+        doc["chi_floor"] = core.chi_floor
+        doc["h_min_degree"] = core.h_min_degree
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestDocumentsFromRecords:
+    @pytest.mark.parametrize("mode", ["bfkm", "core", "robust", "key2"])
+    @pytest.mark.parametrize(
+        "family, params, seed",
+        [("complete_multipartite", ["sizes=3x7"], 0), ("gnp", ["n=24", "p=0.6"], 3)],
+    )
+    def test_same_bytes_as_the_field_by_field_mapping(
+        self, tmp_path, capsys, mode, family, params, seed
+    ):
+        path = tmp_path / "g.graph"
+        argv = ["generate", "--family", family, "--seed", str(seed), "--out", str(path)]
+        for param in params:
+            argv += ["--param", param]
+        assert run_cli(*argv) == 0
+        g = parse_graph(path.read_text())
+        assert run_cli("decompose", str(path), "--mode", mode, "--delta", "1/3",
+                       "--b", "1", "--seed", "2", "--force") == 0
+        out = capsys.readouterr().out
+        assert out == field_by_field_document(g, mode, "1/3", b=1, seed=2, force=True)
 
 
 class TestPlay:
@@ -218,6 +303,14 @@ class TestSolveVerify:
                        "--maker", "connectivity") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["always_wins"] is True and doc["counter"] is None
+
+    def test_verify_board_above_its_cap_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "p600.graph"
+        path.write_text(format_graph(Graph.path(600)))
+        assert run_cli("verify", str(path), "--objective", "spanning-connected",
+                       "--maker", "connectivity") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds the verify cap 300" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -344,6 +437,21 @@ class TestMalformedNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert "invalid literal" not in err
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_deeply_nested_config_is_a_domain_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"generator": ' + "[" * 100_000)
+        extra = ["--b-range", "1:2"] if command == "sweep" else []
+        assert run_cli(command, str(path), *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "nests too deeply" in err
+
+    def test_deeply_nested_param_is_a_domain_error(self, capsys):
+        value = 'left={"a":' + "[" * 100_000
+        assert run_cli("generate", "--family", "gnp", "--param", value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --param 'left=") and "is not valid JSON" in err
 
 
 # -- fuzzing the whole command line ---------------------------------------------------

@@ -15,7 +15,6 @@ from makerbreaker.engine import (
     Position,
     Strategy,
     WinPredicate,
-    _triangle,
     apply_moves,
     format_transcript,
     legal_moves,
@@ -289,6 +288,17 @@ class TestEvaluate:
             assert maker_win_witness(spec, base | {extra}) is not None
 
 
+def _triangle(g: Graph):
+    """The first triangle of g: its smallest edge with a common neighbour,
+    and the smallest such neighbour (the engine's check before it read
+    neighbour masks)."""
+    for u, v in sorted(g.edges):
+        common = g.neighbors(u) & g.neighbors(v)
+        if common:
+            return (u, v, min(common))
+    return None
+
+
 def two_branch_win_witness(spec, maker_claims):
     """The win check as it was written before ``maker_graph``: one branch per
     board kind, each with its own objective dispatch."""
@@ -373,6 +383,14 @@ class TestOneMakerGraph:
         spec, claims = spec_claims
         assert maker_win_witness(spec, claims) == two_branch_win_witness(spec, claims)
         assert maker_win_witness(spec, sorted(claims)) == two_branch_win_witness(spec, claims)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
+    def test_aux_connect_on_random_anchors_matches_the_subgraph_check(self, g, data):
+        vertices = st.frozensets(st.integers(min_value=0, max_value=g.n - 1))
+        anchor, claims = data.draw(vertices), data.draw(vertices)
+        spec = GameSpec(g, VERTICES, WinPredicate("aux-connect", anchor=anchor))
+        assert maker_win_witness(spec, claims) == two_branch_win_witness(spec, claims)
 
     def test_empty_host_is_not_spanned(self):
         spec = edge_spec(Graph(0), objective=WinPredicate("spanning-connected"))

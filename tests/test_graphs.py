@@ -21,14 +21,17 @@ from makerbreaker.graphs import (
     connected_components,
     cut_edges,
     find_odd_cycle,
+    first_edge_inside,
     format_graph,
     gray_code_bipartitions,
+    has_odd_cycle,
     induced_subgraph,
     is_connected,
     mask_bits,
     mask_search,
     min_degree,
     parse_graph,
+    spans,
     verify_odd_cycle,
 )
 
@@ -214,6 +217,36 @@ class TestMaskSearch:
 
     def test_mask_bits(self):
         assert mask_bits(0) == [] and mask_bits(0b101001) == [0, 3, 5]
+
+
+def induced_nx(g, members):
+    h = nx.Graph()
+    h.add_nodes_from(members)
+    h.add_edges_from((u, v) for u, v in g.edges if u in members and v in members)
+    return h
+
+
+class TestMaskDecisions:
+    @settings(max_examples=400, deadline=None)
+    @given(random_graphs(max_n=12), st.data())
+    def test_against_networkx_on_the_induced_graph(self, g, data):
+        members = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        h = induced_nx(g, members)
+        verts = sum(1 << v for v in members)
+        assert has_odd_cycle(g.neighbor_masks(), verts) == (not nx.is_bipartite(h))
+        assert spans(g.neighbor_masks(), verts) == (bool(members) and nx.is_connected(h))
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
+    def test_first_edge_inside_is_the_least_inside_edge(self, g, data):
+        members = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        inside = sorted((u, v) for u, v in g.edges if u in members and v in members)
+        assert first_edge_inside(g, members) == (inside[0] if inside else None)
+        assert first_edge_inside(g, frozenset(members)) == first_edge_inside(g, members)
+
+    def test_first_edge_inside_checks_its_members(self):
+        with pytest.raises(DomainError):
+            first_edge_inside(Graph(3, [(0, 1)]), {0, 3})
 
 
 class TestGrayCodeBipartitions:

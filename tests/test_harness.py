@@ -199,7 +199,7 @@ def host_log(monkeypatch):
     """Empty process memos, and a log of every host ``generate`` builds and
     every host a strategy is built on."""
     monkeypatch.setattr(harness, "_last_host", (None, None))
-    monkeypatch.setattr(harness, "_core_cache", {})
+    harness._cached_core.cache_clear()
     decompose.core_graph.cache_clear()
     log = {"generated": [], "built_on": []}
     generate, build = harness.generate, harness.build_strategy
@@ -244,7 +244,7 @@ class TestHostMemo:
         run_experiment(cfg)
         warm = run_experiment(cfg).canonical_json()
         monkeypatch.setattr(harness, "_last_host", (None, None))
-        monkeypatch.setattr(harness, "_core_cache", {})
+        harness._cached_core.cache_clear()
         decompose.core_graph.cache_clear()
         assert run_experiment(cfg).canonical_json() == warm
         assert len(host_log["generated"]) == 2

@@ -1,4 +1,5 @@
-"""No module of the package imports a private name from another."""
+"""No module of the package imports a private name from another, or a
+name it never uses."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,40 @@ def test_a_private_import_is_found(tmp_path):
         "from collections import _private\n"
     )
     assert private_imports(path) == ["mod.py:3 _outcome"]
+
+
+def unused_imports(path: Path) -> list:
+    """Names ``path`` imports at module level and never reads, as
+    ``file:line name``; ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports in order to re-export
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from .graphs import (\n    Graph,\n    mask_bits,\n)\n"
+        "from .errors import DomainError as Refused\n"
+        "\n"
+        "def f(g: Graph):\n"
+        "    return os.path.join(json.dumps(g.n), 'x')\n"
+    )
+    assert unused_imports(path) == ["mod.py:4 mask_bits", "mod.py:8 Refused"]

@@ -28,6 +28,7 @@ from makerbreaker.generators import gnp
 from makerbreaker.graphs import Graph
 from makerbreaker.solver import (
     SOLVE_BOARD_CAP,
+    VERIFY_BOARD_CAP,
     SolveVerdict,
     _mask_decider,
     solve,
@@ -227,6 +228,20 @@ class TestVerify:
         with pytest.raises(ResourceLimitError) as err:
             verify_maker_strategy(spec, ConnectivityMaker(g), node_budget=5)
         assert err.value.stats["nodes_expanded"] > 5
+
+    def test_board_at_the_cap_is_walked_without_recursion_error(self):
+        # one edge per cap element; the walk recurses once per turn
+        g = Graph.path(VERIFY_BOARD_CAP + 1)
+        spec = GameSpec(host=g, board_kind=EDGES, objective=WinPredicate("spanning-connected"))
+        res = verify_maker_strategy(spec, ConnectivityMaker(g))
+        assert not res.always_wins and res.counter is not None
+
+    def test_board_above_the_cap_is_refused(self):
+        g = Graph.path(600)
+        spec = GameSpec(host=g, board_kind=EDGES, objective=WinPredicate("spanning-connected"))
+        with pytest.raises(ResourceLimitError) as err:
+            verify_maker_strategy(spec, ConnectivityMaker(g))
+        assert err.value.stats == {"board": 599, "cap": VERIFY_BOARD_CAP}
 
     def test_requires_position_pure(self):
         from makerbreaker.strategies import RandomStrategy

@@ -503,6 +503,23 @@ class TestSpanningBipartitionSearch:
             g, k_prime, random.Random(n)
         ) == spanning_bipartition_search_by_side_lists(g, k_prime, random.Random(n))
 
+    def test_cross_floor_spares_the_flows_on_a_dense_host(self, monkeypatch):
+        # every Gray-code mask used to pay one flow: 7,715 on this host
+        import makerbreaker.strategies as strategies
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return edge_connectivity(g)
+
+        monkeypatch.setattr(strategies, "edge_connectivity", counted)
+        g = gnp(14, 0.6, 1)
+        found = _spanning_bipartition_search(g, None, random.Random(0))
+        assert len(calls) <= 10
+        monkeypatch.undo()
+        assert found == spanning_bipartition_search_by_side_lists(g, None, random.Random(0))
+
 
 class TestConnectedEdgeMaker:
     def test_c5_with_chords_vs_solver(self):
