@@ -20,7 +20,7 @@ from .decompose import (
     robust_partition,
 )
 from .engine import GameSpec, WinPredicate, element_token
-from .errors import DomainError, ResourceLimitError, parse_int
+from .errors import DomainError, ResourceLimitError, parse_int, quoted
 from .generators import FAMILIES, generate
 from .graphs import format_graph, frac_ceil, parse_graph
 from .harness import (
@@ -54,8 +54,8 @@ def _parse_params(pairs):
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep:
-            raise DomainError(f"expected key=value, got {pair!r}")
-        where = f"--param {pair!r}"
+            raise DomainError(f"expected key=value, got {quoted(pair)}")
+        where = f"--param {quoted(pair)}"
         if value.startswith("{"):
             try:
                 params[key] = json.loads(value)

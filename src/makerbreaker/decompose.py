@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .coloring import is_k_colorable, chromatic_number
 from .connectivity import (
@@ -104,12 +103,12 @@ class RobustPartition:
     part_stats: tuple
 
 
-@lru_cache(maxsize=1)
 def core_graph(g: Graph, core: BipartiteCore) -> tuple[Graph, tuple]:
-    """The bipartite crossing graph (a+b, edges between a and b), relabeled.
+    """The bipartite crossing graph (a+b, edges between a and b), relabeled,
+    for checks that need a ``Graph`` of its own, such as its connectivity.
 
-    The last result is kept, so a strategy built again for an equal host and
-    core gets it without rescanning the host's edges.
+    The Makers play in host labels, on ``graphs.cross_masks`` of the core,
+    and never call this.
     """
     order = tuple(sorted(core.a | core.b))
     index = {old: new for new, old in enumerate(order)}

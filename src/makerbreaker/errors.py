@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import reprlib
+
 
 class DomainError(ValueError):
     """An argument is outside the operation's domain (bad vertex, empty graph, ...)."""
@@ -12,12 +14,28 @@ def require(mapping, key, context: str):
     return mapping[key]
 
 
+def refuse_unknown(keys, known, message: str):
+    """A DomainError ``message`` followed by the sorted ``keys`` not in ``known``, if any."""
+    unknown = sorted(map(str, set(keys) - set(known)))
+    if unknown:
+        raise DomainError(f"{message} {', '.join(unknown)}")
+
+
+def quoted(value) -> str:
+    """``value`` quoted for a message: a string cut to its first 40 characters
+    and an ellipsis when it is longer, any other value shortened by
+    ``reprlib``, which also cuts deep nesting."""
+    if not isinstance(value, str):
+        return reprlib.repr(value)
+    return repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
+
+
 def parse_int(text: str, context: str) -> int:
     """``int(text)``, or a DomainError saying that ``context`` needs an integer."""
     try:
         return int(text)
     except ValueError:
-        raise DomainError(f"{context} needs an integer, got {text!r}") from None
+        raise DomainError(f"{context} needs an integer, got {quoted(text)}") from None
 
 
 class PreconditionError(ValueError):

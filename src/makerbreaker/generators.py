@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DomainError, ResourceLimitError, require
+from .errors import DomainError, ResourceLimitError, quoted, refuse_unknown, require
 from .graphs import MAX_VERTICES, Graph
 
 # The most vertex pairs (or edges, or configuration-model stubs) a generator
@@ -120,33 +120,40 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, edges)
 
 
-FAMILIES = (
-    "gnp",
-    "complete_multipartite",
-    "odd_cycle_blowup",
-    "random_regular",
-    "union",
-    "join",
-)
+# The parameters each family takes; union and join take two child specs,
+# each with the keys ``CHILD_KEYS``.
+FAMILY_PARAMS = {
+    "gnp": ("n", "p"),
+    "complete_multipartite": ("sizes",),
+    "odd_cycle_blowup": ("length", "m"),
+    "random_regular": ("n", "d"),
+    "union": ("left", "right"),
+    "join": ("left", "right"),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
+CHILD_KEYS = ("family", "params", "seed")
 
 
 def generate(family: str, params: dict, seed: int = 0) -> Graph:
     """Dispatch by family name; compositions recurse into child generator specs.
 
-    A missing parameter, or one that does not convert to the type the family
-    needs, raises DomainError naming the key; so do parameters that are not
-    a mapping and a seed that is not an integer.
+    A missing, unknown or unconvertible parameter raises DomainError naming
+    the key; so do parameters that are not a mapping, a seed that is not an
+    integer, and child specs nested too deeply to walk.
     """
-    context = f"generator {family!r}"
+    context = f"generator {quoted(family)}"
     if not isinstance(params, dict) or type(seed) is not int:
         raise DomainError(f"{context} needs a parameter mapping and an integer seed")
+    if family not in FAMILIES:  # a tuple, so an unhashable family is refused too
+        raise DomainError(f"unknown generator family {quoted(family)}")
+    refuse_unknown(params, FAMILY_PARAMS[family], f"{context} has unknown key(s)")
 
     def param(key, convert):
         value = require(params, key, context)
         try:
             return convert(value)
         except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"{context} has a bad {key!r}: {value!r}") from None
+            raise DomainError(f"{context} has a bad {key!r}: {quoted(value)}") from None
 
     if family == "gnp":
         return gnp(param("n", int), param("p", float), seed)
@@ -156,17 +163,13 @@ def generate(family: str, params: dict, seed: int = 0) -> Graph:
         return odd_cycle_blowup(param("length", int), param("m", int))
     if family == "random_regular":
         return random_regular(param("n", int), param("d", int), seed)
-    if family in ("union", "join"):
-        left, right = param("left", dict), param("right", dict)
-        g1 = generate(
-            require(left, "family", context),
-            left.get("params", {}),
-            left.get("seed", 2 * seed + 1),
-        )
-        g2 = generate(
-            require(right, "family", context),
-            right.get("params", {}),
-            right.get("seed", 2 * seed + 2),
-        )
-        return disjoint_union(g1, g2) if family == "union" else join(g1, g2)
-    raise DomainError(f"unknown generator family {family!r}")
+    children = []
+    for key, child_seed in (("left", 2 * seed + 1), ("right", 2 * seed + 2)):
+        child = param(key, dict)
+        refuse_unknown(child, CHILD_KEYS, f"{context} child {key!r} has unknown key(s)")
+        name = require(child, "family", context)
+        try:
+            children.append(generate(name, child.get("params", {}), child.get("seed", child_seed)))
+        except RecursionError:
+            raise DomainError(f"{context} nests its child specs too deeply") from None
+    return disjoint_union(*children) if family == "union" else join(*children)

@@ -10,7 +10,9 @@ Besides neighbor sets, a graph hands out its adjacency as bitmasks
 cuts of ``decompose`` and the component cuts of ``strategies`` -- count
 crossing edges with one popcount per vertex instead of walking edges one at
 a time, and the short paths that seed vertex flows are read off them.  The
-Gray-code walk here only enumerates bipartitions as masks.
+Gray-code walk here only enumerates bipartitions as masks.  ``cross_masks``
+is the one cut builder: the crossing graph between two sides, as masks in
+the host's own labels, which the core-backed Makers play on directly.
 
 ``mask_search``, the one search over neighbor masks, answers every
 component, connectivity, bipartiteness and 2-coloring question; every yes/no
@@ -206,13 +208,24 @@ def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple]:
     return Graph(len(order), edges), order
 
 
-def cut_edges(g: Graph, a, b) -> list:
-    """Edges of g with one endpoint in a and the other in b (a, b disjoint)."""
-    sa = _check_vertex_set(g, a)
-    sb = _check_vertex_set(g, b)
+def cross_masks(g: Graph, a, b) -> tuple:
+    """Per vertex of g, its neighbors across the cut as a mask: those in b
+    for a vertex of a, those in a for a vertex of b, else 0 (a, b disjoint)."""
+    sa, sb = _check_vertex_set(g, a), _check_vertex_set(g, b)
     if sa & sb:
         raise DomainError("cut sides must be disjoint")
-    return sorted((u, v) for u, v in g.edges if (u in sa and v in sb) or (u in sb and v in sa))
+    bits_a, bits_b = sum(1 << v for v in sa), sum(1 << v for v in sb)
+    return tuple(
+        x & bits_b if bits_a >> v & 1 else x & bits_a if bits_b >> v & 1 else 0
+        for v, x in enumerate(g.neighbor_masks())
+    )
+
+
+def cut_edges(g: Graph, a, b) -> list:
+    """Edges of g with one endpoint in a and the other in b (a, b disjoint),
+    sorted, as read off ``cross_masks``."""
+    rows = enumerate(cross_masks(g, a, b))
+    return [(u, v) for u, row in rows for v in mask_bits(row >> (u + 1) << (u + 1))]
 
 
 def find_odd_cycle(g: Graph):

@@ -28,7 +28,7 @@ from .engine import (
     format_transcript,
     play,
 )
-from .errors import DomainError, require
+from .errors import DomainError, quoted, refuse_unknown, require
 from .graphs import Graph, OddCycleWitness
 from .generators import generate
 from .strategies import (
@@ -115,9 +115,7 @@ def build_strategy(ident: str, g: Graph):
     name, kw = parse_ident(ident)
     if name not in STRATEGY_PARAMS:
         raise DomainError(f"unknown strategy {name!r}")
-    unknown = sorted(set(kw) - set(STRATEGY_PARAMS[name]))
-    if unknown:
-        raise DomainError(f"strategy {name!r} takes no parameter(s) {', '.join(unknown)}")
+    refuse_unknown(kw, STRATEGY_PARAMS[name], f"strategy {name!r} takes no parameter(s)")
 
     def param(key):
         return require(kw, key, f"strategy {name!r}")
@@ -168,9 +166,7 @@ class ExperimentConfig:
         """The config; a missing, unknown or mistyped key raises DomainError."""
         if not isinstance(data, dict):
             raise DomainError("an experiment config is a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise DomainError(f"unknown experiment config key(s): {', '.join(unknown)}")
+        refuse_unknown(data, [f.name for f in fields(cls)], "unknown experiment config key(s):")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             raise DomainError(f"experiment config needs key(s): {', '.join(missing)}")
@@ -276,11 +272,15 @@ def _experiment_host(gen: dict) -> Graph:
     when its family, params (nested child specs included) and seed compare
     equal, so a bias sweep or a repeated config generates it once.  Nested
     dicts are unhashable, so ``functools.cache`` cannot keep this memo, and a
-    JSON-text key would raise TypeError on the non-JSON params the API takes."""
+    JSON-text key would raise TypeError on the non-JSON params the API takes.
+    Params nested too deeply to compare or copy raise DomainError."""
     global _last_host
     key = (require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
-    if _last_host[0] != key:
-        _last_host = (copy.deepcopy(key), generate(*key))
+    try:
+        if _last_host[0] != key:
+            _last_host = (copy.deepcopy(key), generate(*key))
+    except RecursionError:
+        raise DomainError(f"generator {quoted(key[0])} has params nested too deeply") from None
     return _last_host[1]
 
 
@@ -326,7 +326,7 @@ def sweep_bias(config: ExperimentConfig, b_values, out_dir: str | None = None):
     docs = []
     summary = []
     for b in b_values:
-        cfg = ExperimentConfig.from_dict({**config.to_dict(), "breaker_bias": int(b)})
+        cfg = ExperimentConfig.from_dict({**vars(config), "breaker_bias": int(b)})
         out = os.path.join(out_dir, f"bias-{b}.json") if out_dir else None
         doc = run_experiment(cfg, out=out)
         docs.append(doc)

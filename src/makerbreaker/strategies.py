@@ -22,6 +22,8 @@ can replace it without touching the rest.
 
 Maker's components, 2-coloring and component cuts come from ``mask_search``,
 on ``maker_masks`` or a claim view that reads only each position's claim sets.
+The core-backed Makers play in host labels, on the core's crossing graph as
+``graphs.cross_masks``, the one cut builder; no relabelled copy is made.
 """
 
 from __future__ import annotations
@@ -33,15 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .connectivity import edge_connectivity
-from .decompose import (
-    EXACT_CUT_LIMIT,
-    BipartiteCore,
-    below_degree_floor,
-    core_graph,
-)
+from .decompose import EXACT_CUT_LIMIT, BipartiteCore, below_degree_floor
 from .engine import (
     EDGES,
-    MAKER,
     VERTICES,
     GameSpec,
     Position,
@@ -54,7 +50,7 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (
     Graph,
     connected_components,
-    cut_edges,
+    cross_masks,
     first_edge_inside,
     frac_ceil,
     gray_code_bipartitions,
@@ -149,10 +145,13 @@ def bound_report(n: int, delta, b: int = 1) -> BoundReport:
     )
 
 
-def dominates(g: Graph, members) -> bool:
-    """True when every vertex of g is in ``members`` or adjacent to it."""
-    s = set(members)
-    return all(v in s or g.neighbors(v) & s for v in range(g.n))
+def dominates(adj, dom: int, members: int) -> bool:
+    """True when every vertex of the mask ``members`` is in the mask ``dom``
+    or has a neighbor in it, ``adj[v]`` being vertex v's neighbor mask."""
+    rest = members & ~dom
+    while rest and adj[_lowest(rest)] & dom:  # stops at the first one undominated
+        rest &= rest - 1
+    return not rest
 
 
 # -- shared helpers ---------------------------------------------------------------
@@ -248,6 +247,11 @@ def _apply_claim(maker, avail, edge):
         maker[v] |= 1 << u
 
 
+def _lowest(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _first_edge(avail) -> tuple | None:
     """The smallest edge (u, v), u < v, left in the masks ``avail``."""
     for u, row in enumerate(avail):
@@ -263,15 +267,15 @@ def _first_edge(avail) -> tuple | None:
 class ConnectivityMaker(Strategy):
     """Cut-defense heuristic: claim an unclaimed edge across the most
     endangered component cut (the one with the fewest unclaimed crossing
-    edges), ties broken lexicographically.  Guarantees nothing a priori."""
+    edges), ties broken lexicographically.  Guarantees nothing a priori.
+    It claims from ``pool_masks`` (default: the host's neighbor masks) to
+    connect the vertex mask ``members`` (default: every host vertex)."""
 
     position_pure = True
 
-    def __init__(self, g: Graph, pool=None, vertices=None):
-        self.pool = g.edges if pool is None else frozenset(pool)
-        pool_graph = g if self.pool == g.edges else Graph(g.n, self.pool)
-        self.view = _ClaimView(pool_graph.neighbor_masks())
-        self.members = sum(1 << v for v in (range(g.n) if vertices is None else set(vertices)))
+    def __init__(self, g: Graph, pool_masks=None, members=None):
+        self.view = _ClaimView(g.neighbor_masks() if pool_masks is None else pool_masks)
+        self.members = (1 << g.n) - 1 if members is None else members
         self.ident = "connectivity"
 
     def _pick(self, maker, avail) -> tuple | None:
@@ -451,9 +455,9 @@ class DenseEdgeMaker(_SpecialEdgeMaker):
         self.delta = Fraction(delta)
         self.core = core
         self.witness_edge = self.special_edge = self.core.witness_edge
-        crossing, to_host = core_graph(g, self.core)
-        pool = frozenset((to_host[u], to_host[v]) for u, v in crossing.edges)
-        self.inner = ConnectivityMaker(g, pool=pool, vertices=self.core.a | self.core.b)
+        self.inner = ConnectivityMaker(
+            g, cross_masks(g, core.a, core.b), sum(1 << v for v in core.a | core.b)
+        )
         self.ident = f"dense-edge(delta={self.delta})"
         self.stage_trace = []
 
@@ -537,14 +541,13 @@ class ConnectedEdgeMaker(_SpecialEdgeMaker):
             side_b = frozenset(range(g.n)) - side_a
             self.case = 1
             self.special_edge = first_edge_inside(g, side_a) or first_edge_inside(g, side_b)
-            self.pool = frozenset(cut_edges(g, side_a, side_b))
+            pool_masks = cross_masks(g, side_a, side_b)
             self.k_prime = lam
         else:
             self.case = 2
-            self.special_edge = None
-            self.pool = frozenset(g.edges)
+            self.special_edge = pool_masks = None
             self.k_prime = k_prime or 0
-        self.inner = ConnectivityMaker(g, pool=self.pool)
+        self.inner = ConnectivityMaker(g, pool_masks)
         self.ident = f"connected-edge(b={b})"
         self.stage_trace = []
 
@@ -555,12 +558,12 @@ class ConnectedEdgeMaker(_SpecialEdgeMaker):
 @dataclass
 class MergePlan:
     """Private state for the merge loop: the host-scale thresholds, the
-    anchor edges (dominator, high-degree partner), and a pending second claim."""
+    anchor edges (dominator, high-degree partner), and a pending claim's mask."""
 
     host_n: int
     delta: Fraction
     anchor_pairs: dict = field(default_factory=dict)
-    pending_targets: frozenset | None = None
+    pending_targets: int | None = None
     last_case: str | None = None
 
     def triangle_floor(self) -> Fraction:
@@ -573,101 +576,84 @@ class MergePlan:
         return 16 * d * d >= self.host_n
 
 
-def merge_components(h: Graph, pos: Position, state: MergePlan):
-    """One claim toward merging two components of Maker's subgraph of h.
+def merge_components(adj, members: int, pos: Position, state: MergePlan):
+    """One claim toward merging two components of Maker's subgraph of the
+    graph on the vertex mask ``members``, whose vertex v sees the bits
+    ``adj[v] & members``; labels are the host's.
 
     Returns a 1-tuple with the next vertex, () when Maker's vertices already
     induce a connected subgraph, or None when every qualifying vertex is gone
     (the forfeit signal).  Mirrors the two-round merge argument: a triangle
     through an anchor edge when enough common neighbors survive, otherwise
     either a bridge vertex pair into the far region (large remainder) or a
-    direct common neighbor of two components (small remainder).
+    direct common neighbor of two components (small remainder).  Every
+    choice is the lowest qualifying vertex.
     """
-    claimed = pos.claimed()
-    maker = pos.maker
-    comps = connected_components(h, maker)
+    claimed = sum(1 << v for v in pos.claimed())
+    maker = sum(1 << v for v in pos.maker) & members
+    comps = [seen for seen, _, _ in mask_components(adj, maker)]
     if len(comps) <= 1:
         state.last_case = "connected"
         return ()
 
     if state.pending_targets is not None:
-        targets = sorted(state.pending_targets - claimed)
+        targets = state.pending_targets & ~claimed
         state.pending_targets = None
         if targets:
             state.last_case = "bridge-finish"
-            return (targets[0],)
+            return (_lowest(targets),)
         return None
 
+    def hood_of(mask):  # mask and its neighbors among the members
+        for v in mask_bits(mask):
+            mask |= adj[v] & members
+        return mask
+
     comp = comps[0]
-    anchor = None
-    for x in sorted(comp):
-        if x in state.anchor_pairs and state.anchor_pairs[x] in comp:
-            anchor = (x, state.anchor_pairs[x])
-            break
-    if anchor is None:
-        for x in sorted(comp):
-            inside = sorted(h.neighbors(x) & comp)
-            if inside:
-                anchor = (x, inside[0])
-                break
+    # the first anchor pair inside comp, else comp's first inside edge
+    anchored = ((x, y) for x, y in sorted(state.anchor_pairs.items()) if comp >> x & comp >> y & 1)
+    inside = ((x, _lowest(adj[x] & comp)) for x in mask_bits(comp) if adj[x] & comp)
+    anchor = next(anchored, None) or next(inside, None)
 
     if anchor is not None:
         x, y = anchor
-        common = sorted((h.neighbors(x) & h.neighbors(y)) - claimed)
-        if Fraction(len(common)) >= state.triangle_floor() and common:
+        common = adj[x] & adj[y] & members & ~claimed
+        if common and common.bit_count() >= state.triangle_floor():
             state.last_case = "triangle"
-            return (common[0],)
+            return (_lowest(common),)
 
-    hood = set(comp)
-    for v in comp:
-        hood |= h.neighbors(v)
-    outside = frozenset(range(h.n)) - hood
+    hood = hood_of(comp)
+    outside = members & ~hood
 
-    if Fraction(len(outside)) >= state.far_size_floor():
+    if outside.bit_count() >= state.far_size_floor():
         # large remainder: bridge out through a well-connected boundary vertex
-        candidates = []
-        for z in sorted(hood - comp - claimed):
-            out_nbrs = h.neighbors(z) & outside
-            if not state.z_degree_ok(len(out_nbrs)):
+        for z in mask_bits(hood & ~comp & ~claimed):
+            out_nbrs = adj[z] & outside
+            if not state.z_degree_ok(out_nbrs.bit_count()):
                 continue
-            if out_nbrs & maker:
-                candidates.append((z, None))  # touches another component already
-            elif out_nbrs - claimed:
-                candidates.append((z, frozenset(out_nbrs - claimed)))
-        if not candidates:
-            state.last_case = "bridge-blocked"
-            return None
-        z, targets = candidates[0]
-        state.pending_targets = targets
-        state.last_case = "bridge-link" if targets is None else "bridge-start"
-        return (z,)
+            if out_nbrs & maker:  # touches another component already
+                state.pending_targets, state.last_case = None, "bridge-link"
+                return (z,)
+            if out_nbrs & ~claimed:
+                state.pending_targets, state.last_case = out_nbrs & ~claimed, "bridge-start"
+                return (z,)
+        state.last_case = "bridge-blocked"
+        return None
 
     if not outside:
         state.last_case = "connected"
         return ()
-    far = None
-    for other in comps:
-        if other is not comp and other <= outside:
-            far = other
-            break
-    if far is None:
-        state.last_case = "no-far-component"
-        return None
-    near_hood = hood - comp
-    far_hood = set()
-    for v in far:
-        far_hood |= h.neighbors(v)
-    meet = sorted((near_hood & far_hood) - comp - far - claimed)
+    far = comps[1]  # outside, as no other component touches comp or its neighbors
+    meet = hood & hood_of(far) & ~comp & ~far & ~claimed
     if meet:
         state.last_case = "common-neighbor"
-        return (meet[0],)
-    x2 = min(far)
-    inside = sorted(h.neighbors(x2) & far)
-    if inside:
-        tri = sorted((h.neighbors(x2) & h.neighbors(inside[0])) - claimed)
+        return (_lowest(meet),)
+    x2 = _lowest(far)
+    if adj[x2] & far:
+        tri = adj[x2] & adj[_lowest(adj[x2] & far)] & members & ~claimed
         if tri:
             state.last_case = "far-triangle"
-            return (tri[0],)
+            return (_lowest(tri),)
     state.last_case = "merge-blocked"
     return None
 
@@ -676,8 +662,9 @@ def merge_components(h: Graph, pos: Position, state: MergePlan):
 
 
 class DenseVertexMaker(Strategy):
-    """Four forward-only stages on the chromatic bipartite core; forfeits
-    rather than improvising when a prescribed claim is unavailable."""
+    """Four forward-only stages on the chromatic bipartite core, played in
+    host labels on its ``cross_masks``; forfeits rather than improvising
+    when a prescribed claim is unavailable."""
 
     position_pure = False
 
@@ -685,12 +672,9 @@ class DenseVertexMaker(Strategy):
         self.g = g
         self.delta = Fraction(delta)
         self.core = core
-        self.h, self.to_host = core_graph(g, self.core)
-        self.to_local = {host: i for i, host in enumerate(self.to_host)}
-        a_sorted = sorted(self.core.a)
-        self.center = min(
-            a_sorted, key=lambda v: (-g.degree_into(v, self.core.a), v)
-        )
+        self.cross = cross_masks(g, core.a, core.b)
+        self.members = sum(1 << v for v in core.a | core.b)
+        self.center = min(core.a, key=lambda v: (-g.degree_into(v, core.a), v))
         self.budget = bound_report(g.n, self.delta, b).dominating_size
         self.ident = f"dense-vertex(delta={self.delta},b={b})"
         self.rng = random.Random(0)
@@ -700,8 +684,8 @@ class DenseVertexMaker(Strategy):
         self.stage = "I"
         self.leaf = None
         self.dom_claims = []
-        self.partners = {}
         self.merge_plan = MergePlan(host_n=self.g.n, delta=self.delta)
+        self.partners = self.merge_plan.anchor_pairs  # the merge reads them as its anchors
         self.stage_trace = []
         self.forfeit_reason = None
 
@@ -709,13 +693,10 @@ class DenseVertexMaker(Strategy):
         self.rng = random.Random(seed)
         self._clear()
 
-    def _degree_floor_ok(self, local_v: int) -> bool:
+    def _degree_floor_ok(self, z: int) -> bool:
         # H-degree at least (delta*n - ceil(1/delta)*n^(3/4)) / 2, exactly
-        d = self.h.degree(local_v)
-        t = frac_ceil(1 / self.delta)
-        return not below_degree_floor(
-            Fraction(2 * d), self.delta * self.g.n, t, self.g.n
-        )
+        d2, t = Fraction(2 * self.cross[z].bit_count()), frac_ceil(1 / self.delta)
+        return not below_degree_floor(d2, self.delta * self.g.n, t, self.g.n)
 
     def _forfeit(self, reason):
         self.forfeit_reason = reason
@@ -732,26 +713,20 @@ class DenseVertexMaker(Strategy):
                 if self.center in pos.breaker:
                     return self._forfeit("star-center-taken")
                 return (self.center,)
-            leaves = sorted(
-                v
-                for v in self.g.neighbors(self.center)
-                if v in self.core.a and v not in claimed
-            )
-            if not leaves:
+            self.leaf = min((self.g.neighbors(self.center) & self.core.a) - claimed, default=None)
+            if self.leaf is None:
                 return self._forfeit("star-leaves-exhausted")
-            self.leaf = leaves[0]
             self.stage = "II"
             return (self.leaf,)
 
         if self.stage == "II":
-            dom_local = {self.to_local[v] for v in self.dom_claims}
-            if dominates(self.h, dom_local):
+            if dominates(self.cross, sum(1 << v for v in self.dom_claims), self.members):
                 self.stage = "III"
             else:
                 self.stage_trace.append("II")
                 if len(self.dom_claims) >= self.budget:
                     return self._forfeit("domination-budget-exhausted")
-                free = sorted(set(self.to_host) - claimed)
+                free = sorted((self.core.a | self.core.b) - claimed)
                 if not free:
                     return self._forfeit("core-exhausted")
                 pick = self.rng.choice(free)
@@ -760,39 +735,26 @@ class DenseVertexMaker(Strategy):
 
         if self.stage == "III":
             targets = sorted(set(self.dom_claims) | {self.center, self.leaf})
-            excluded = set(targets) | set(self.partners.values())
+            taken = sum(1 << v for v in claimed.union(targets, self.partners.values()))
             for w in targets:
                 if w in self.partners:
                     continue
                 self.stage_trace.append("III")
-                w_local = self.to_local[w]
-                candidates = sorted(
-                    z
-                    for z in self.h.neighbors(w_local)
-                    if self.to_host[z] not in excluded
-                    and self.to_host[z] not in claimed
-                    and self._degree_floor_ok(z)
+                z = next(
+                    (z for z in mask_bits(self.cross[w] & ~taken) if self._degree_floor_ok(z)),
+                    None,
                 )
-                if not candidates:
+                if z is None:
                     return self._forfeit("no-high-degree-partner")
-                z_host = self.to_host[candidates[0]]
-                self.partners[w] = z_host
-                self.merge_plan.anchor_pairs[w_local] = candidates[0]
-                return (z_host,)
+                self.partners[w] = z
+                return (z,)
             self.stage = "IV"
 
         self.stage_trace.append("IV")
-        local_pos = Position(
-            maker=frozenset(self.to_local[v] for v in pos.maker if v in self.to_local),
-            breaker=frozenset(self.to_local[v] for v in pos.breaker if v in self.to_local),
-            to_move=MAKER,
-        )
-        claim = merge_components(self.h, local_pos, self.merge_plan)
+        claim = merge_components(self.cross, self.members, pos, self.merge_plan)
         if claim is None:
             return self._forfeit(f"merge-{self.merge_plan.last_case}")
         if claim == ():
-            free = sorted(set(self.to_host) - claimed)
-            if free:
-                return (free[0],)
-            return self._forfeit("core-exhausted")
-        return (self.to_host[claim[0]],)
+            free = (self.core.a | self.core.b) - claimed
+            return (min(free),) if free else self._forfeit("core-exhausted")
+        return claim

@@ -453,6 +453,40 @@ class TestMalformedNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: --param 'left=") and "is not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            'left={"a":' + "[" * 100_000,
+            "sizes=" + "[" * 100_000,
+            "n=" + "9x" * 50_000,
+            "x" * 100_000,
+        ],
+        ids=["json", "sizes", "family-param", "no-equals"],
+    )
+    def test_malformed_param_is_quoted_short(self, capsys, value):
+        assert run_cli("generate", "--family", "gnp", "--param", "p=1", "--param", value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.encode()) < 1024
+        assert "..." in err
+
+    def test_unknown_generator_param_is_refused(self, capsys):
+        argv = ("generate", "--family", "gnp", "--param", "n=5", "--param", "p=0.5")
+        assert run_cli(*argv, "--param", "bogus=3") == 1
+        assert capsys.readouterr().err == "error: generator 'gnp' has unknown key(s) bogus\n"
+        assert run_cli(*argv) == 0
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_deeply_nested_generator_params_are_a_domain_error(self, tmp_path, capsys, command):
+        # 900 levels decode, under json's own limit, but are too deep to copy
+        config = dict(EXPERIMENT_CONFIG, trials=1)
+        config["generator"] = dict(config["generator"], params={"sizes": "DEEP"})
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config).replace('"DEEP"', "[" * 900 + "]" * 900))
+        extra = ["--b-range", "1:2"] if command == "sweep" else []
+        assert run_cli(command, str(path), *extra) == 1
+        err = capsys.readouterr().err
+        assert err == "error: generator 'complete_multipartite' has params nested too deeply\n"
+
 
 # -- fuzzing the whole command line ---------------------------------------------------
 

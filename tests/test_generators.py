@@ -196,6 +196,12 @@ class TestCompositions:
         with pytest.raises(DomainError):
             generate("hypercube", {}, 0)
 
+    @pytest.mark.parametrize("family", [["gnp"], {"gnp": 1}, "x" * 10_000])
+    def test_unhashable_or_long_family_is_unknown_and_quoted_short(self, family):
+        with pytest.raises(DomainError, match="unknown generator family") as info:
+            generate(family, {}, 0)
+        assert len(str(info.value)) < 100
+
     @pytest.mark.parametrize(
         "family, params, key",
         [
@@ -213,3 +219,33 @@ class TestCompositions:
     def test_unconvertible_parameter_names_its_key(self, family, params, key):
         with pytest.raises(DomainError, match=repr(key)):
             generate(family, params, 0)
+
+    @pytest.mark.parametrize(
+        "family, params, named",
+        [
+            ("gnp", {"n": 5, "p": 0.5, "bogus": 3}, "bogus"),
+            ("gnp", {"n": 5, "p": 0.5, "seed": 3}, "seed"),
+            ("complete_multipartite", {"sizes": [2, 2], "n": 4, "m": 1}, "m, n"),
+            ("odd_cycle_blowup", {"length": 3, "m": 2, 7: 1}, "7"),
+            ("random_regular", {"n": 6, "d": 3, "p": 0.5}, "p"),
+        ],
+    )
+    def test_unknown_parameter_is_refused_by_name(self, family, params, named):
+        with pytest.raises(DomainError, match=f"generator {family!r} has unknown key\\(s\\) {named}$"):
+            generate(family, params, 0)
+
+    @pytest.mark.parametrize("family", ["union", "join"])
+    def test_child_spec_with_an_unknown_key_is_refused(self, family):
+        child = {"family": "gnp", "params": {"n": 2, "p": 1}}
+        params = {"left": child, "right": {**child, "sed": 1}}
+        with pytest.raises(DomainError, match=f"{family!r} child 'right' has unknown key\\(s\\) sed$"):
+            generate(family, params, 0)
+        assert generate(family, {"left": child, "right": {**child, "seed": 1}}, 0).n == 4
+
+    @pytest.mark.parametrize("family", ["union", "join"])
+    def test_deeply_nested_child_specs_are_a_domain_error(self, family):
+        leaf = spec = {"family": "gnp", "params": {"n": 1, "p": 1}}
+        for _ in range(2000):
+            spec = {"family": family, "params": {"left": spec, "right": leaf}}
+        with pytest.raises(DomainError, match=f"generator {family!r} nests its child specs too deeply"):
+            generate(spec["family"], spec["params"], 0)

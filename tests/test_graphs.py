@@ -19,6 +19,7 @@ from makerbreaker.graphs import (
     Graph,
     OddCycleWitness,
     connected_components,
+    cross_masks,
     cut_edges,
     find_odd_cycle,
     first_edge_inside,
@@ -119,7 +120,30 @@ class TestInducedSubgraph:
             self.assert_matches_edge_scan(g, members)
 
 
+def cut_edges_by_scan(g, a, b):
+    """``cut_edges`` as it was before ``cross_masks``: one scan of the edge
+    set against the two sides."""
+    sa, sb = set(a), set(b)
+    return sorted((u, v) for u, v in g.edges if (u in sa and v in sb) or (u in sb and v in sa))
+
+
 class TestCutEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=12), st.data())
+    def test_cross_masks_and_cut_edges_match_the_edge_scan(self, g, data):
+        side = data.draw(st.lists(st.sampled_from([0, 1, None]), min_size=g.n, max_size=g.n))
+        a = {v for v in range(g.n) if side[v] == 0}
+        b = {v for v in range(g.n) if side[v] == 1}
+        expected = cut_edges_by_scan(g, a, b)
+        assert cut_edges(g, a, b) == expected
+        assert cross_masks(g, a, b) == Graph(g.n, expected).neighbor_masks()
+
+    def test_cross_masks_check_the_sides(self):
+        with pytest.raises(DomainError):
+            cross_masks(Graph.complete(3), {0, 1}, {1, 2})
+        with pytest.raises(DomainError):
+            cross_masks(Graph.complete(3), {0}, {3})
+
     def test_c4_alternating(self):
         assert len(cut_edges(Graph.cycle(4), {0, 2}, {1, 3})) == 4
 

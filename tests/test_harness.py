@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from makerbreaker import decompose, harness
+from makerbreaker import harness
 from makerbreaker.errors import DomainError
 from makerbreaker.harness import (
     STRATEGY_PARAMS,
@@ -200,7 +200,6 @@ def host_log(monkeypatch):
     every host a strategy is built on."""
     monkeypatch.setattr(harness, "_last_host", (None, None))
     harness._cached_core.cache_clear()
-    decompose.core_graph.cache_clear()
     log = {"generated": [], "built_on": []}
     generate, build = harness.generate, harness.build_strategy
 
@@ -245,7 +244,6 @@ class TestHostMemo:
         warm = run_experiment(cfg).canonical_json()
         monkeypatch.setattr(harness, "_last_host", (None, None))
         harness._cached_core.cache_clear()
-        decompose.core_graph.cache_clear()
         assert run_experiment(cfg).canonical_json() == warm
         assert len(host_log["generated"]) == 2
 

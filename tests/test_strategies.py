@@ -1,11 +1,12 @@
 import decimal
+import hashlib
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -31,6 +32,7 @@ from makerbreaker.engine import (
     WinPredicate,
     apply_moves,
     batch_size,
+    format_transcript,
     legal_moves,
     maker_graph,
     maker_win_witness,
@@ -44,8 +46,10 @@ from makerbreaker.graphs import (
     connected_components,
     cut_edges,
     find_odd_cycle,
+    induced_subgraph,
     verify_odd_cycle,
 )
+from makerbreaker.harness import build_strategy
 from makerbreaker.solver import solve, verify_maker_strategy
 from makerbreaker.strategies import (
     BipartiteGuardBreaker,
@@ -441,7 +445,8 @@ class TestDenseEdgeMaker:
             maker = DenseEdgeMaker(
                 host, delta, core or extract_bipartite_core(host, delta, force=True)
             )
-            assert maker.inner.pool == frozenset(cut_edges(host, maker.core.a, maker.core.b))
+            crossing = Graph(host.n, cut_edges(host, maker.core.a, maker.core.b))
+            assert maker.inner.view.pool_masks == crossing.neighbor_masks()
 
 
 def spanning_bipartition_search_by_side_lists(g, k_prime, rng):
@@ -559,19 +564,210 @@ class TestConnectedEdgeMaker:
         assert r.winner in (MAKER, BREAKER)
 
 
+def merge_components_by_sets(h, pos, state):
+    """``merge_components`` as it was before the host-labelled masks: it
+    plays on the relabelled core graph ``h`` with neighbor sets, and
+    ``state.pending_targets`` is a frozenset."""
+    claimed = pos.claimed()
+    maker = pos.maker
+    comps = connected_components(h, maker)
+    if len(comps) <= 1:
+        state.last_case = "connected"
+        return ()
+
+    if state.pending_targets is not None:
+        targets = sorted(state.pending_targets - claimed)
+        state.pending_targets = None
+        if targets:
+            state.last_case = "bridge-finish"
+            return (targets[0],)
+        return None
+
+    comp = comps[0]
+    anchor = None
+    for x in sorted(comp):
+        if x in state.anchor_pairs and state.anchor_pairs[x] in comp:
+            anchor = (x, state.anchor_pairs[x])
+            break
+    if anchor is None:
+        for x in sorted(comp):
+            inside = sorted(h.neighbors(x) & comp)
+            if inside:
+                anchor = (x, inside[0])
+                break
+
+    if anchor is not None:
+        x, y = anchor
+        common = sorted((h.neighbors(x) & h.neighbors(y)) - claimed)
+        if Fraction(len(common)) >= state.triangle_floor() and common:
+            state.last_case = "triangle"
+            return (common[0],)
+
+    hood = set(comp)
+    for v in comp:
+        hood |= h.neighbors(v)
+    outside = frozenset(range(h.n)) - hood
+
+    if Fraction(len(outside)) >= state.far_size_floor():
+        candidates = []
+        for z in sorted(hood - comp - claimed):
+            out_nbrs = h.neighbors(z) & outside
+            if not state.z_degree_ok(len(out_nbrs)):
+                continue
+            if out_nbrs & maker:
+                candidates.append((z, None))
+            elif out_nbrs - claimed:
+                candidates.append((z, frozenset(out_nbrs - claimed)))
+        if not candidates:
+            state.last_case = "bridge-blocked"
+            return None
+        z, targets = candidates[0]
+        state.pending_targets = targets
+        state.last_case = "bridge-link" if targets is None else "bridge-start"
+        return (z,)
+
+    if not outside:
+        state.last_case = "connected"
+        return ()
+    far = None
+    for other in comps:
+        if other is not comp and other <= outside:
+            far = other
+            break
+    if far is None:
+        state.last_case = "no-far-component"
+        return None
+    near_hood = hood - comp
+    far_hood = set()
+    for v in far:
+        far_hood |= h.neighbors(v)
+    meet = sorted((near_hood & far_hood) - comp - far - claimed)
+    if meet:
+        state.last_case = "common-neighbor"
+        return (meet[0],)
+    x2 = min(far)
+    inside = sorted(h.neighbors(x2) & far)
+    if inside:
+        tri = sorted((h.neighbors(x2) & h.neighbors(inside[0])) - claimed)
+        if tri:
+            state.last_case = "far-triangle"
+            return (tri[0],)
+    state.last_case = "merge-blocked"
+    return None
+
+
+def dominates_by_sets(g, members):
+    """``dominates`` as it was before the masks: every vertex of g is in
+    ``members`` or adjacent to it."""
+    s = set(members)
+    return all(v in s or g.neighbors(v) & s for v in range(g.n))
+
+
+@st.composite
+def merge_instances(draw):
+    """A host of density 0.2 to 0.8, its vertices less one to a third as the
+    members (so non-members sit beside them), Maker's and Breaker's claims
+    anywhere on the host, anchor pairs among the members, a pending target
+    set or None, and the thresholds' scale."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+    rolls = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, roll in zip(pairs, rolls) if roll < density])
+    vertices = st.sampled_from(range(n))
+    members = set(range(n)) - draw(st.sets(vertices, min_size=1, max_size=max(1, n // 3)))
+    maker = draw(st.sets(vertices, min_size=2))
+    breaker = draw(st.sets(vertices, max_size=n // 3)) - maker
+    inner = st.sampled_from(sorted(members))
+    anchors = draw(st.dictionaries(inner, inner, max_size=4)) if members else {}
+    pending = draw(st.none() | st.sets(inner)) if members else None
+    host_n = draw(st.integers(min_value=1, max_value=100))
+    delta = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)]))
+    return g, members, maker, breaker, anchors, pending, host_n, delta
+
+
+# Maker's {0, 1} and {3, 4} are apart on the members; the triangle 3-4-5
+# closes far away, and vertex 6, not a member, is next to both.
+FAR_TRIANGLE = (
+    Graph(7, [(0, 1), (3, 4), (3, 5), (4, 5), (0, 6), (3, 6)]),
+    {0, 1, 2, 3, 4, 5}, {0, 1, 3, 4}, set(), {}, None, 100, Fraction(1, 2),
+)
+# Maker's {0}, {3} and {6}: vertex 1 joins {0} to {3}, the first far
+# component, and vertex 2 joins it to {6}; vertex 8, not a member, is next
+# to 0 and 3.
+FIRST_FAR_COMPONENT = (
+    Graph(9, [(0, 1), (0, 2), (1, 3), (2, 6), (0, 8), (3, 8)]),
+    set(range(8)), {0, 3, 6}, set(), {}, None, 100, Fraction(1, 2),
+)
+# The anchor edge 1-2 has the member 3 and the non-member 0 in common.
+TRIANGLE_BESIDE_THE_CORE = (
+    Graph(6, [(1, 2), (0, 1), (0, 2), (1, 3), (2, 3), (4, 5)]),
+    {1, 2, 3, 4, 5}, {1, 2, 5}, set(), {}, None, 4, Fraction(1, 2),
+)
+
+
+class TestMergeAgainstSets:
+    """``merge_components`` and ``dominates`` on host-labelled masks against
+    the set versions on the relabelled graph of the members, the way
+    ``DenseVertexMaker`` translated its claims before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_instances())
+    @example(FAR_TRIANGLE)
+    @example(FIRST_FAR_COMPONENT)
+    @example(TRIANGLE_BESIDE_THE_CORE)
+    def test_merge_components_matches_the_relabelled_set_version(self, inst):
+        g, members, maker, breaker, anchors, pending, host_n, delta = inst
+        maker = set(maker)
+        h, to_host = induced_subgraph(g, members)
+        to_local = {v: i for i, v in enumerate(to_host)}
+        new = MergePlan(host_n=host_n, delta=delta, anchor_pairs=dict(anchors),
+                        pending_targets=None if pending is None else member_mask(g.n, pending))
+        old = MergePlan(host_n=host_n, delta=delta,
+                        anchor_pairs={to_local[x]: to_local[y] for x, y in anchors.items()},
+                        pending_targets=None if pending is None
+                        else frozenset(to_local[v] for v in pending))
+        adj, bits = g.neighbor_masks(), member_mask(g.n, members)
+        for _ in range(4):  # each claim joins Maker's set, as in a game
+            pos = Position(frozenset(maker), frozenset(breaker), MAKER)
+            local = Position(frozenset(to_local[v] for v in maker if v in to_local),
+                             frozenset(to_local[v] for v in breaker if v in to_local), MAKER)
+            claim = merge_components(adj, bits, pos, new)
+            expected = merge_components_by_sets(h, local, old)
+            assert claim == (expected if not expected else (to_host[expected[0]],))
+            assert new.last_case == old.last_case
+            assert new.pending_targets == (
+                None if old.pending_targets is None
+                else member_mask(g.n, {to_host[v] for v in old.pending_targets})
+            )
+            if not claim:
+                break
+            maker.add(claim[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs(max_n=12), st.data())
+    def test_dominates_matches_the_set_version(self, g, data):
+        members = data.draw(st.sets(st.sampled_from(range(g.n))))
+        dom = data.draw(st.sets(st.sampled_from(sorted(members)))) if members else set()
+        h, to_host = induced_subgraph(g, members)
+        local = {i for i, v in enumerate(to_host) if v in dom}
+        expected = dominates_by_sets(h, local)
+        assert dominates(g.neighbor_masks(), member_mask(g.n, dom), member_mask(g.n, members)) == expected
+
+
 class TestMergeComponents:
     def test_two_singletons_common_neighbor(self):
         h = Graph(5, [(0, 2), (1, 2), (3, 4)])
         pos = Position(maker=frozenset({0, 1}), breaker=frozenset(), to_move=MAKER)
         state = MergePlan(host_n=5, delta=Fraction(1, 2))
-        claim = merge_components(h, pos, state)
+        claim = merge_components(h.neighbor_masks(), member_mask(h.n, None), pos, state)
         assert claim == (2,)
 
     def test_already_connected_no_op(self):
         h = Graph(4, [(0, 1), (1, 2)])
         pos = Position(maker=frozenset({0, 1, 2}), breaker=frozenset(), to_move=MAKER)
         state = MergePlan(host_n=4, delta=Fraction(1, 2))
-        assert merge_components(h, pos, state) == ()
+        assert merge_components(h.neighbor_masks(), member_mask(h.n, None), pos, state) == ()
 
     def test_case_one_bridge_fixture(self):
         # component {0,1}; boundary vertex 2 has two outside neighbors {4,5};
@@ -584,7 +780,7 @@ class TestMergeComponents:
         cases = []
         for _ in range(4):
             pos = Position(maker=frozenset(maker), breaker=frozenset(), to_move=MAKER)
-            claim = merge_components(h, pos, state)
+            claim = merge_components(h.neighbor_masks(), member_mask(h.n, None), pos, state)
             cases.append(state.last_case)
             if claim == () or claim is None:
                 break
@@ -597,7 +793,7 @@ class TestMergeComponents:
         h = Graph(3, [(0, 2), (1, 2)])
         pos = Position(maker=frozenset({0, 1}), breaker=frozenset({2}), to_move=MAKER)
         state = MergePlan(host_n=3, delta=Fraction(1, 2))
-        assert merge_components(h, pos, state) is None
+        assert merge_components(h.neighbor_masks(), member_mask(h.n, None), pos, state) is None
 
 
 class TestDenseVertexMaker:
@@ -939,7 +1135,7 @@ class TestDomination:
         margin_min = None
         for _ in range(200):
             d = sample_uniform_vertices(h, budget, rng)
-            if not dominates(h, d):
+            if not dominates(h.neighbor_masks(), member_mask(h.n, d), member_mask(h.n, None)):
                 failures += 1
                 continue
             margin = min(len(h.neighbors(v) & d) for v in range(h.n))
@@ -949,8 +1145,9 @@ class TestDomination:
 
     def test_dominates_is_exact(self):
         h = Graph(4, [(0, 1), (2, 3)])
-        assert dominates(h, {0, 2})
-        assert not dominates(h, {0})
+        adj, every = h.neighbor_masks(), member_mask(4, None)
+        assert dominates(adj, member_mask(4, {0, 2}), every)
+        assert not dominates(adj, member_mask(4, {0}), every)
 
 
 class TestSolverBackedPlay:
@@ -1006,3 +1203,29 @@ class TestSolverBackedPlay:
 
         result = play(spec, Optimal(MAKER), Optimal(BREAKER), seed=0)
         assert result.winner == solve(spec).winner
+
+
+class TestDenseVertexStagesThreeAndFour:
+    # sha256 of the 24 transcripts and stage records below, as the Maker
+    # played them on the relabelled core graph before it moved to host labels
+    DIGEST = "27e90880e3070e36f99bb3e339930a10849295038f721becfe15fae00f1f1e38"
+
+    def test_battery_reaches_stage_four_with_unchanged_games(self):
+        g = complete_multipartite([12] * 7)
+        digest = hashlib.sha256()
+        stages = set()
+        for b in (1, 2):
+            spec = GameSpec(host=g, board_kind=VERTICES,
+                            objective=WinPredicate("non-k-colorable", k=12), breaker_bias=b)
+            ident = f"dense-vertex(delta=6/7,b={b},force=true)"
+            for breaker_ident in ("random", "bipartite-guard", "cut-attack"):
+                for seed in range(4):
+                    maker = build_strategy(ident, g)
+                    result = play(spec, maker, build_strategy(breaker_ident, g), seed=seed)
+                    digest.update(format_transcript(spec, result, ident, breaker_ident).encode())
+                    record = (maker.stage_trace, sorted(maker.partners.items()),
+                              maker.forfeit_reason, maker.merge_plan.last_case)
+                    digest.update(repr(record).encode())
+                    stages |= set(maker.stage_trace)
+        assert stages == {"I", "II", "III", "IV"}
+        assert digest.hexdigest() == self.DIGEST
