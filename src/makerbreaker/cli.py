@@ -80,7 +80,7 @@ def _parse_params(pairs):
 
 def _parse_bias(text: str) -> tuple[int, int]:
     a, _, b = text.partition(":")
-    return parse_int(a, f"--bias {text!r}"), parse_int(b, f"--bias {text!r}")
+    return parse_int(a, f"--bias {quoted(text)}"), parse_int(b, f"--bias {quoted(text)}")
 
 
 def _cmd_generate(args):
@@ -202,7 +202,7 @@ def _cmd_experiment(args):
 
 def _cmd_sweep(args):
     config = _load_config(args.config)
-    where = f"--b-range {args.b_range!r}"
+    where = f"--b-range {quoted(args.b_range)}"
     lo, _, hi = args.b_range.partition(":")
     lo = parse_int(lo, where)
     values = range(lo, parse_int(hi, where) + 1) if hi else [lo]

@@ -4,13 +4,15 @@ extraction of highly vertex-connected subgraphs.
 Everything is exact.  Connectivity values come from unit-capacity max-flow;
 the threshold variants stop augmenting early, which keeps the decomposition
 pipeline fast without giving up soundness (a certified "at least t" answer is
-always a real lower bound, never a heuristic one).  Each vertex-disjoint s-t
-flow first counts the common neighbours of s and t, one popcount of the
-host's neighbour masks, and stops there when they reach the limit.
-Otherwise it starts from greedily chosen paths of two and three edges, read
-off the same masks, and when those still fall short the split network is
-built (once per call of the public function) and augmenting paths, which
-may cancel seeded flow, complete them to a maximum flow.
+always a real lower bound, never a heuristic one).  The vertex-cut kernels
+read a host's neighbour masks under a member mask, in host labels, as
+``spans`` does; ``vertex_connectivity`` and ``vertex_connectivity_at_least``
+wrap them for a whole ``Graph``.  Each vertex-disjoint s-t flow first counts
+the common neighbours of s and t, one popcount, and stops there when they
+reach the limit.  Otherwise it starts from greedily chosen paths of two and
+three edges, read off the same masks, and when those still fall short the
+split network is built (once per call of the public function) and augmenting
+paths, which may cancel seeded flow, complete them to a maximum flow.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import DomainError
-from .graphs import Graph, connected_components, frac_ceil, induced_subgraph
+from .graphs import Graph, frac_ceil, mask_bits, mask_components
 
 
 def _max_flow(cap, adj, source, sink, limit):
@@ -74,30 +76,27 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-def _vertex_network(g: Graph):
-    # Split each vertex x into 2x (in) and 2x+1 (out) with a unit arc between;
-    # graph edges become infinite arcs out->in both ways.
-    inf = g.n + 1
-    cap = [dict() for _ in range(2 * g.n)]
-    for x in range(g.n):
+def _vertex_network(nbr, members: int):
+    # Split each member x into 2x (in) and 2x+1 (out) with a unit arc between;
+    # edges become infinite arcs out->in both ways.
+    inf = len(nbr) + 1
+    cap = [dict() for _ in range(2 * len(nbr))]
+    for x in mask_bits(members):
         cap[2 * x][2 * x + 1] = 1
         cap[2 * x + 1][2 * x] = 0
-    for u, v in g.edges:
-        cap[2 * u + 1][2 * v] = inf
-        cap[2 * v][2 * u + 1] = 0
-        cap[2 * v + 1][2 * u] = inf
-        cap[2 * u][2 * v + 1] = 0
+        for y in mask_bits(nbr[x]):
+            cap[2 * x + 1][2 * y] = inf
+            cap[2 * y][2 * x + 1] = 0
     adj = [sorted(d) for d in cap]
     return cap, adj
 
 
-def _short_paths(g: Graph, s, t, limit):
+def _short_paths(nbr, s, t, limit):
     """Up to ``limit`` internally vertex-disjoint s-t paths of two and three
     edges, for non-adjacent s and t, as tuples of inner vertices: first
     s-x-t through each common neighbour x, then s-x-y-t for each other
     neighbour x of s with y the lowest unused neighbour of t adjacent to x
     (all in increasing order)."""
-    nbr = g.neighbor_masks()
     ns, nt = nbr[s], nbr[t]
     paths = []
     common = ns & nt
@@ -123,16 +122,15 @@ def _short_paths(g: Graph, s, t, limit):
     return paths
 
 
-def _local_vertex_flow(g: Graph, network, s, t, limit):
+def _local_vertex_flow(nbr, network, s, t, limit):
     """min(limit, number of internally disjoint s-t paths) for non-adjacent
     s and t, with the residual network when that is below ``limit`` (None
     when the common neighbours or the greedy short paths already reach it).
     ``network()`` gives the split network (capacities, adjacency); it is
     called only when the short paths fall short."""
-    nbr = g.neighbor_masks()
     if (nbr[s] & nbr[t]).bit_count() >= limit:
         return limit, None
-    paths = _short_paths(g, s, t, limit)
+    paths = _short_paths(nbr, s, t, limit)
     if len(paths) == limit:
         return limit, None
     base, adj = network()
@@ -149,7 +147,7 @@ def _local_vertex_flow(g: Graph, network, s, t, limit):
     return flow, cap
 
 
-def _cut_from_residual(g: Graph, cap, adj, s):
+def _cut_from_residual(cap, adj, s):
     reach = {2 * s + 1}
     queue = deque([2 * s + 1])
     while queue:
@@ -158,7 +156,22 @@ def _cut_from_residual(g: Graph, cap, adj, s):
             if y not in reach and cap[x][y] > 0:
                 reach.add(y)
                 queue.append(y)
-    return frozenset(x for x in range(g.n) if 2 * x in reach and 2 * x + 1 not in reach)
+    return frozenset(x // 2 for x in reach if x % 2 == 0 and x + 1 not in reach)
+
+
+def _pairs(nbr, members: int, sources: int):
+    """Non-adjacent member pairs (s, t), s among the lowest ``sources`` and t ascending."""
+    for s in mask_bits(members)[:sources]:
+        for t in mask_bits(members & ~nbr[s] & ~(1 << s)):
+            yield s, t
+
+
+def _complete(adj, members: int) -> bool:
+    """Whether the graph on ``members`` is complete; a bit past ``adj`` raises DomainError."""
+    if members >> len(adj):
+        raise DomainError(f"vertex {members.bit_length() - 1} out of range for n={len(adj)}")
+    size = members.bit_count()
+    return all((adj[v] & members).bit_count() == size - 1 for v in mask_bits(members))
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -174,48 +187,38 @@ def vertex_connectivity(g: Graph) -> int:
         raise DomainError("vertex connectivity needs at least 2 vertices")
     if g.is_complete():
         return g.n - 1
-    network = functools.cache(lambda: _vertex_network(g))
-    delta = min(len(g.neighbors(v)) for v in range(g.n))
-    best = delta
-    for s in range(min(delta + 1, g.n)):
-        nbrs = g.neighbors(s)
-        for t in range(g.n):
-            if t == s or t in nbrs:
-                continue
-            if best == 0:
-                return 0
-            flow, _ = _local_vertex_flow(g, network, s, t, best)
-            best = min(best, flow)
+    nbr, members = g.neighbor_masks(), (1 << g.n) - 1
+    network = functools.cache(lambda: _vertex_network(nbr, members))
+    best = min(x.bit_count() for x in nbr)
+    for s, t in _pairs(nbr, members, best + 1):  # at best 0, each flow is one popcount
+        best, _ = _local_vertex_flow(nbr, network, s, t, best)
     return best
 
 
-def vertex_cut_below(g: Graph, threshold: int):
-    """A vertex cut of size < threshold, or None certifying connectivity >= threshold."""
-    if g.is_complete():
+def vertex_cut_below(adj, members: int, threshold: int):
+    """A vertex cut of size < threshold of the graph on the vertex bits
+    ``members`` (vertex v sees ``adj[v] & members``), in adj's labels, or
+    None certifying connectivity >= threshold."""
+    if _complete(adj, members):
         raise DomainError("complete graphs have no vertex cut")
     if threshold <= 0:
         return None
-    network = functools.cache(lambda: _vertex_network(g))
-    delta = min(len(g.neighbors(v)) for v in range(g.n))
-    for s in range(min(threshold, delta + 1, g.n)):
-        nbrs = g.neighbors(s)
-        for t in range(g.n):
-            if t == s or t in nbrs:
-                continue
-            flow, residual = _local_vertex_flow(g, network, s, t, threshold)
-            if flow < threshold:
-                return _cut_from_residual(g, residual, network()[1], s)
+    nbr = [x & members for x in adj]
+    network = functools.cache(lambda: _vertex_network(nbr, members))
+    # a cut of fewer than threshold vertices misses one of any threshold members
+    for s, t in _pairs(nbr, members, threshold):
+        flow, residual = _local_vertex_flow(nbr, network, s, t, threshold)
+        if flow < threshold:
+            return _cut_from_residual(residual, network()[1], s)
     return None
 
 
 def vertex_connectivity_at_least(g: Graph, threshold: int) -> bool:
     if g.n < 2:
         raise DomainError("vertex connectivity needs at least 2 vertices")
-    if threshold <= 0:
-        return True
     if g.is_complete():
         return g.n - 1 >= threshold
-    return vertex_cut_below(g, threshold) is None
+    return vertex_cut_below(g.neighbor_masks(), (1 << g.n) - 1, threshold) is None
 
 
 def unfriendly_partition(g: Graph) -> tuple[frozenset, frozenset]:
@@ -244,8 +247,9 @@ def unfriendly_partition(g: Graph) -> tuple[frozenset, frozenset]:
     return x1, x2
 
 
-def mader_subgraph(g: Graph, k):
-    """A vertex set inducing a ceil(k/4)-vertex-connected subgraph, or None.
+def mader_subgraph(adj, members: int, k):
+    """The vertices, in adj's labels, of a ceil(k/4)-vertex-connected
+    subgraph of the graph on the vertex bits ``members``, or None.
 
     Search: repeatedly find a minimum-side vertex cut below the target; if
     none exists the current set is certified and returned, otherwise recurse
@@ -257,29 +261,19 @@ def mader_subgraph(g: Graph, k):
     if k <= 0:
         raise DomainError(f"k must be positive, got {k}")
     target = frac_ceil(k / 4)
-    current = tuple(range(g.n))
+    current = members
     while True:
-        if len(current) <= 1:
-            return None
-        sub, to_parent = induced_subgraph(g, current)
-        if sub.is_complete():
-            return frozenset(current) if sub.n - 1 >= target else None
-        cut = vertex_cut_below(sub, target)
+        if _complete(adj, current):  # K_1 and K_0 fall short of any target
+            return frozenset(mask_bits(current)) if current.bit_count() > target else None
+        cut = vertex_cut_below(adj, current, target)
         if cut is None:
-            return frozenset(current)
-        comps = connected_components(sub, frozenset(range(sub.n)) - cut)
-        if not comps:
-            return None
-        nbr = sub.neighbor_masks()
-        best = None
-        best_key = None
-        for comp in comps:
-            side = comp | cut
-            side_mask = sum(1 << v for v in side)
-            # the side's average degree: its degrees within the side over its size
-            degree_sum = sum((nbr[v] & side_mask).bit_count() for v in side)
-            labels = sorted(to_parent[v] for v in side)
-            key = (Fraction(degree_sum, len(side)), len(side), -labels[0])
-            if best_key is None or key > best_key:
-                best, best_key = labels, key
-        current = tuple(best)
+            return frozenset(mask_bits(current))
+        cut_mask = sum(1 << v for v in cut)
+        sides = [comp | cut_mask for comp, _, _ in mask_components(adj, current & ~cut_mask)]
+        # the cut parts some s from some t, so there are sides; the first of
+        # largest average degree within the side, then size, then lowest label
+        current = max(sides, key=lambda side: (
+            Fraction(sum((adj[v] & side).bit_count() for v in mask_bits(side)), side.bit_count()),
+            side.bit_count(),
+            -(side & -side),
+        ))

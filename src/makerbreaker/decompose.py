@@ -38,6 +38,7 @@ from .graphs import (
     frac_ceil,
     has_odd_cycle,
     induced_subgraph,
+    mask_bits,
     min_degree,
 )
 
@@ -127,7 +128,8 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
     when absorption stalls, seed a new part from the remainder with a
     ceil(k/8)-connected subgraph.  The remainder always has the density the
     seeding step needs, so exhaustion without covering everything would be an
-    implementation bug and raises.
+    implementation bug and raises.  Parts and the remainder are masks in h's
+    labels, so no seeding round copies h.
     """
     if k <= 0:
         raise DomainError(f"k must be positive, got {k}")
@@ -136,47 +138,47 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
     conn_target = frac_ceil(Fraction(k * k, 16 * h.n))
     size_floor = Fraction(k, 8)
 
-    parts: list[set] = []
-    unassigned = set(range(h.n))
+    nbr = h.neighbor_masks()
+    parts: list[int] = []
+    unassigned = (1 << h.n) - 1
     while unassigned:
         progress = True
         while progress and unassigned:
             progress = False
-            for v in sorted(unassigned):
-                for part in parts:
-                    if h.degree_into(v, part) >= conn_target:
-                        part.add(v)
-                        unassigned.discard(v)
+            for v in mask_bits(unassigned):
+                for i, part in enumerate(parts):
+                    if (nbr[v] & part).bit_count() >= conn_target:
+                        parts[i] |= 1 << v
+                        unassigned ^= 1 << v
                         progress = True
                         break
         if not unassigned:
             break
-        sub, to_parent = induced_subgraph(h, unassigned)
-        core = mader_subgraph(sub, Fraction(k, 2))
+        core = mader_subgraph(nbr, unassigned, Fraction(k, 2))
         if core is None:
             raise RuntimeError(
                 "partition search exhausted without covering the graph; "
                 "this indicates a bug, not a valid outcome"
             )
-        parts.append({to_parent[v] for v in core})
-        unassigned -= parts[-1]
+        parts.append(sum(1 << v for v in core))
+        unassigned &= ~parts[-1]
 
     guarantees = []
     for part in parts:
-        sub, _ = induced_subgraph(h, part)
+        sub, _ = induced_subgraph(h, mask_bits(part))
         ok = sub.n == 1 or vertex_connectivity_at_least(sub, conn_target)
         if not ok:
             raise RuntimeError("a produced part failed its connectivity certificate")
         guarantees.append(
             PartGuarantee(
-                size=len(part),
+                size=part.bit_count(),
                 size_floor=size_floor,
-                size_ok=Fraction(len(part)) >= size_floor,
+                size_ok=Fraction(part.bit_count()) >= size_floor,
                 certified_connectivity=conn_target,
             )
         )
     return Partition(
-        parts=tuple(frozenset(p) for p in parts),
+        parts=tuple(frozenset(mask_bits(p)) for p in parts),
         guarantees=tuple(guarantees),
         certified_connectivity=conn_target,
     )
@@ -262,12 +264,12 @@ def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
     one whose cut so far, plus for each unassigned vertex the smaller of its
     neighbour counts on the two sides, is not below the best cut found.  Only
     a smaller cut replaces the best, so of the minimum cuts the first in Gray
-    order is kept.
+    order is kept.  Sides are masks in g's labels: no induced subgraph.
     """
     order = sorted(members)
     m = len(order)
-    sub, _ = induced_subgraph(g, order)
-    nbr = sub.neighbor_masks()
+    inside = sum(1 << u for u in order)
+    nbr = [g.neighbor_masks()[u] & inside for u in order]
     lo = frac_ceil(min_side)
     best = best_mask = None
     unassigned = [nbr[1 : v + 1] for v in range(m)]  # masks of vertices 1..v
@@ -286,7 +288,7 @@ def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
         if v == 0:
             best, best_mask = cut, side1
             return
-        bit, x = 1 << v, nbr[v]
+        bit, x = 1 << order[v], nbr[v]
         for one in (1, 0) if reverse else (0, 1):
             if one:
                 if ones < m - lo:  # side 0 keeps at least lo
@@ -296,12 +298,12 @@ def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
                 search(v - 1, side0 | bit, side1, ones, cut + (x & side1).bit_count(), reverse)
 
     if lo <= m - lo:
-        search(m - 1, 1, 0, 0, 0, False)
+        search(m - 1, 1 << order[0], 0, 0, 0, False)
     if best is None:
         return None, None
     if best * best >= n**3:
         return None, best
-    return _normalize_sides(order, [order[i] for i in range(m) if not best_mask >> i & 1]), best
+    return _normalize_sides(order, [u for u in order if not best_mask >> u & 1]), best
 
 
 def _balanced_cut_search(g: Graph, members, min_side: Fraction, n: int, rng):

@@ -29,7 +29,7 @@ from functools import cached_property
 
 from .coloring import is_k_colorable
 from .connectivity import edge_connectivity
-from .errors import DomainError, IllegalMoveError, parse_int
+from .errors import DomainError, IllegalMoveError, parse_int, quoted
 from .graphs import (
     Graph,
     OddCycleWitness,
@@ -63,14 +63,14 @@ class WinPredicate:
     def __post_init__(self):
         if self.kind in ("non-k-colorable", "k-edge-connected"):
             if type(self.k) is not int or self.k < 1:
-                raise DomainError(f"{self.kind} needs a positive k")
+                raise DomainError(f"{quoted(self.kind)} needs a positive k")
         elif self.k is not None:
-            raise DomainError(f"{self.kind} takes no k")
+            raise DomainError(f"{quoted(self.kind)} takes no k")
         if self.kind == "aux-connect":
             if self.anchor is None:
                 raise DomainError("aux-connect needs an anchor vertex set")
         elif self.anchor is not None:
-            raise DomainError(f"{self.kind} takes no anchor")
+            raise DomainError(f"{quoted(self.kind)} takes no anchor")
 
     def token(self) -> str:
         if self.kind == "non-k-colorable":
@@ -88,7 +88,7 @@ class WinPredicate:
             return cls("odd-cycle")
         if token == "spanning-connected":
             return cls("spanning-connected")
-        where = f"objective {token!r}"
+        where = f"objective {quoted(token)}"
         if token.startswith("non-") and token.endswith("-colorable"):
             return cls("non-k-colorable", k=parse_int(token[4:-10], where))
         if token.endswith("-edge-connected"):
@@ -97,7 +97,7 @@ class WinPredicate:
             rest = token[len("aux-connect") :].strip()
             anchor = frozenset(parse_int(x, where) for x in rest.split(",") if x)
             return cls("aux-connect", anchor=anchor)
-        raise DomainError(f"unknown objective token: {token!r}")
+        raise DomainError(f"unknown objective token: {quoted(token)}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,15 @@ class GameSpec:
 
     def __post_init__(self):
         if self.board_kind not in (EDGES, VERTICES):
-            raise DomainError(f"unknown board kind {self.board_kind!r}")
+            raise DomainError(f"unknown board kind {quoted(self.board_kind)}")
         if self.maker_bias < 1 or self.breaker_bias < 1:
             raise DomainError("biases must be positive")
         if self.first not in (MAKER, BREAKER):
-            raise DomainError(f"unknown first player {self.first!r}")
+            raise DomainError(f"unknown first player {quoted(self.first)}")
         allowed = _EDGE_KINDS if self.board_kind == EDGES else _VERTEX_KINDS
         if self.objective.kind not in allowed:
             raise DomainError(
-                f"objective {self.objective.kind!r} is not playable on {self.board_kind}"
+                f"objective {quoted(self.objective.kind)} is not playable on {self.board_kind}"
             )
 
     # Built on first use and kept, so that building a spec stays cheap.
@@ -461,11 +461,11 @@ def replay_transcript(spec: GameSpec, text: str) -> GameResult:
             break  # the game is over; the lines left make the text differ
         tag, _, rest = line.partition(" ")
         if tag not in ("M", "B"):
-            raise DomainError(f"bad move line {line!r}")
+            raise DomainError(f"bad move line {quoted(line)}")
         try:
             elements = [tokens[t] for t in rest.split()]
         except KeyError as exc:
-            raise DomainError(f"unknown element token {exc.args[0]!r}") from None
+            raise DomainError(f"unknown element token {quoted(exc.args[0])}") from None
         player = MAKER if tag == "M" else BREAKER
         pos, witness = apply_moves(spec, pos, player, elements)
         if player == MAKER:

@@ -15,10 +15,10 @@ def require(mapping, key, context: str):
 
 
 def refuse_unknown(keys, known, message: str):
-    """A DomainError ``message`` followed by the sorted ``keys`` not in ``known``, if any."""
-    unknown = sorted(map(str, set(keys) - set(known)))
+    """A DomainError ``message`` and the sorted ``keys`` not in ``known``, ``quoted`` if long."""
+    unknown = ", ".join(sorted(map(str, set(keys) - set(known))))
     if unknown:
-        raise DomainError(f"{message} {', '.join(unknown)}")
+        raise DomainError(f"{message} {unknown if len(unknown) <= 40 else quoted(unknown)}")
 
 
 def quoted(value) -> str:

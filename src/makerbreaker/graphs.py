@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, quoted
 
 MAX_VERTICES = 100_000
 
@@ -194,17 +194,12 @@ def min_degree(g: Graph) -> int:
 def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple]:
     """Subgraph on ``members``; returns (subgraph, to_parent) with to_parent[new] = old.
 
-    When the members' degrees sum to less than 2m, each member's neighbor set
-    is intersected with the members; otherwise the edge set is scanned once.
+    Each member's edges to later members are read off its neighbor mask.
     """
-    s = _check_vertex_set(g, members)
-    order = tuple(sorted(s))
+    order = tuple(sorted(_check_vertex_set(g, members)))
     index = {old: new for new, old in enumerate(order)}
-    adj = g._adj
-    if sum(len(adj[v]) for v in order) < 2 * g.m:
-        edges = [(index[u], index[v]) for u in order for v in adj[u] & s if v > u]
-    else:
-        edges = [(index[u], index[v]) for u, v in g.edges if u in s and v in s]
+    nbr, s = g.neighbor_masks(), sum(1 << v for v in order)
+    edges = [(index[u], index[v]) for u in order for v in mask_bits(nbr[u] & s >> u + 1 << u + 1)]
     return Graph(len(order), edges), order
 
 
@@ -384,11 +379,11 @@ def parse_graph(text: str) -> Graph:
         raise DomainError("graph text must start with a 'p <n> <m>' line")
     head = lines[0].split()
     if len(head) != 3:
-        raise DomainError(f"malformed header: {lines[0]!r}")
+        raise DomainError(f"malformed header: {quoted(lines[0])}")
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:
-        raise DomainError(f"malformed header: {lines[0]!r}") from None
+        raise DomainError(f"malformed header: {quoted(lines[0])}") from None
     if len(lines) - 1 != m:
         raise DomainError(f"header promises {m} edges, found {len(lines) - 1}")
     seen = set()
@@ -396,16 +391,16 @@ def parse_graph(text: str) -> Graph:
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "e":
-            raise DomainError(f"malformed edge line: {ln!r}")
+            raise DomainError(f"malformed edge line: {quoted(ln)}")
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
-            raise DomainError(f"malformed edge line: {ln!r}") from None
+            raise DomainError(f"malformed edge line: {quoted(ln)}") from None
         if u == v:
-            raise DomainError(f"loop line: {ln!r}")
+            raise DomainError(f"loop line: {quoted(ln)}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise DomainError(f"duplicate edge line: {ln!r}")
+            raise DomainError(f"duplicate edge line: {quoted(ln)}")
         seen.add(key)
         edges.append(key)
     return Graph(n, edges)

@@ -53,7 +53,7 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"not a fraction: {text!r}") from None
+        raise DomainError(f"not a fraction: {quoted(text)}") from None
 
 
 def _parse_value(text: str):
@@ -70,7 +70,7 @@ def _parse_value(text: str):
     except ValueError:
         return text
     if not math.isfinite(value):
-        raise DomainError(f"not a finite number: {text!r}")
+        raise DomainError(f"not a finite number: {quoted(text)}")
     return value
 
 
@@ -80,13 +80,13 @@ def parse_ident(ident: str) -> tuple[str, dict]:
     if "(" not in ident:
         return ident, {}
     if not ident.endswith(")"):
-        raise DomainError(f"malformed strategy identifier {ident!r}")
+        raise DomainError(f"malformed strategy identifier {quoted(ident)}")
     name, _, body = ident[:-1].partition("(")
     kwargs = {}
     for piece in filter(None, (p.strip() for p in body.split(","))):
         key, sep, value = piece.partition("=")
         if not sep:
-            raise DomainError(f"malformed parameter {piece!r} in {ident!r}")
+            raise DomainError(f"malformed parameter {quoted(piece)} in {quoted(ident)}")
         kwargs[key.strip()] = _parse_value(value.strip())
     return name, kwargs
 
@@ -114,7 +114,7 @@ def build_strategy(ident: str, g: Graph):
     """Construct the strategy named by a stable identifier string."""
     name, kw = parse_ident(ident)
     if name not in STRATEGY_PARAMS:
-        raise DomainError(f"unknown strategy {name!r}")
+        raise DomainError(f"unknown strategy {quoted(name)}")
     refuse_unknown(kw, STRATEGY_PARAMS[name], f"strategy {name!r} takes no parameter(s)")
 
     def param(key):
@@ -131,7 +131,7 @@ def build_strategy(ident: str, g: Graph):
     if name == "dense-edge":
         delta, force = param("delta"), bool(kw.get("force", False))
         core = _cached_core(extract_bipartite_core, g, Fraction(delta), force=force)
-        return DenseEdgeMaker(g, delta, core=core)
+        return DenseEdgeMaker(g, core=core)
     if name == "connected-edge":
         return ConnectedEdgeMaker(
             g, int(param("b")), k_prime=kw.get("k"), seed=int(kw.get("seed", 0))
@@ -173,7 +173,7 @@ class ExperimentConfig:
         for f in fields(cls):
             value = data.get(f.name, f.default)
             if type(value).__name__ != f.type:  # annotations are type names
-                raise DomainError(f"experiment config {f.name!r} must be of type {f.type}: {value!r}")
+                raise DomainError(f"experiment config {f.name!r} must be {f.type}: {quoted(value)}")
         return cls(**data)
 
     def predicate(self) -> WinPredicate:
@@ -181,7 +181,7 @@ class ExperimentConfig:
         anchor = obj.get("anchor")
         if anchor is not None:
             if type(anchor) is not list or any(type(v) is not int for v in anchor):
-                raise DomainError(f"an objective's anchor is a list of vertices, got {anchor!r}")
+                raise DomainError(f"an objective's anchor is a vertex list, got {quoted(anchor)}")
             anchor = frozenset(anchor)
         return WinPredicate(kind=require(obj, "kind", "objective"), k=obj.get("k"), anchor=anchor)
 

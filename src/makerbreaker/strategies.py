@@ -276,7 +276,6 @@ class ConnectivityMaker(Strategy):
     def __init__(self, g: Graph, pool_masks=None, members=None):
         self.view = _ClaimView(g.neighbor_masks() if pool_masks is None else pool_masks)
         self.members = (1 << g.n) - 1 if members is None else members
-        self.ident = "connectivity"
 
     def _pick(self, maker, avail) -> tuple | None:
         best_cut = _smallest_cut(maker, self.members, avail, 1)
@@ -308,7 +307,6 @@ class ConnectivityMaker(Strategy):
 class RandomStrategy(Strategy):
     """Uniform unclaimed elements; role-agnostic."""
 
-    ident = "random"
     position_pure = False
 
     def __init__(self):
@@ -340,7 +338,6 @@ class BipartiteGuardBreaker(Strategy):
     """Claim the elements that would let Maker close an odd walk; otherwise
     take the highest-degree unclaimed element."""
 
-    ident = "bipartite-guard"
     position_pure = True
 
     def propose(self, spec, pos):
@@ -383,7 +380,6 @@ class CutAttackBreaker(Strategy):
     On edge boards the cut comes from a claim view of the last host played,
     made anew when the host changes."""
 
-    ident = "cut-attack"
     position_pure = True
 
     def __init__(self):
@@ -451,14 +447,12 @@ class DenseEdgeMaker(_SpecialEdgeMaker):
     """Stage I: claim the witness edge inside side A of the bipartite core.
     Stage II: connectivity play restricted to the core's crossing edges."""
 
-    def __init__(self, g: Graph, delta, core: BipartiteCore):
-        self.delta = Fraction(delta)
+    def __init__(self, g: Graph, core: BipartiteCore):
         self.core = core
         self.witness_edge = self.special_edge = self.core.witness_edge
         self.inner = ConnectivityMaker(
             g, cross_masks(g, core.a, core.b), sum(1 << v for v in core.a | core.b)
         )
-        self.ident = f"dense-edge(delta={self.delta})"
         self.stage_trace = []
 
 
@@ -548,7 +542,6 @@ class ConnectedEdgeMaker(_SpecialEdgeMaker):
             self.special_edge = pool_masks = None
             self.k_prime = k_prime or 0
         self.inner = ConnectivityMaker(g, pool_masks)
-        self.ident = f"connected-edge(b={b})"
         self.stage_trace = []
 
 
@@ -676,7 +669,6 @@ class DenseVertexMaker(Strategy):
         self.members = sum(1 << v for v in core.a | core.b)
         self.center = min(core.a, key=lambda v: (-g.degree_into(v, core.a), v))
         self.budget = bound_report(g.n, self.delta, b).dominating_size
-        self.ident = f"dense-vertex(delta={self.delta},b={b})"
         self.rng = random.Random(0)
         self._clear()
 

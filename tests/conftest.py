@@ -1,16 +1,21 @@
 """Shared graph builders, a scripted strategy, the decomposition-backed
 Makers on forced cores, uniform vertex sampling, the small-graph
-isomorphism-class enumeration, the set-based component search and the
-solver's node loop before its one choice routine."""
+isomorphism-class enumeration, the set-based component search, the
+solver's node loop before its one choice routine, and the connectivity
+kernels on relabelled subgraphs."""
 
+from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
+from makerbreaker.connectivity import _local_vertex_flow
 from makerbreaker.decompose import extract_bipartite_core, extract_chromatic_core
 from makerbreaker.engine import BREAKER, MAKER, Strategy
-from makerbreaker.graphs import Graph
+from makerbreaker.errors import DomainError
+from makerbreaker.graphs import Graph, connected_components, frac_ceil, induced_subgraph
 from makerbreaker.solver import _mask_elements, _Solver
 from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
 
@@ -32,7 +37,7 @@ def two_triangles_shared_vertex() -> Graph:
 
 def forced_dense_edge_maker(g: Graph, delta) -> DenseEdgeMaker:
     """A DenseEdgeMaker on the bipartite core extracted with ``force=True``."""
-    return DenseEdgeMaker(g, delta, extract_bipartite_core(g, delta, force=True))
+    return DenseEdgeMaker(g, extract_bipartite_core(g, delta, force=True))
 
 
 def forced_dense_vertex_maker(g: Graph, delta, b: int) -> DenseVertexMaker:
@@ -227,3 +232,85 @@ class SolverBeforeChoose(_Solver):
                 b |= chosen
                 mover = MAKER
         return tuple(line)
+
+
+# The kernels as they were on relabelled subgraphs, each a Graph of its own,
+# kept as references for the mask kernels that read a host's masks under a
+# member mask.
+
+
+def vertex_network_by_edges(g: Graph):
+    """``_vertex_network`` on a Graph, its arcs read off ``g.edges``."""
+    inf = g.n + 1
+    cap = [dict() for _ in range(2 * g.n)]
+    for x in range(g.n):
+        cap[2 * x][2 * x + 1] = 1
+        cap[2 * x + 1][2 * x] = 0
+    for u, v in g.edges:
+        cap[2 * u + 1][2 * v] = inf
+        cap[2 * v][2 * u + 1] = 0
+        cap[2 * v + 1][2 * u] = inf
+        cap[2 * u][2 * v + 1] = 0
+    adj = [sorted(d) for d in cap]
+    return cap, adj
+
+
+def cut_from_residual_by_range(g: Graph, cap, adj, s):
+    """``_cut_from_residual`` on a Graph: the split vertices x of 0..n-1."""
+    reach = {2 * s + 1}
+    queue = deque([2 * s + 1])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in reach and cap[x][y] > 0:
+                reach.add(y)
+                queue.append(y)
+    return frozenset(x for x in range(g.n) if 2 * x in reach and 2 * x + 1 not in reach)
+
+
+def vertex_cut_below_on_graph(g: Graph, threshold: int):
+    """``vertex_cut_below`` on a Graph: sources among the lowest
+    min(threshold, min degree + 1) vertices, each pair by two loops."""
+    if g.is_complete():
+        raise DomainError("complete graphs have no vertex cut")
+    if threshold <= 0:
+        return None
+    nbr = g.neighbor_masks()
+    base, adj = vertex_network_by_edges(g)
+    delta = min(len(g.neighbors(v)) for v in range(g.n))
+    for s in range(min(threshold, delta + 1, g.n)):
+        for t in range(g.n):
+            if t == s or t in g.neighbors(s):
+                continue
+            flow, residual = _local_vertex_flow(nbr, lambda: (base, adj), s, t, threshold)
+            if flow < threshold:
+                return cut_from_residual_by_range(g, residual, adj, s)
+    return None
+
+
+def mader_subgraph_on_graph(g: Graph, k):
+    """``mader_subgraph`` on a Graph: each round on the induced subgraph of
+    the current set, relabelled, its cut's sides mapped back through
+    to_parent."""
+    target = frac_ceil(Fraction(k) / 4)
+    current = tuple(range(g.n))
+    while True:
+        if len(current) <= 1:
+            return None
+        sub, to_parent = induced_subgraph(g, current)
+        if sub.is_complete():
+            return frozenset(current) if sub.n - 1 >= target else None
+        cut = vertex_cut_below_on_graph(sub, target)
+        if cut is None:
+            return frozenset(current)
+        nbr = sub.neighbor_masks()
+        best = best_key = None
+        for comp in connected_components(sub, frozenset(range(sub.n)) - cut):
+            side = comp | cut
+            side_mask = sum(1 << v for v in side)
+            degree_sum = sum((nbr[v] & side_mask).bit_count() for v in side)
+            labels = sorted(to_parent[v] for v in side)
+            key = (Fraction(degree_sum, len(side)), len(side), -labels[0])
+            if best_key is None or key > best_key:
+                best, best_key = labels, key
+        current = tuple(best)

@@ -18,9 +18,10 @@ from makerbreaker.decompose import (
     robust_partition,
 )
 from makerbreaker.engine import GameSpec, WinPredicate, replay_transcript
+from makerbreaker.errors import DomainError
 from makerbreaker.generators import FAMILIES
 from makerbreaker.graphs import Graph, format_graph, frac_ceil, parse_graph
-from makerbreaker.harness import parse_fraction
+from makerbreaker.harness import ExperimentConfig, build_strategy, parse_fraction, parse_ident
 
 
 def run_cli(*argv):
@@ -469,6 +470,59 @@ class TestMalformedNumbers:
         assert err.startswith("error:") and len(err.encode()) < 1024
         assert "..." in err
 
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["solve", "@triangle", "--bias", "1:" + "9" * 50_000 + "z"], {}, "--bias '1:999"),
+            (["solve", "@triangle", "--objective", "non-" + "9" * 50_000 + "z-colorable"], {},
+             "objective 'non-999"),
+            (["play", "@triangle", "--maker", "m" * 50_000, "--breaker", "random"], {},
+             "unknown strategy 'mmm"),
+            (["decompose", "@triangle", "--mode", "bfkm", "--delta", "d" * 50_000], {},
+             "not a fraction: 'ddd"),
+            (["experiment", "@config"], {"trials": "t" * 50_000}, "'trials' must be int: 'ttt"),
+            (["sweep", "@config", "--b-range", "1:" + "9" * 50_000], {}, "--b-range '1:999"),
+        ],
+        ids=["bias", "objective", "maker", "delta", "trials", "b-range"],
+    )
+    def test_long_input_is_quoted_short(self, tmp_path, capsys, argv, config, named):
+        (tmp_path / "triangle").write_text("p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
+        (tmp_path / "config").write_text(json.dumps({**EXPERIMENT_CONFIG, **config}))
+        argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.encode()) < 1024 and named in err
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: ExperimentConfig.from_dict({**EXPERIMENT_CONFIG, "trials": list(range(30000))}),
+             "[0, 1, 2"),
+            (lambda: ExperimentConfig.from_dict(
+                {**EXPERIMENT_CONFIG, "objective": {"kind": "aux-connect", "anchor": ["a"] * 50_000}}
+            ).predicate(), "['a', 'a'"),
+            (lambda: parse_graph("p " + "9" * 100_000 + "z 1\n"), "'p 999"),
+            (lambda: parse_graph("p 2 1\ne 0 " + "x" * 100_000 + "\n"), "'e 0 xxx"),
+            # 4,000 leading zeros: under int()'s digit limit, over 1 KB
+            (lambda: parse_graph("p 2 1\ne 1 " + "0" * 4000 + "1\n"), "loop line: 'e 1 000"),
+            (lambda: parse_graph("p 2 2\ne 0 1\ne 1 " + "0" * 4000 + "\n"), "duplicate edge line"),
+            (lambda: parse_ident("f(" + "a" * 100_000), "'f(aaa"),
+            (lambda: parse_ident("f(" + "a" * 100_000 + ")"), "parameter 'aaa"),
+            (lambda: WinPredicate.from_token("w" * 100_000), "'www"),
+            (lambda: parse_fraction("1/" + "x" * 100_000), "'1/xxx"),
+            (lambda: build_strategy("s" * 100_000, Graph.complete(3)), "'sss"),
+            (lambda: build_strategy("random(" + "k" * 100_000 + "=1)", Graph.complete(3)),
+             "'kkk"),
+        ],
+        ids=["trials", "anchor", "header", "edge-line", "loop-line", "duplicate-line",
+             "ident", "ident-parameter", "objective-token", "fraction", "strategy-name",
+             "strategy-parameter"],
+    )
+    def test_long_value_is_quoted_short_in_the_library(self, call, named):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert len(str(info.value)) < 1024 and named in str(info.value)
+
     def test_unknown_generator_param_is_refused(self, capsys):
         argv = ("generate", "--family", "gnp", "--param", "n=5", "--param", "p=0.5")
         assert run_cli(*argv, "--param", "bogus=3") == 1
@@ -668,11 +722,21 @@ def generator_docs(draw):
     return draw(good_or_bad([doc], [{"params": params}, [family], family]))
 
 
+LONG = 10_000
+
+
+def stretched(value) -> str:
+    """``value``'s text grown to ``LONG`` characters: digits after its first
+    character and a letter at the end, so that no number or name in it parses."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    return text[:1] + "9" * (LONG - 1 - len(text)) + text[1:] + "z"
+
+
 @st.composite
 def config_docs(draw):
     """An experiment config: each key's value good four times in five, a key
-    left out one time in ten, an unknown key added one time in ten, and one
-    config in ten not an object at all."""
+    left out one time in ten, an unknown key added one time in ten, one
+    value in ten ``stretched``, and one config in ten not an object at all."""
     values = {
         "generator": generator_docs(),
         "board_kind": good_or_bad(["edges", "vertices"], ["faces", 1]),
@@ -709,6 +773,9 @@ def config_docs(draw):
             doc[key] = draw(value)
     if draw(st.integers(min_value=0, max_value=9)) == 9:
         doc["trails"] = 1
+    if doc and draw(st.integers(min_value=0, max_value=9)) == 9:
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = stretched(doc[key])
     return draw(good_or_bad([doc], [[doc], 5, "x", None]))
 
 
@@ -757,6 +824,11 @@ def command_lines(draw):
         argv += ["--b-range", draw(good_or_bad(["1:2", "2", "2:1"], ["a:b", "1:"]))]
     if command in ("generate", "decompose", "play") and draw(st.booleans()):
         argv += ["--seed", draw(good_or_bad(["0", "3"], ["x"]))]
+    valued = [i + 1 for i, a in enumerate(argv[:-1]) if a.startswith("--")
+              and not argv[i + 1].startswith("--")]
+    if valued and draw(st.integers(min_value=0, max_value=9)) == 9:
+        i = draw(st.sampled_from(valued))
+        argv[i] = stretched(argv[i])
     if draw(st.integers(min_value=0, max_value=19)) == 19:
         argv.append("--no-such-flag")
     return argv, draw(GRAPH_TEXTS), json.dumps(draw(config_docs()))
@@ -767,7 +839,10 @@ class TestCommandLineFuzz:
     @given(command_lines())
     def test_every_command_line_ends_in_an_exit_code(self, case):
         """Any command line ends in exit 0, a clean error (1) or a usage
-        error (2, raised by argparse as SystemExit), never another exception."""
+        error (2, raised by argparse as SystemExit), never another exception.
+        A clean error's message stays under 1 KB, even when a flag value or a
+        config field is 10,000 characters long; argparse's usage errors are
+        its own."""
         argv, graph_text, config_text = case
         with tempfile.TemporaryDirectory() as tmp:
             files = {"{graph}": os.path.join(tmp, "g.graph"),
@@ -784,3 +859,5 @@ class TestCommandLineFuzz:
                 except SystemExit as exc:
                     code = exc.code
         assert code in (0, 1, 2)
+        if code == 1:
+            assert len(err.getvalue().encode()) < 1024

@@ -6,12 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import two_triangles_shared_vertex
+from conftest import (
+    cut_from_residual_by_range,
+    mader_subgraph_on_graph,
+    two_triangles_shared_vertex,
+    vertex_cut_below_on_graph,
+    vertex_network_by_edges,
+)
 from makerbreaker import connectivity
 from makerbreaker.connectivity import (
     _cut_from_residual,
     _local_vertex_flow,
     _max_flow,
+    _pairs,
     _short_paths,
     _vertex_network,
     edge_connectivity,
@@ -37,6 +44,21 @@ def to_nx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def whole(g: Graph) -> int:
+    """The vertex mask of every vertex of g."""
+    return (1 << g.n) - 1
+
+
+def cut_below(g: Graph, threshold: int):
+    """``vertex_cut_below`` on the whole of g."""
+    return vertex_cut_below(g.neighbor_masks(), whole(g), threshold)
+
+
+def mader(g: Graph, k):
+    """``mader_subgraph`` on the whole of g."""
+    return mader_subgraph(g.neighbor_masks(), whole(g), k)
 
 
 class TestEdgeConnectivity:
@@ -99,7 +121,7 @@ class TestVertexConnectivity:
             if g.is_complete():
                 continue
             kappa = vertex_connectivity(g)
-            cut = vertex_cut_below(g, kappa + 1)
+            cut = cut_below(g, kappa + 1)
             assert cut is not None and len(cut) == kappa
             if g.n - len(cut) > 1:
                 remaining = sorted(set(range(g.n)) - cut)
@@ -118,14 +140,14 @@ def unseeded_cut_below(g: Graph, threshold: int):
     empty flow: the construction before greedy short-path seeding."""
     if threshold <= 0:
         return None
-    base, adj = _vertex_network(g)
+    base, adj = vertex_network_by_edges(g)
     for s in range(min(threshold, min_degree(g) + 1, g.n)):
         for t in range(g.n):
             if t == s or g.has_edge(s, t):
                 continue
             cap = [dict(d) for d in base]
             if _max_flow(cap, adj, 2 * s + 1, 2 * t, threshold) < threshold:
-                return _cut_from_residual(g, cap, adj, s)
+                return cut_from_residual_by_range(g, cap, adj, s)
     return None
 
 
@@ -173,7 +195,7 @@ class TestSeededVertexFlow:
     def test_cut_below_matches_unseeded_reference(self, g):
         kappa = vertex_connectivity(g)
         for t in range(kappa + 3):
-            assert vertex_cut_below(g, t) == unseeded_cut_below(g, t)
+            assert cut_below(g, t) == unseeded_cut_below(g, t)
 
     @settings(max_examples=150, deadline=None)
     @given(flow_hosts())
@@ -181,7 +203,7 @@ class TestSeededVertexFlow:
         h = to_nx(g)
         kappa = vertex_connectivity(g)
         assert kappa == nx.node_connectivity(h)
-        cut = vertex_cut_below(g, kappa + 1)
+        cut = cut_below(g, kappa + 1)
         if nx.is_connected(h):
             assert len(cut) == len(nx.minimum_node_cut(h))
         else:
@@ -193,7 +215,7 @@ class TestSeededVertexFlow:
         pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t and not g.has_edge(s, t)]
         s, t = data.draw(st.sampled_from(pairs))
         limit = data.draw(st.integers(min_value=1, max_value=g.n))
-        paths = _short_paths(g, s, t, limit)
+        paths = _short_paths(g.neighbor_masks(), s, t, limit)
         assert len(paths) <= limit
         inner = [x for path in paths for x in path]
         assert len(inner) == len(set(inner)) and not {s, t} & set(inner)
@@ -209,7 +231,8 @@ class TestSeededVertexFlow:
                 if t == s or g.has_edge(s, t):
                     continue
                 for limit in (1, len(g.neighbors(s) & g.neighbors(t)) + 1, g.n):
-                    assert _short_paths(g, s, t, limit) == short_paths_by_sets(g, s, t, limit)
+                    got = _short_paths(g.neighbor_masks(), s, t, limit)
+                    assert got == short_paths_by_sets(g, s, t, limit)
 
     def test_common_neighbours_reaching_the_limit_skip_the_paths(self, monkeypatch):
         def no_paths(*args):
@@ -218,53 +241,54 @@ class TestSeededVertexFlow:
         monkeypatch.setattr(connectivity, "_short_paths", no_paths)
         g = Graph.complete(6)
         g = Graph(6, g.edges - {(0, 1)})  # 0 and 1 share the neighbours 2..5
-        assert _local_vertex_flow(g, None, 0, 1, 4) == (4, None)
+        assert _local_vertex_flow(g.neighbor_masks(), None, 0, 1, 4) == (4, None)
         with pytest.raises(AssertionError):
-            _local_vertex_flow(g, None, 0, 1, 5)
+            _local_vertex_flow(g.neighbor_masks(), None, 0, 1, 5)
 
     def test_augmenting_path_cancels_seeded_flow(self):
         g = blocked_host()
-        assert _short_paths(g, 0, 1, 3) == [(2, 4)]
-        base, adj = _vertex_network(g)
-        flow, cap = _local_vertex_flow(g, lambda: (base, adj), 0, 1, 3)
+        nbr = g.neighbor_masks()
+        assert _short_paths(nbr, 0, 1, 3) == [(2, 4)]
+        base, adj = _vertex_network(nbr, whole(g))
+        flow, cap = _local_vertex_flow(nbr, lambda: (base, adj), 0, 1, 3)
         assert flow == 2
         assert cap[2 * 2 + 1][2 * 4] == base[2 * 2 + 1][2 * 4]
-        assert _cut_from_residual(g, cap, adj, 0) == frozenset({2, 3})
+        assert _cut_from_residual(cap, adj, 0) == frozenset({2, 3})
         assert vertex_connectivity(g) == 2 == nx.node_connectivity(to_nx(g))
-        assert vertex_cut_below(g, 2) is None
-        assert vertex_cut_below(g, 3) == frozenset({2, 3}) == unseeded_cut_below(g, 3)
+        assert cut_below(g, 2) is None
+        assert cut_below(g, 3) == frozenset({2, 3}) == unseeded_cut_below(g, 3)
 
     def test_saturated_pair_skips_the_network(self):
         def network():
             raise AssertionError("the split network was asked for")
 
-        assert _local_vertex_flow(Graph.cycle(4), network, 0, 2, 2) == (2, None)
+        assert _local_vertex_flow(Graph.cycle(4).neighbor_masks(), network, 0, 2, 2) == (2, None)
 
     def test_network_is_built_once_and_only_when_needed(self, monkeypatch):
         builds = []
 
-        def counting(g):
-            builds.append(g)
-            return _vertex_network(g)
+        def counting(nbr, members):
+            builds.append(members)
+            return _vertex_network(nbr, members)
 
         monkeypatch.setattr(connectivity, "_vertex_network", counting)
         # every non-adjacent pair of C_5 is joined by a path of two edges and
         # one of three, disjoint: the greedy paths saturate every flow
         assert vertex_connectivity(Graph.cycle(5)) == 2
-        assert vertex_cut_below(Graph.cycle(5), 2) is None
+        assert cut_below(Graph.cycle(5), 2) is None
         assert builds == []
         # in blocked_host the greedy paths fall short, and two pairs need flows
         g = blocked_host()
         assert vertex_connectivity(g) == 2
-        assert vertex_cut_below(g, 3) == frozenset({2, 3})
-        assert builds == [g, g]
+        assert cut_below(g, 3) == frozenset({2, 3})
+        assert builds == [whole(g), whole(g)]
 
     def test_first_flow_is_capped_at_min_degree(self, monkeypatch):
         limits = []
 
-        def spy(g, network, s, t, limit):
+        def spy(nbr, network, s, t, limit):
             limits.append(limit)
-            return _local_vertex_flow(g, network, s, t, limit)
+            return _local_vertex_flow(nbr, network, s, t, limit)
 
         monkeypatch.setattr(connectivity, "_local_vertex_flow", spy)
         for seed in range(6):
@@ -273,6 +297,88 @@ class TestSeededVertexFlow:
             kappa = vertex_connectivity(g)
             assert limits[0] == min_degree(g)
             assert max(limits) == min_degree(g) and min(limits) >= kappa
+
+
+@st.composite
+def member_hosts(draw):
+    """A seeded gnp host of 3-22 vertices and a strict subset of at least
+    two of its vertices as members, so non-members sit beside them."""
+    n = draw(st.integers(min_value=3, max_value=22))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9]))
+    g = gnp(n, p, draw(st.integers(min_value=0, max_value=10**6)))
+    members = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=n - 1))
+    return g, members
+
+
+def to_host(to_parent, labels):
+    """A relabelled subgraph's vertex set in host labels (None stays None)."""
+    return None if labels is None else frozenset(to_parent[v] for v in labels)
+
+
+class TestKernelsUnderAMemberMask:
+    """The mask kernels on a host's masks under a member mask give, in host
+    labels, what the Graph kernels give on the relabelled induced subgraph."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(member_hosts())
+    def test_cut_below_matches_the_relabelled_subgraph(self, host):
+        g, members = host
+        sub, to_parent = induced_subgraph(g, members)
+        adj, mask = g.neighbor_masks(), sum(1 << v for v in members)
+        if sub.is_complete():
+            with pytest.raises(DomainError):
+                vertex_cut_below(adj, mask, 1)
+            return
+        for t in range(vertex_connectivity(sub) + 3):
+            want = to_host(to_parent, vertex_cut_below_on_graph(sub, t))
+            assert vertex_cut_below(adj, mask, t) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(member_hosts(), st.sampled_from([1, 2, 4, 7, 12]))
+    def test_mader_matches_the_relabelled_subgraph(self, host, k):
+        g, members = host
+        sub, to_parent = induced_subgraph(g, members)
+        mask = sum(1 << v for v in members)
+        want = to_host(to_parent, mader_subgraph_on_graph(sub, k))
+        assert mader_subgraph(g.neighbor_masks(), mask, k) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(member_hosts())
+    def test_network_matches_the_relabelled_subgraph(self, host):
+        g, members = host
+        sub, to_parent = induced_subgraph(g, members)
+        mask = sum(1 << v for v in members)
+        cap, adj = _vertex_network([x & mask for x in g.neighbor_masks()], mask)
+        want_cap, want_adj = vertex_network_by_edges(sub)
+
+        def node(x):  # a split node of the subgraph as the host's
+            return 2 * to_parent[x // 2] + x % 2
+
+        def arcs(cap, n, relabel):  # infinite capacities all read "inf"
+            return {(relabel(x), relabel(y), c if c <= 1 else "inf")
+                    for x in range(2 * n) for y, c in cap[x].items()}
+
+        assert arcs(cap, g.n, lambda x: x) == arcs(want_cap, sub.n, node)
+        assert all(adj[node(x)] == sorted(map(node, want_adj[x])) for x in range(2 * sub.n))
+        assert all(not adj[2 * v] and not adj[2 * v + 1] for v in range(g.n) if v not in members)
+
+    @settings(max_examples=100, deadline=None)
+    @given(member_hosts(), st.integers(min_value=0, max_value=23))
+    def test_pairs_match_the_double_loop(self, host, sources):
+        g, members = host
+        mask = sum(1 << v for v in members)
+        order = sorted(members)
+        want = [(s, t) for s in order[:sources] for t in order
+                if t != s and not g.has_edge(s, t)]
+        assert list(_pairs([x & mask for x in g.neighbor_masks()], mask, sources)) == want
+
+    def test_a_member_past_the_host_is_refused(self):
+        adj = Graph.cycle(5).neighbor_masks()
+        for members in (1 << 5, 0b111 | 1 << 9):
+            with pytest.raises(DomainError):
+                vertex_cut_below(adj, members, 1)
+            with pytest.raises(DomainError):
+                mader_subgraph(adj, members, 4)
 
 
 class TestUnfriendlyPartition:
@@ -320,7 +426,7 @@ def mader_subgraph_by_induced_subgraphs(g: Graph, k):
         sub, to_parent = induced_subgraph(g, current)
         if sub.is_complete():
             return frozenset(current) if sub.n - 1 >= target else None
-        cut = vertex_cut_below(sub, target)
+        cut = vertex_cut_below_on_graph(sub, target)
         if cut is None:
             return frozenset(current)
         comps = connected_components(sub, frozenset(range(sub.n)) - cut)
@@ -340,14 +446,14 @@ def mader_subgraph_by_induced_subgraphs(g: Graph, k):
 
 class TestMaderSubgraph:
     def test_k8(self):
-        assert mader_subgraph(Graph.complete(8), 4) == frozenset(range(8))
+        assert mader(Graph.complete(8), 4) == frozenset(range(8))
 
     def test_edgeless_none(self):
-        assert mader_subgraph(Graph.empty(5), 1) is None
+        assert mader(Graph.empty(5), 1) is None
 
     def test_two_cliques(self):
         g = disjoint_union(Graph.complete(5), Graph.complete(5))
-        found = mader_subgraph(g, 4)
+        found = mader(g, 4)
         assert found is not None
         sub, _ = induced_subgraph(g, found)
         assert vertex_connectivity(sub) >= 1
@@ -360,7 +466,7 @@ class TestMaderSubgraph:
     )
     def test_self_certifying(self, seed, n, k):
         g = gnp(n, 0.5, seed)
-        found = mader_subgraph(g, k)
+        found = mader(g, k)
         if found is not None:
             sub, _ = induced_subgraph(g, found)
             target = frac_ceil(Fraction(k, 4))
@@ -372,7 +478,7 @@ class TestMaderSubgraph:
     @settings(max_examples=80, deadline=None)
     @given(flow_hosts(), st.integers(min_value=1, max_value=24))
     def test_matches_induced_subgraph_ranking(self, g, k):
-        assert mader_subgraph(g, k) == mader_subgraph_by_induced_subgraphs(g, k)
+        assert mader(g, k) == mader_subgraph_by_induced_subgraphs(g, k)
 
     def test_succeeds_when_average_degree_suffices(self):
         for seed in range(6):
@@ -380,4 +486,4 @@ class TestMaderSubgraph:
             avg = 2 * g.m / g.n
             k = int(avg)
             if k >= 1:
-                assert mader_subgraph(g, k) is not None
+                assert mader(g, k) is not None

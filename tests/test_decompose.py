@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gray_code_side_lists
+from conftest import gray_code_side_lists, mader_subgraph_on_graph
 
 from makerbreaker.coloring import chromatic_number, is_k_colorable
 from makerbreaker.connectivity import vertex_connectivity
@@ -46,6 +46,51 @@ def reverify_partition(h, partition):
             assert vertex_connectivity(sub) >= guarantee.certified_connectivity
 
 
+def highly_connected_partition_by_relabelling(h, k):
+    """``highly_connected_partition``'s parts as they were found on
+    relabelled subgraphs: each seeding round copies the unassigned vertices
+    into a Graph of their own and maps Mader's set back through to_parent."""
+    conn_target = frac_ceil(Fraction(k * k, 16 * h.n))
+    parts = []
+    unassigned = set(range(h.n))
+    while unassigned:
+        progress = True
+        while progress and unassigned:
+            progress = False
+            for v in sorted(unassigned):
+                for part in parts:
+                    if h.degree_into(v, part) >= conn_target:
+                        part.add(v)
+                        unassigned.discard(v)
+                        progress = True
+                        break
+        if not unassigned:
+            break
+        sub, to_parent = induced_subgraph(h, unassigned)
+        core = mader_subgraph_on_graph(sub, Fraction(k, 2))
+        parts.append({to_parent[v] for v in core})
+        unassigned -= parts[-1]
+    return tuple(frozenset(p) for p in parts)
+
+
+@st.composite
+def partition_hosts(draw):
+    """A gnp host of 4-22 vertices, or two or three cliques of 9-12 vertices
+    joined by one to three random edges, where Mader's search at k near the
+    minimum degree keeps one clique and the partition absorbs the rest."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=4, max_value=22))
+        return gnp(n, draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])), seed)
+    sizes = draw(st.lists(st.integers(min_value=9, max_value=12), min_size=2, max_size=3))
+    g = Graph.complete(sizes[0])
+    for size in sizes[1:]:
+        g = disjoint_union(g, Graph.complete(size))
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    extra = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    return Graph(g.n, g.edges | set(extra))
+
+
 class TestHighlyConnectedPartition:
     def test_complete_graph_single_part(self):
         g = Graph.complete(12)
@@ -78,6 +123,18 @@ class TestHighlyConnectedPartition:
             p = highly_connected_partition(g, k)
             assert p.certified_connectivity == frac_ceil(Fraction(k * k, 16 * g.n))
             reverify_partition(g, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(partition_hosts(), st.data())
+    def test_matches_the_relabelling_partition(self, g, data):
+        top = max(1, min_degree(g))
+        k = data.draw(st.integers(min_value=max(1, top - 3), max_value=top))
+        if min_degree(g) < k:
+            with pytest.raises(DomainError):
+                highly_connected_partition(g, k)
+            return
+        want = highly_connected_partition_by_relabelling(g, k)
+        assert highly_connected_partition(g, k).parts == want
 
 
 class TestExtractBipartiteCore:
@@ -171,6 +228,49 @@ class TestRobustPartition:
         assert a.parts == b.parts and a.moved == b.moved
 
 
+def balanced_cut_exact_by_induced_subgraph(g, members, min_side, n):
+    """``_balanced_cut_exact`` as it was on the members' induced subgraph:
+    the same pruned search over its relabelled neighbour masks, its sides
+    mapped back through the sorted members."""
+    order = sorted(members)
+    m = len(order)
+    sub, _ = induced_subgraph(g, order)
+    nbr = sub.neighbor_masks()
+    lo = frac_ceil(min_side)
+    best = best_mask = None
+    unassigned = [nbr[1 : v + 1] for v in range(m)]
+
+    def search(v, side0, side1, ones, cut, reverse):
+        nonlocal best, best_mask
+        if best is not None:
+            bound = cut
+            for x in unassigned[v]:
+                a = (x & side0).bit_count()
+                b = (x & side1).bit_count()
+                bound += a if a < b else b
+            if bound >= best:
+                return
+        if v == 0:
+            best, best_mask = cut, side1
+            return
+        bit, x = 1 << v, nbr[v]
+        for one in (1, 0) if reverse else (0, 1):
+            if one:
+                if ones < m - lo:
+                    search(v - 1, side0, side1 | bit, ones + 1,
+                           cut + (x & side0).bit_count(), not reverse)
+            elif ones + v > lo:
+                search(v - 1, side0 | bit, side1, ones, cut + (x & side1).bit_count(), reverse)
+
+    if lo <= m - lo:
+        search(m - 1, 1, 0, 0, 0, False)
+    if best is None:
+        return None, None
+    if best * best >= n**3:
+        return None, best
+    return _normalize_sides(order, [order[i] for i in range(m) if not best_mask >> i & 1]), best
+
+
 def balanced_cut_exact_by_side_lists(g, members, min_side, n):
     """``_balanced_cut_exact`` as it was before the neighbor-mask walk: the
     best bipartition is kept as a copy of the side list."""
@@ -223,20 +323,26 @@ def balanced_cut_exact_by_gray_walk(g, members, min_side, n):
 
 
 @st.composite
-def balanced_cut_instances(draw, max_n=EXACT_CUT_LIMIT):
-    """A gnp host of 2 to ``max_n`` vertices, a member set of at least two
-    vertices, a positive side floor up to half the members (as
+def balanced_cut_instances(draw, max_n=EXACT_CUT_LIMIT, strict=False):
+    """A gnp host of 2 to ``max_n`` vertices (3 to ``max_n + 1`` when
+    ``strict``), a member set of at least two vertices (a strict subset when
+    ``strict``), a positive side floor up to half the members (as
     ``robust_partition`` passes), and the n the split bound uses (at 100n
     every minimum cut is below the bound, so its sides are compared too)."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
+    n = draw(st.integers(min_value=2 + strict, max_value=max_n + strict))
     g = gnp(n, draw(st.sampled_from([0.2, 0.5, 0.8])), draw(st.integers(0, 2**16)))
-    members = set(draw(st.permutations(range(n)))[: draw(st.integers(2, n))])
+    members = set(draw(st.permutations(range(n)))[: draw(st.integers(2, n - strict))])
     min_side = Fraction(draw(st.integers(1, len(members))), 2)
     big_n = draw(st.sampled_from([n, 4 * n, 100 * n]))
     return g, members, min_side, big_n
 
 
 class TestBalancedCutExact:
+    @settings(max_examples=100, deadline=None)
+    @given(balanced_cut_instances(strict=True))
+    def test_matches_the_induced_subgraph_search(self, inst):
+        assert _balanced_cut_exact(*inst) == balanced_cut_exact_by_induced_subgraph(*inst)
+
     @settings(max_examples=40, deadline=None)
     @given(balanced_cut_instances(max_n=18))
     def test_matches_side_list_walk(self, inst):

@@ -90,16 +90,30 @@ class TestInducedSubgraph:
         edges = [(index[u], index[v]) for u, v in g.edges if u in s and v in s]
         return Graph(len(order), edges), order
 
+    @staticmethod
+    def two_paths(g, members):
+        """The construction before one edge-listing path: each member's
+        neighbor set intersected with the members when their degrees sum
+        below 2m, else one scan of the edge set."""
+        s = frozenset(members)
+        order = tuple(sorted(s))
+        index = {old: new for new, old in enumerate(order)}
+        if sum(g.degree(v) for v in order) < 2 * g.m:
+            edges = [(index[u], index[v]) for u in order for v in g.neighbors(u) & s if v > u]
+        else:
+            edges = [(index[u], index[v]) for u, v in g.edges if u in s and v in s]
+        return Graph(len(order), edges), order
+
     def assert_matches_edge_scan(self, g, members):
         sub, to_parent = induced_subgraph(g, members)
-        want, want_order = self.edge_scan(g, members)
-        assert sub == want and to_parent == want_order
-        assert all(sub.neighbors(v) == want.neighbors(v) for v in range(sub.n))
+        for want, want_order in (self.edge_scan(g, members), self.two_paths(g, members)):
+            assert sub == want and to_parent == want_order
+            assert all(sub.neighbors(v) == want.neighbors(v) for v in range(sub.n))
 
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(max_n=12), st.data())
     def test_matches_edge_scan_on_random_member_sets(self, g, data):
-        # mostly sets whose degrees sum below 2m, where the neighbor walk runs
+        # mostly sets whose degrees sum below 2m, where the old neighbor walk ran
         members = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
         self.assert_matches_edge_scan(g, members)
 
@@ -107,7 +121,7 @@ class TestInducedSubgraph:
     @given(random_graphs(max_n=12), st.data())
     def test_edge_scan_side_of_the_switch(self, g, data):
         # every vertex that has a neighbor, plus any isolated ones: the
-        # degrees sum to exactly 2m, so the edge scan runs
+        # degrees sum to exactly 2m, where the old edge scan ran
         isolated = [v for v in range(g.n) if g.degree(v) == 0]
         members = {v for v in range(g.n) if g.degree(v) > 0}
         members |= data.draw(st.sets(st.sampled_from(isolated))) if isolated else set()

@@ -442,9 +442,7 @@ class TestDenseEdgeMaker:
         ]
         # twice round, so every build after the first finds another core kept
         for host, delta, core in builds * 2:
-            maker = DenseEdgeMaker(
-                host, delta, core or extract_bipartite_core(host, delta, force=True)
-            )
+            maker = DenseEdgeMaker(host, core or extract_bipartite_core(host, delta, force=True))
             crossing = Graph(host.n, cut_edges(host, maker.core.a, maker.core.b))
             assert maker.inner.view.pool_masks == crossing.neighbor_masks()
 
