@@ -13,7 +13,7 @@ from .graphs import (  # noqa: F401
     parse_graph,
     verify_odd_cycle,
 )
-from .coloring import chromatic_number, is_k_colorable  # noqa: F401
+from .coloring import chromatic_number, is_k_colorable, k_coloring  # noqa: F401
 from .connectivity import (  # noqa: F401
     edge_connectivity,
     mader_subgraph,

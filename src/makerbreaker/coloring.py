@@ -1,114 +1,109 @@
-"""Exact graph coloring: k-colorability with certificates and chromatic number.
+"""Exact graph coloring in host labels: k-colorability with certificates and
+chromatic number.
 
-The k-colorability test is DSATUR-ordered backtracking with two standard
+``k_coloring`` colors the graph a host's neighbor masks give under a member
+mask, as ``graphs.spans`` reads them: no caller relabels a vertex set to ask
+whether it is k-colorable.  It is DSATUR-ordered backtracking with two
 exactness-preserving shortcuts: a greedily found clique larger than k refutes
 immediately, and a clique is pre-colored to break color symmetry.  Chromatic
-number runs the test between a clique lower bound and a greedy upper bound.
-The k-colorability search gives up with ``ResourceLimitError`` after
-``COLORING_NODE_BUDGET`` color assignments.
+number runs it between a clique lower bound and a greedy upper bound.  The
+search gives up with ``ResourceLimitError`` after ``COLORING_NODE_BUDGET``
+color assignments.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, mask_bits
 
 CHROMATIC_VERTEX_CAP = 64
 COLORING_NODE_BUDGET = 2_000_000
 
 
-def greedy_clique(g: Graph) -> list[int]:
-    """A maximal clique found greedily from each high-degree seed. Lower bound only."""
+def greedy_clique(adj, members: int) -> list[int]:
+    """A maximal clique of the graph on ``members``, in adj's labels, found
+    greedily from each of the 24 members of highest degree. Lower bound only."""
     best: list[int] = []
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for seed in order[: min(g.n, 24)]:
+    order = sorted(mask_bits(members), key=lambda v: (-(adj[v] & members).bit_count(), v))
+    for seed in order[:24]:
         clique = [seed]
-        common = set(g.neighbors(seed))
+        common = adj[seed] & members
         while common:
-            v = min(common, key=lambda x: (-len(g.neighbors(x) & common), x))
+            v = min(mask_bits(common), key=lambda x: (-(adj[x] & common).bit_count(), x))
             clique.append(v)
-            common &= g.neighbors(v)
+            common &= adj[v]
         if len(clique) > len(best):
             best = clique
     return best
 
 
-def greedy_coloring(g: Graph) -> list[int]:
-    """DSATUR greedy coloring; proper but not necessarily optimal."""
-    colors = [-1] * g.n
-    sat = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = min(
-            (x for x in range(g.n) if colors[x] == -1),
-            key=lambda x: (-len(sat[x]), -g.degree(x), x),
-        )
-        c = 0
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        for u in g.neighbors(v):
-            sat[u].add(c)
+def greedy_coloring(adj, members: int) -> list[int]:
+    """DSATUR greedy coloring of the graph on ``members``, -1 off them;
+    proper but not necessarily optimal."""
+    colors, sat = [-1] * len(adj), [0] * len(adj)
+    rest = set(mask_bits(members))
+    while rest:
+        v = min(rest, key=lambda x: (-sat[x].bit_count(), -(adj[x] & members).bit_count(), x))
+        rest.discard(v)
+        colors[v] = c = (~sat[v] & sat[v] + 1).bit_length() - 1  # the least color not seen
+        for u in mask_bits(adj[v] & members):
+            sat[u] |= 1 << c
     return colors
 
 
-def is_k_colorable(g: Graph, k: int):
-    """Proper k-coloring of g as a list, or None when no such coloring exists.
-    Past ``COLORING_NODE_BUDGET`` color assignments it raises
-    ``ResourceLimitError`` with the node count, n and k."""
+def k_coloring(adj, members: int, k: int):
+    """A proper k-coloring of the graph on the vertex bits ``members``
+    (vertex v sees ``adj[v] & members``) as a list over adj's labels, -1 off
+    ``members``, or None when there is none.  A member bit at or past
+    ``len(adj)`` raises DomainError; past ``COLORING_NODE_BUDGET`` color
+    assignments, ``ResourceLimitError`` with the nodes, members and k."""
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
-    if g.n == 0:
-        return []
+    if members >> len(adj):
+        raise DomainError(f"vertex {members.bit_length() - 1} out of range for n={len(adj)}")
+    colors, sat, near = [-1] * len(adj), [0] * len(adj), [()] * len(adj)
+    verts = mask_bits(members)
+    if k >= len(verts):
+        for c, v in enumerate(verts):
+            colors[v] = c
+        return colors
     if k == 0:
         return None
-    if k >= g.n:
-        return list(range(g.n))
-
-    clique = greedy_clique(g)
+    clique = greedy_clique(adj, members)
     if len(clique) > k:
         return None
-
-    colors = [-1] * g.n
-    sat = [set() for _ in range(g.n)]
-    used = 0
-    for i, v in enumerate(clique):
-        colors[v] = i
-        used = i + 1
-        for u in g.neighbors(v):
-            sat[u].add(i)
-
-    uncolored = set(x for x in range(g.n) if colors[x] == -1)
+    for v in verts:
+        near[v] = mask_bits(adj[v] & members)
+    for c, v in enumerate(clique):
+        colors[v] = c
+        for u in near[v]:
+            sat[u] |= 1 << c
+    uncolored = set(verts).difference(clique)
 
     def assign(v, c):
         colors[v] = c
-        touched = []
-        for u in g.neighbors(v):
-            if colors[u] == -1 and c not in sat[u]:
-                sat[u].add(c)
+        bit, touched = 1 << c, []
+        for u in near[v]:
+            if colors[u] == -1 and not sat[u] & bit:
+                sat[u] |= bit
                 touched.append(u)
         return touched
-
-    def unassign(v, c, touched):
-        colors[v] = -1
-        for u in touched:
-            sat[u].discard(c)
 
     def branch(used):
         """A search frame for the next vertex (fewest colors left), or None
         when that vertex has no color left."""
-        v = min(uncolored, key=lambda x: (k - len(sat[x]), -g.degree(x), x))
-        if len(sat[v]) >= k:
+        v = min(uncolored, key=lambda x: (k - sat[x].bit_count(), -len(near[x]), x))
+        if sat[v].bit_count() >= k:
             return None
         uncolored.discard(v)
         # existing colors first, then at most one fresh color (symmetry break)
-        untried = iter([c for c in range(min(used + 1, k)) if c not in sat[v]])
+        untried = iter([c for c in range(min(used + 1, k)) if not sat[v] >> c & 1])
         return [v, used, untried, None]
 
     # Depth-first search on an explicit stack of [vertex, colors in use,
-    # untried colors, neighbors touched by the vertex's current color].
-    if not uncolored:
-        return colors
-    stack = [branch(used)]
+    # untried colors, neighbors touched by the vertex's current color]; some
+    # member is uncolored, as the clique has at most k < |members| vertices.
+    stack = [branch(len(clique))]
     nodes = 0
     while stack:
         frame = stack[-1]
@@ -116,8 +111,10 @@ def is_k_colorable(g: Graph, k: int):
             stack.pop()
             continue
         v, used, untried, touched = frame
-        if touched is not None:
-            unassign(v, colors[v], touched)
+        if touched is not None:  # take the vertex's current color back
+            for u in touched:
+                sat[u] ^= 1 << colors[v]
+            colors[v] = -1
         c = next(untried, None)
         if c is None:
             uncolored.add(v)
@@ -127,13 +124,18 @@ def is_k_colorable(g: Graph, k: int):
         if nodes > COLORING_NODE_BUDGET:
             raise ResourceLimitError(
                 f"k-colorability search exceeded {COLORING_NODE_BUDGET} nodes",
-                stats={"nodes": nodes, "n": g.n, "k": k},
+                stats={"nodes": nodes, "n": len(verts), "k": k},
             )
         frame[3] = assign(v, c)
         if not uncolored:
             return colors
         stack.append(branch(max(used, c + 1)))
     return None
+
+
+def is_k_colorable(g: Graph, k: int):
+    """``k_coloring`` of the whole of g: a proper k-coloring as a list, or None."""
+    return k_coloring(g.neighbor_masks(), (1 << g.n) - 1, k)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -147,11 +149,7 @@ def chromatic_number(g: Graph) -> int:
         )
     if g.n == 0:
         return 0
-    if g.m == 0:
-        return 1
-    lower = max(2, len(greedy_clique(g)))
-    upper = max(greedy_coloring(g)) + 1
-    for k in range(lower, upper):
-        if is_k_colorable(g, k) is not None:
-            return k
-    return upper
+    adj, whole = g.neighbor_masks(), (1 << g.n) - 1
+    lower = max(2, len(greedy_clique(adj, whole)))
+    upper = max(greedy_coloring(adj, whole)) + 1
+    return next((k for k in range(lower, upper) if k_coloring(adj, whole, k) is not None), upper)

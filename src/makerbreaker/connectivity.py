@@ -22,7 +22,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import DomainError
-from .graphs import Graph, frac_ceil, mask_bits, mask_components
+from .graphs import Graph, check_vertex_set, frac_ceil, mask_bits, mask_components
 
 
 def _max_flow(cap, adj, source, sink, limit):
@@ -221,30 +221,37 @@ def vertex_connectivity_at_least(g: Graph, threshold: int) -> bool:
     return vertex_cut_below(g.neighbor_masks(), (1 << g.n) - 1, threshold) is None
 
 
-def unfriendly_partition(g: Graph) -> tuple[frozenset, frozenset]:
-    """Bipartition where every vertex keeps at least half its neighbors across.
-
-    Local search: flipping any violating vertex strictly increases the cut,
-    so the loop terminates within |E| flips.  Lowest violating vertex first,
-    for determinism.
+def unfriendly_partition(g: Graph, members=None) -> tuple[frozenset, frozenset]:
+    """Bipartition of ``members`` (default: every vertex), in g's labels,
+    where every member has at least half its neighbors among the members on
+    the other side; a member out of range raises DomainError.  Local search
+    from the parity of each member's rank in sorted order: flipping a
+    violating vertex strictly increases the cut, so the loop ends within |E|
+    flips.  Lowest violating vertex first, for determinism.
     """
-    side = [v % 2 for v in range(g.n)]
-    cross = [sum(1 for u in g.neighbors(v) if side[u] != side[v]) for v in range(g.n)]
-    violating = {v for v in range(g.n) if 2 * cross[v] < g.degree(v)}
+    inside = check_vertex_set(g, range(g.n) if members is None else members)
+    order = sorted(inside)
+    ones = sum(1 << v for v in order[1::2])
+    zeros = sum(1 << v for v in order[::2])
+    nbr = g.neighbor_masks()
+    side, cross, near = [0] * g.n, [0] * g.n, [()] * g.n
+    for v in order:
+        side[v] = ones >> v & 1
+        cross[v] = (nbr[v] & (zeros if side[v] else ones)).bit_count()
+        near[v] = g.neighbors(v) & inside
+    violating = {v for v in order if 2 * cross[v] < len(near[v])}
     while violating:
         v = min(violating)
         side[v] ^= 1
-        cross[v] = g.degree(v) - cross[v]
+        cross[v] = len(near[v]) - cross[v]
         violating.discard(v)
-        for u in g.neighbors(v):
+        for u in near[v]:
             cross[u] += 1 if side[u] != side[v] else -1
-            if 2 * cross[u] < g.degree(u):
+            if 2 * cross[u] < len(near[u]):
                 violating.add(u)
             else:
                 violating.discard(u)
-    x1 = frozenset(v for v in range(g.n) if side[v] == 0)
-    x2 = frozenset(v for v in range(g.n) if side[v] == 1)
-    return x1, x2
+    return frozenset(v for v in order if not side[v]), frozenset(v for v in order if side[v])
 
 
 def mader_subgraph(adj, members: int, k):

@@ -24,13 +24,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import is_k_colorable, chromatic_number
+from .coloring import chromatic_number, k_coloring
 from .connectivity import (
     mader_subgraph,
     unfriendly_partition,
     vertex_connectivity_at_least,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, quoted
 from .graphs import (
     Graph,
     cut_edges,
@@ -132,9 +132,9 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
     labels, so no seeding round copies h.
     """
     if k <= 0:
-        raise DomainError(f"k must be positive, got {k}")
+        raise DomainError(f"k must be positive, got {quoted(k)}")
     if min_degree(h) < k:
-        raise DomainError(f"minimum degree {min_degree(h)} below k={k}")
+        raise DomainError(f"minimum degree {min_degree(h)} below k={quoted(k)}")
     conn_target = frac_ceil(Fraction(k * k, 16 * h.n))
     size_floor = Fraction(k, 8)
 
@@ -199,7 +199,7 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0,1), got {delta}")
+        raise DomainError(f"delta must be in (0,1), got {quoted(str(delta))}")
     n = g.n
     if n == 0 or Fraction(min_degree(g)) < delta * n:
         raise PreconditionError(f"minimum degree below delta*n = {delta * n}")
@@ -382,7 +382,7 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0,1), got {delta}")
+        raise DomainError(f"delta must be in (0,1), got {quoted(str(delta))}")
     n = g.n
     if n == 0 or Fraction(min_degree(g)) < delta * n:
         raise PreconditionError(f"minimum degree below delta*n = {delta * n}")
@@ -496,54 +496,45 @@ def extract_chromatic_core(
     induced subgraph is not 2(b+1)-colorable (one exists by a palette-counting
     argument whenever the chromatic number clears 2(b+1)/delta), split that
     part with a cut-maximal bipartition, and keep as A whichever side is not
-    (b+1)-colorable.  The colorability checks are exact; the sparse-cut
-    property of the crossing graph is inherited from the partition and is not
-    re-verified (doing so exactly would mean solving sparsest cut).
+    (b+1)-colorable.  The colorability checks are exact: ``k_coloring`` on
+    the host's masks under each vertex set, and the bipartition is in host
+    labels too, so no subgraph is relabelled.  The sparse-cut property of the
+    crossing graph is inherited from the partition and is not re-verified
+    (doing so exactly would mean solving sparsest cut).
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0,1), got {delta}")
+        raise DomainError(f"delta must be in (0,1), got {quoted(str(delta))}")
     if b < 1:
         raise DomainError(f"b must be a positive integer, got {b}")
     n = g.n
     if n == 0 or Fraction(min_degree(g)) < delta * n:
         raise PreconditionError(f"minimum degree below delta*n = {delta * n}")
     threshold = Fraction(2 * (b + 1)) / delta
+
+    def colorable(vertices, k: int) -> bool:
+        return k_coloring(g.neighbor_masks(), sum(1 << v for v in vertices), k) is not None
+
     if not force:
         if threshold >= n:
             raise PreconditionError(
                 f"chromatic threshold 2(b+1)/delta = {threshold} is at least n = {n}"
             )
         gate = threshold.numerator // threshold.denominator
-        if is_k_colorable(g, gate) is not None:
+        if colorable(range(n), gate):
             raise PreconditionError(
                 f"chromatic number does not exceed 2(b+1)/delta = {threshold}"
             )
 
     rp = robust_partition(g, delta, seed=seed)
-    chosen = None
-    for part in rp.parts:
-        sub, _ = induced_subgraph(g, part)
-        if is_k_colorable(sub, 2 * (b + 1)) is None:
-            chosen = part
-            break
+    chosen = next((p for p in rp.parts if not colorable(p, 2 * (b + 1))), None)
     if chosen is None:
         raise PreconditionError(
             f"every part is {2 * (b + 1)}-colorable; the input did not satisfy the hypotheses"
         )
 
-    sub, to_parent = induced_subgraph(g, chosen)
-    p_local, q_local = unfriendly_partition(sub)
-    sides = (
-        frozenset(to_parent[v] for v in p_local),
-        frozenset(to_parent[v] for v in q_local),
-    )
-    a = None
-    for side in sides:
-        side_sub, _ = induced_subgraph(g, side)
-        if is_k_colorable(side_sub, b + 1) is None:
-            a = side
-            break
+    sides = unfriendly_partition(g, chosen)
+    a = next((side for side in sides if not colorable(side, b + 1)), None)
     if a is None:
         raise RuntimeError(
             "both sides (b+1)-colorable although the part needs more than "

@@ -11,11 +11,11 @@ again, which the turn's early end rules out.  A strategy that cannot (or will
 not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
 
-``odd-cycle`` and ``spanning-connected`` each have one win decision in
-``MASK_WINS``: ``graphs.has_odd_cycle`` and ``graphs.spans`` on
-``maker_masks``.  The engine's win check and the solver decide them with it
-alone; a witness is built only once the decision is a win.  ``aux-connect``
-is decided on the same masks by ``spans`` and then a triangle search.
+``odd-cycle``, ``spanning-connected`` and ``non-k-colorable`` each have one
+win decision on ``maker_masks``, given by ``mask_win``.  The engine's win
+check and the solver decide them with it alone; a witness is built only once
+the decision is a win.  ``aux-connect`` is decided on the same masks by
+``spans`` and then a triangle search.
 
 ``_outcome`` is the one place a game's result is worked out: ``play`` and
 ``replay_transcript`` stop at Maker's winning claim, a full board or a
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coloring import is_k_colorable
+from .coloring import k_coloring
 from .connectivity import edge_connectivity
 from .errors import DomainError, IllegalMoveError, parse_int, quoted
 from .graphs import (
@@ -258,10 +258,13 @@ def maker_graph(spec: GameSpec, claims) -> tuple:
     return induced_subgraph(spec.host, claims)
 
 
-# The win decision of each objective that is decided on neighbour masks:
-# Maker's graph has the vertex bits ``verts``, and its vertex v sees the bits
-# ``adj[v] & verts``.
-MASK_WINS = {"odd-cycle": has_odd_cycle, "spanning-connected": spans}
+def mask_win(objective: WinPredicate):
+    """The win decision of ``objective`` as a function of (adj, verts), on
+    Maker's graph whose vertex v of the bits ``verts`` sees ``adj[v] & verts``;
+    None for ``aux-connect`` and ``k-edge-connected``."""
+    if objective.kind == "non-k-colorable":
+        return lambda adj, verts: k_coloring(adj, verts, objective.k) is None
+    return {"odd-cycle": has_odd_cycle, "spanning-connected": spans}.get(objective.kind)
 
 
 def maker_masks(spec: GameSpec, claims) -> tuple:
@@ -291,17 +294,17 @@ def maker_masks(spec: GameSpec, claims) -> tuple:
 def maker_win_witness(spec: GameSpec, maker_claims):
     """The witness if Maker's claims satisfy the objective, else None.
 
-    ``odd-cycle`` and ``spanning-connected`` are decided by ``MASK_WINS`` on
-    ``maker_masks``; on a win the odd cycle is found on Maker's graph, on
-    which the other objectives are decided.
+    Every objective but ``aux-connect`` and ``k-edge-connected`` is decided
+    by ``mask_win`` on ``maker_masks``; on a win the odd cycle is found on
+    Maker's graph, on which ``k-edge-connected`` is decided.
     """
     obj = spec.objective
-    wins = MASK_WINS.get(obj.kind)
+    wins = mask_win(obj)
     if wins is not None:
         if not wins(*maker_masks(spec, maker_claims)):
             return None
-        if obj.kind == "spanning-connected":
-            return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind)
+        if obj.kind != "odd-cycle":
+            return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k)
         g, to_host = maker_graph(spec, maker_claims)
         cycle = find_odd_cycle(g)
         return cycle if to_host is None else cycle.relabeled(to_host)
@@ -313,17 +316,12 @@ def maker_win_witness(spec: GameSpec, maker_claims):
         tri = _triangle(adj, verts)
         return None if tri is None else OddCycleWitness(tri)
     g, _ = maker_graph(spec, maker_claims)
-    if obj.kind == "non-k-colorable":
-        won = is_k_colorable(g, obj.k) is None
-    elif obj.kind == "k-edge-connected":
-        won = (
-            g.n >= 2
-            and is_connected(g)
-            and min(g.degree(v) for v in range(g.n)) >= obj.k
-            and edge_connectivity(g) >= obj.k
-        )
-    else:
-        raise DomainError(f"unhandled objective {obj.kind!r}")
+    won = (
+        g.n >= 2
+        and is_connected(g)
+        and min(g.degree(v) for v in range(g.n)) >= obj.k
+        and edge_connectivity(g) >= obj.k
+    )
     return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k) if won else None
 
 

@@ -1,9 +1,10 @@
 """Simple undirected graphs on dense integer labels and the basic primitives.
 
 Vertices are always 0..n-1.  Graphs are immutable after construction and safe
-to share; every operation here is a pure function of its inputs.  Operations
-that derive a smaller graph return an explicit relabeling map back to the
-parent so callers can translate moves across decomposition layers.
+to share; every operation here is a pure function of its inputs.  Only
+``engine.maker_graph`` and the part certificate of
+``decompose.highly_connected_partition`` derive a smaller graph, by
+``induced_subgraph``, with a relabeling map back to the parent.
 
 Besides neighbor sets, a graph hands out its adjacency as bitmasks
 (``neighbor_masks``, built once and kept).  The cut kernels -- the balanced
@@ -17,7 +18,8 @@ the host's own labels, which the core-backed Makers play on directly.
 ``mask_search``, the one search over neighbor masks, answers every
 component, connectivity, bipartiteness and 2-coloring question; every yes/no
 one is ``has_odd_cycle`` or ``spans`` on a vertex mask, for Maker's graph and
-a host's part alike.  ``find_odd_cycle`` only builds the odd cycle of a witness.
+a host's part alike; k-colorability is ``coloring.k_coloring`` on one.
+``find_odd_cycle`` only builds the odd cycle of a witness.
 
 A graph has at most ``MAX_VERTICES`` vertices; a larger one is refused with
 ``ResourceLimitError`` before anything is allocated.
@@ -169,15 +171,8 @@ def verify_odd_cycle(g: Graph, witness: OddCycleWitness) -> bool:
     return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
-def verify_coloring(g: Graph, coloring, k: int | None = None) -> bool:
-    if len(coloring) != g.n:
-        return False
-    if k is not None and any(not (0 <= c < k) for c in coloring):
-        return False
-    return all(coloring[u] != coloring[v] for u, v in g.edges)
-
-
-def _check_vertex_set(g: Graph, members) -> frozenset:
+def check_vertex_set(g: Graph, members) -> frozenset:
+    """``members`` as a frozenset; a member out of range raises DomainError."""
     s = frozenset(members)
     for v in s:
         if not (0 <= v < g.n):
@@ -196,7 +191,7 @@ def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple]:
 
     Each member's edges to later members are read off its neighbor mask.
     """
-    order = tuple(sorted(_check_vertex_set(g, members)))
+    order = tuple(sorted(check_vertex_set(g, members)))
     index = {old: new for new, old in enumerate(order)}
     nbr, s = g.neighbor_masks(), sum(1 << v for v in order)
     edges = [(index[u], index[v]) for u in order for v in mask_bits(nbr[u] & s >> u + 1 << u + 1)]
@@ -206,7 +201,7 @@ def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple]:
 def cross_masks(g: Graph, a, b) -> tuple:
     """Per vertex of g, its neighbors across the cut as a mask: those in b
     for a vertex of a, those in a for a vertex of b, else 0 (a, b disjoint)."""
-    sa, sb = _check_vertex_set(g, a), _check_vertex_set(g, b)
+    sa, sb = check_vertex_set(g, a), check_vertex_set(g, b)
     if sa & sb:
         raise DomainError("cut sides must be disjoint")
     bits_a, bits_b = sum(1 << v for v in sa), sum(1 << v for v in sb)
@@ -335,7 +330,7 @@ def connected_components(g: Graph, members=None) -> list[frozenset]:
     if members is None:
         verts = (1 << g.n) - 1
     else:
-        verts = sum(1 << v for v in _check_vertex_set(g, members))
+        verts = sum(1 << v for v in check_vertex_set(g, members))
     return [frozenset(mask_bits(c)) for c, _, _ in mask_components(g.neighbor_masks(), verts)]
 
 
@@ -346,7 +341,7 @@ def is_connected(g: Graph) -> bool:
 def first_edge_inside(g: Graph, members):
     """The smallest edge of g with both ends in ``members``, or None; a
     member out of range raises DomainError."""
-    s = _check_vertex_set(g, members)
+    s = check_vertex_set(g, members)
     return min((e for e in g.edges if e[0] in s and e[1] in s), default=None)
 
 

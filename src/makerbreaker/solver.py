@@ -17,11 +17,11 @@ On ``aux-connect`` Maker wins on the turn when some non-empty set of at most
 bias unclaimed elements wins; the principal line's last Maker turn is then
 the first such set, fewest elements first.
 
-Claim sets are bitmasks over the board's element indices.  ``odd-cycle`` (on
-edge and vertex boards) and ``spanning-connected`` are decided straight from
-the mask by the engine's ``MASK_WINS``, the same decision the engine's win
-check makes, on neighbour masks the solver builds per claim mask; the other
-objectives (``non-k-colorable``, ``k-edge-connected``, ``aux-connect``) call
+Claim sets are bitmasks over the board's element indices.  ``odd-cycle``,
+``spanning-connected`` and ``non-k-colorable`` (on edge and vertex boards)
+are decided straight from the mask by the engine's ``mask_win``, the same
+decision the engine's win check makes, on neighbour masks the solver builds
+per claim mask; only ``k-edge-connected`` and ``aux-connect`` call
 ``maker_win_witness`` on the claimed elements.  A board over its cap is
 refused by the host's size, before the board is built; the verifier's walk
 recurses once per turn, and ``VERIFY_BOARD_CAP`` keeps it off ``RecursionError``.
@@ -39,13 +39,13 @@ from .engine import (
     BREAKER,
     EDGES,
     MAKER,
-    MASK_WINS,
     GameSpec,
     Position,
     apply_moves,
     batch_size,
     legal_moves,
     maker_win_witness,
+    mask_win,
 )
 from .errors import DomainError, IllegalMoveError, ResourceLimitError
 
@@ -76,14 +76,14 @@ def _mask_elements(board, mask):
 def _mask_decider(spec: GameSpec):
     """A function of Maker's claim mask that says whether the claims win.
 
-    ``odd-cycle`` and ``spanning-connected`` are decided by ``MASK_WINS`` on
-    Maker's graph built per mask: on an edge board adj comes from each
-    claimed edge's endpoints and verts is every host vertex; on a vertex
-    board (whose element i is vertex i) adj is the host's and verts is the
-    mask.  The other objectives call ``maker_win_witness``.
+    An objective with a ``mask_win`` is decided by it on Maker's graph
+    built per mask: on an edge board adj comes from each claimed edge's
+    endpoints and verts is every host vertex; on a vertex board (whose
+    element i is vertex i) adj is the host's and verts is the mask.
+    ``k-edge-connected`` and ``aux-connect`` call ``maker_win_witness``.
     """
     board = spec.board()
-    wins = MASK_WINS.get(spec.objective.kind)
+    wins = mask_win(spec.objective)
     if wins is None:
         return lambda mask: maker_win_witness(spec, _mask_elements(board, mask)) is not None
     if spec.board_kind != EDGES:

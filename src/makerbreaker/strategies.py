@@ -46,7 +46,7 @@ from .engine import (
     legal_moves,
     maker_masks,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, quoted
 from .graphs import (
     Graph,
     connected_components,
@@ -115,7 +115,7 @@ def bound_report(n: int, delta, b: int = 1) -> BoundReport:
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
     if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0,1), got {delta}")
+        raise DomainError(f"delta must be in (0,1), got {quoted(str(delta))}")
     if b < 1:
         raise DomainError(f"b must be a positive integer, got {b}")
     ln_lo, ln_hi = _ln_bounds(n)

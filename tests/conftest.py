@@ -1,8 +1,8 @@
-"""Shared graph builders, a scripted strategy, the decomposition-backed
-Makers on forced cores, uniform vertex sampling, the small-graph
-isomorphism-class enumeration, the set-based component search, the
-solver's node loop before its one choice routine, and the connectivity
-kernels on relabelled subgraphs."""
+"""Shared graph builders, a coloring check, a scripted strategy, the
+decomposition-backed Makers on forced cores, uniform vertex sampling, the
+small-graph isomorphism-class enumeration, the set-based component search, the
+solver's node loop before its one choice routine, and the connectivity and
+coloring kernels on relabelled subgraphs."""
 
 from collections import deque
 from fractions import Fraction
@@ -18,6 +18,14 @@ from makerbreaker.errors import DomainError
 from makerbreaker.graphs import Graph, connected_components, frac_ceil, induced_subgraph
 from makerbreaker.solver import _mask_elements, _Solver
 from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
+
+
+def verify_coloring(g: Graph, coloring, k: int | None = None) -> bool:
+    if len(coloring) != g.n:
+        return False
+    if k is not None and any(not (0 <= c < k) for c in coloring):
+        return False
+    return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
 def petersen() -> Graph:
@@ -314,3 +322,107 @@ def mader_subgraph_on_graph(g: Graph, k):
             if best_key is None or key > best_key:
                 best, best_key = labels, key
         current = tuple(best)
+
+
+# The coloring search and the cut-maximal bipartition as they were on a
+# Graph of their own, kept as references for the kernels that read a host's
+# masks under a member mask.
+
+
+def greedy_clique_by_degree_into(g):
+    """``greedy_clique`` as it was before it ranked candidates by set
+    intersection: ``degree_into`` per candidate, same key."""
+    best = []
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for seed in order[: min(g.n, 24)]:
+        clique = [seed]
+        common = set(g.neighbors(seed))
+        while common:
+            v = min(common, key=lambda x: (-g.degree_into(x, common), x))
+            clique.append(v)
+            common &= g.neighbors(v)
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+def recursive_k_coloring(g, k):
+    """``is_k_colorable`` as it was with a recursive search, after the same
+    trivial cases and clique precoloring."""
+    if g.n == 0:
+        return []
+    if k == 0:
+        return None
+    if k >= g.n:
+        return list(range(g.n))
+    clique = greedy_clique_by_degree_into(g)
+    if len(clique) > k:
+        return None
+    colors = [-1] * g.n
+    sat = [set() for _ in range(g.n)]
+    used = 0
+    for i, v in enumerate(clique):
+        colors[v] = i
+        used = i + 1
+        for u in g.neighbors(v):
+            sat[u].add(i)
+    uncolored = set(x for x in range(g.n) if colors[x] == -1)
+
+    def assign(v, c):
+        colors[v] = c
+        touched = []
+        for u in g.neighbors(v):
+            if colors[u] == -1 and c not in sat[u]:
+                sat[u].add(c)
+                touched.append(u)
+        return touched
+
+    def unassign(v, c, touched):
+        colors[v] = -1
+        for u in touched:
+            sat[u].discard(c)
+
+    def solve(used):
+        if not uncolored:
+            return True
+        v = min(uncolored, key=lambda x: (k - len(sat[x]), -g.degree(x), x))
+        if len(sat[v]) >= k:
+            return False
+        uncolored.discard(v)
+        for c in range(used):
+            if c not in sat[v]:
+                touched = assign(v, c)
+                if solve(used):
+                    return True
+                unassign(v, c, touched)
+        if used < k:
+            touched = assign(v, used)
+            if solve(used + 1):
+                return True
+            unassign(v, used, touched)
+        uncolored.add(v)
+        return False
+
+    return colors if solve(used) else None
+
+
+def unfriendly_partition_on_graph(g: Graph) -> tuple[frozenset, frozenset]:
+    """``unfriendly_partition`` on a whole Graph: sides from vertex parity,
+    then the lowest violating vertex flips until none is left."""
+    side = [v % 2 for v in range(g.n)]
+    cross = [sum(1 for u in g.neighbors(v) if side[u] != side[v]) for v in range(g.n)]
+    violating = {v for v in range(g.n) if 2 * cross[v] < g.degree(v)}
+    while violating:
+        v = min(violating)
+        side[v] ^= 1
+        cross[v] = g.degree(v) - cross[v]
+        violating.discard(v)
+        for u in g.neighbors(v):
+            cross[u] += 1 if side[u] != side[v] else -1
+            if 2 * cross[u] < g.degree(u):
+                violating.add(u)
+            else:
+                violating.discard(u)
+    x1 = frozenset(v for v in range(g.n) if side[v] == 0)
+    x2 = frozenset(v for v in range(g.n) if side[v] == 1)
+    return x1, x2

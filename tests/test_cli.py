@@ -22,6 +22,11 @@ from makerbreaker.errors import DomainError
 from makerbreaker.generators import FAMILIES
 from makerbreaker.graphs import Graph, format_graph, frac_ceil, parse_graph
 from makerbreaker.harness import ExperimentConfig, build_strategy, parse_fraction, parse_ident
+from makerbreaker.strategies import bound_report
+
+
+# a valid Fraction of 4,001 digits, out of (0,1)
+LONG_DELTA = "3" + "9" * 4000 + "/2"
 
 
 def run_cli(*argv):
@@ -482,8 +487,15 @@ class TestMalformedNumbers:
              "not a fraction: 'ddd"),
             (["experiment", "@config"], {"trials": "t" * 50_000}, "'trials' must be int: 'ttt"),
             (["sweep", "@config", "--b-range", "1:" + "9" * 50_000], {}, "--b-range '1:999"),
+            (["decompose", "@triangle", "--mode", "bfkm", "--delta", LONG_DELTA], {},
+             "minimum degree 2 below k=5999"),
+            (["decompose", "@triangle", "--mode", "bfkm", "--delta=-" + LONG_DELTA], {},
+             "k must be positive, got -5999"),
+            (["decompose", "@triangle", "--mode", "core", "--delta", LONG_DELTA], {},
+             "delta must be in (0,1), got '3999"),
         ],
-        ids=["bias", "objective", "maker", "delta", "trials", "b-range"],
+        ids=["bias", "objective", "maker", "delta", "trials", "b-range", "bfkm-delta",
+             "bfkm-negative-delta", "core-delta"],
     )
     def test_long_input_is_quoted_short(self, tmp_path, capsys, argv, config, named):
         (tmp_path / "triangle").write_text("p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
@@ -513,10 +525,13 @@ class TestMalformedNumbers:
             (lambda: build_strategy("s" * 100_000, Graph.complete(3)), "'sss"),
             (lambda: build_strategy("random(" + "k" * 100_000 + "=1)", Graph.complete(3)),
              "'kkk"),
+            (lambda: robust_partition(Graph.complete(3), LONG_DELTA), "got '3999"),
+            (lambda: extract_chromatic_core(Graph.complete(3), LONG_DELTA, 1), "got '3999"),
+            (lambda: bound_report(3, LONG_DELTA), "got '3999"),
         ],
         ids=["trials", "anchor", "header", "edge-line", "loop-line", "duplicate-line",
              "ident", "ident-parameter", "objective-token", "fraction", "strategy-name",
-             "strategy-parameter"],
+             "strategy-parameter", "robust-delta", "chromatic-delta", "bound-delta"],
     )
     def test_long_value_is_quoted_short_in_the_library(self, call, named):
         with pytest.raises(DomainError) as info:

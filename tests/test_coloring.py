@@ -1,13 +1,27 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs, petersen, random_graphs
+from conftest import (
+    all_labeled_graphs,
+    greedy_clique_by_degree_into,
+    petersen,
+    random_graphs,
+    recursive_k_coloring,
+    verify_coloring,
+)
 from makerbreaker import coloring
-from makerbreaker.coloring import chromatic_number, greedy_clique, is_k_colorable
-from makerbreaker.errors import ResourceLimitError
+from makerbreaker.coloring import chromatic_number, is_k_colorable, k_coloring
+from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.generators import complete_multipartite, gnp
-from makerbreaker.graphs import Graph, OddCycleWitness, find_odd_cycle, verify_coloring
+from makerbreaker.graphs import Graph, OddCycleWitness, find_odd_cycle, induced_subgraph
+
+
+def greedy_clique(g):
+    """``coloring.greedy_clique`` on the whole of g."""
+    return coloring.greedy_clique(g.neighbor_masks(), (1 << g.n) - 1)
 
 
 def brute_force_k_colorable(g, k):
@@ -92,83 +106,6 @@ class TestGreedyClique:
             assert all(g.has_edge(u, v) for i, u in enumerate(q) for v in q[i + 1 :])
 
 
-def greedy_clique_by_degree_into(g):
-    """``greedy_clique`` as it was before it ranked candidates by set
-    intersection: ``degree_into`` per candidate, same key."""
-    best = []
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for seed in order[: min(g.n, 24)]:
-        clique = [seed]
-        common = set(g.neighbors(seed))
-        while common:
-            v = min(common, key=lambda x: (-g.degree_into(x, common), x))
-            clique.append(v)
-            common &= g.neighbors(v)
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
-def recursive_k_coloring(g, k):
-    """``is_k_colorable`` as it was with a recursive search, after the same
-    trivial cases and clique precoloring."""
-    if g.n == 0:
-        return []
-    if k == 0:
-        return None
-    if k >= g.n:
-        return list(range(g.n))
-    clique = greedy_clique_by_degree_into(g)
-    if len(clique) > k:
-        return None
-    colors = [-1] * g.n
-    sat = [set() for _ in range(g.n)]
-    used = 0
-    for i, v in enumerate(clique):
-        colors[v] = i
-        used = i + 1
-        for u in g.neighbors(v):
-            sat[u].add(i)
-    uncolored = set(x for x in range(g.n) if colors[x] == -1)
-
-    def assign(v, c):
-        colors[v] = c
-        touched = []
-        for u in g.neighbors(v):
-            if colors[u] == -1 and c not in sat[u]:
-                sat[u].add(c)
-                touched.append(u)
-        return touched
-
-    def unassign(v, c, touched):
-        colors[v] = -1
-        for u in touched:
-            sat[u].discard(c)
-
-    def solve(used):
-        if not uncolored:
-            return True
-        v = min(uncolored, key=lambda x: (k - len(sat[x]), -g.degree(x), x))
-        if len(sat[v]) >= k:
-            return False
-        uncolored.discard(v)
-        for c in range(used):
-            if c not in sat[v]:
-                touched = assign(v, c)
-                if solve(used):
-                    return True
-                unassign(v, c, touched)
-        if used < k:
-            touched = assign(v, used)
-            if solve(used + 1):
-                return True
-            unassign(v, used, touched)
-        uncolored.add(v)
-        return False
-
-    return colors if solve(used) else None
-
-
 class TestAgainstPreviousSearch:
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(max_n=14), st.integers(min_value=0, max_value=5))
@@ -219,3 +156,67 @@ class TestNodeBudget:
         # a clique above k refutes without a search
         monkeypatch.setattr(coloring, "COLORING_NODE_BUDGET", 0)
         assert is_k_colorable(Graph.complete(5), 3) is None
+
+
+@st.composite
+def strict_member_subsets(draw, max_n=14):
+    """A random graph and a strict subset of its vertices as members, so
+    that non-members sit beside them."""
+    g = draw(random_graphs(max_n=max_n))
+    return g, draw(st.frozensets(st.integers(0, g.n - 1), max_size=g.n - 1))
+
+
+def on_relabelled_subgraph(search, g, members, k):
+    """``search`` on the subgraph of g induced on ``members``, relabelled,
+    its coloring mapped back to g's labels with -1 off ``members``."""
+    sub, to_parent = induced_subgraph(g, members)
+    local = search(sub, k)
+    if local is None:
+        return None
+    colors = [-1] * g.n
+    for v, c in enumerate(local):
+        colors[to_parent[v]] = c
+    return colors
+
+
+class TestKColoringUnderAMemberMask:
+    @settings(max_examples=300, deadline=None)
+    @given(strict_member_subsets(), st.integers(min_value=0, max_value=5))
+    def test_matches_the_search_on_the_relabelled_subgraph(self, g_members, k):
+        g, members = g_members
+        mask = sum(1 << v for v in members)
+        want = on_relabelled_subgraph(recursive_k_coloring, g, members, k)
+        assert k_coloring(g.neighbor_masks(), mask, k) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(strict_member_subsets(max_n=16))
+    def test_same_clique_as_on_the_relabelled_subgraph(self, g_members):
+        g, members = g_members
+        sub, to_parent = induced_subgraph(g, members)
+        want = [to_parent[v] for v in greedy_clique_by_degree_into(sub)]
+        assert coloring.greedy_clique(g.neighbor_masks(), sum(1 << v for v in members)) == want
+
+    def test_same_on_seeded_gnp_hosts(self):
+        rng = random.Random(22)
+        for seed in range(60):
+            g = gnp(rng.randint(4, 18), rng.choice((0.3, 0.5, 0.7)), seed)
+            members = [v for v in range(g.n) if rng.random() < 0.7]
+            mask = sum(1 << v for v in members)
+            for k in (1, 2, 3, 4):
+                want = on_relabelled_subgraph(recursive_k_coloring, g, members, k)
+                assert k_coloring(g.neighbor_masks(), mask, k) == want
+
+    def test_a_member_past_the_host_is_refused(self):
+        adj = Graph.cycle(5).neighbor_masks()
+        for members in (1 << 5, 0b111 | 1 << 9):
+            with pytest.raises(DomainError):
+                k_coloring(adj, members, 2)
+
+    def test_budget_stats_count_the_members(self, monkeypatch):
+        # C_7 with three non-members joined to all of it
+        joins = [(u, v) for u in range(7, 10) for v in range(u)]
+        g = Graph(10, [(i, (i + 1) % 7) for i in range(7)] + joins)
+        monkeypatch.setattr(coloring, "COLORING_NODE_BUDGET", 3)
+        with pytest.raises(ResourceLimitError) as err:
+            k_coloring(g.neighbor_masks(), 0b1111111, 2)
+        assert err.value.stats == {"nodes": 4, "n": 7, "k": 2}

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import (
     cut_from_residual_by_range,
     mader_subgraph_on_graph,
+    random_graphs,
     two_triangles_shared_vertex,
+    unfriendly_partition_on_graph,
     vertex_cut_below_on_graph,
     vertex_network_by_edges,
 )
@@ -413,6 +415,25 @@ class TestUnfriendlyPartition:
         for v in range(n):
             other = x2 if v in x1 else x1
             assert 2 * g.degree_into(v, other) >= g.degree(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=14), st.data())
+    def test_matches_the_graph_version_on_member_subsets(self, g, data):
+        members = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+        sub, to_parent = induced_subgraph(g, members)
+        want = tuple(frozenset(to_parent[v] for v in x) for x in unfriendly_partition_on_graph(sub))
+        assert unfriendly_partition(g, members) == want
+
+    def test_matches_the_graph_version_on_seeded_hosts(self):
+        for seed in range(30):
+            g = gnp(24 + seed % 25, 0.5, seed)
+            want = unfriendly_partition_on_graph(g)
+            assert unfriendly_partition(g) == unfriendly_partition(g, range(g.n)) == want
+
+    def test_a_member_out_of_range_is_refused(self):
+        for members in ({0, 5}, {-1, 2}):
+            with pytest.raises(DomainError):
+                unfriendly_partition(Graph.cycle(5), members)
 
 
 def mader_subgraph_by_induced_subgraphs(g: Graph, k):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import gray_code_side_lists, mader_subgraph_on_graph
 
+from makerbreaker import decompose
 from makerbreaker.coloring import chromatic_number, is_k_colorable
 from makerbreaker.connectivity import vertex_connectivity
 from makerbreaker.decompose import (
@@ -442,3 +444,23 @@ class TestExtractChromaticCore:
         g = complete_multipartite([3] * 7)
         with pytest.raises(PreconditionError):
             extract_chromatic_core(g, Fraction(6, 7), 2)
+
+    @pytest.mark.parametrize(
+        "parts, size, b, delta, side, h_min, digest",
+        [
+            (7, 40, 2, Fraction(6, 7), 140, 120, "816b80db1f08fe3e"),
+            (7, 12, 1, Fraction(6, 7), 42, 36, "7202c3b176f907a2"),
+            (9, 20, 3, Fraction(8, 9), 90, 80, "66f3bcfcad6981db"),
+        ],
+        ids=["K40x7-b2", "K12x7-b1", "K20x9-b3"],
+    )
+    def test_pinned_cores_on_multipartite_hosts(
+        self, monkeypatch, parts, size, b, delta, side, h_min, digest
+    ):
+        # the sides as the relabelling pipeline found them, by sha256 of the text below
+        monkeypatch.setattr(decompose, "induced_subgraph", None)  # no relabelled copy
+        core = extract_chromatic_core(complete_multipartite([size] * parts), delta, b, force=True)
+        text = f"{sorted(core.a)} {sorted(core.b)} {core.h_min_degree} {core.chi_floor}"
+        assert (len(core.a), len(core.b), core.h_min_degree, core.chi_floor) == (
+            side, side, h_min, b + 2)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

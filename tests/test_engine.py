@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedStrategy, random_graphs
+from conftest import ScriptedStrategy, random_graphs, recursive_k_coloring
+from makerbreaker import engine, graphs
 from makerbreaker.coloring import is_k_colorable
 from makerbreaker.connectivity import edge_connectivity
 from makerbreaker.engine import (
@@ -21,10 +24,12 @@ from makerbreaker.engine import (
     maker_graph,
     maker_masks,
     maker_win_witness,
+    mask_win,
     play,
     replay_transcript,
 )
 from makerbreaker.errors import DomainError, IllegalMoveError
+from makerbreaker.generators import gnp
 from makerbreaker.graphs import (
     Graph,
     OddCycleWitness,
@@ -444,6 +449,72 @@ class TestOneMakerGraph:
         assert (sub, to_host) == (Graph(5, [(0, 1), (3, 4)]), None)
         sub, to_host = maker_graph(vertex_spec(g), {4, 0, 3})
         assert (sub, to_host) == (Graph(3, [(0, 2), (1, 2)]), (0, 3, 4))
+
+
+@st.composite
+def colorability_claims(draw, max_n=9):
+    """A ``non-k-colorable`` spec (k from 1 to 4) on either board of a random
+    host, and a random Maker claim set."""
+    g = draw(random_graphs(max_n=max_n))
+    board_kind = draw(st.sampled_from((EDGES, VERTICES)))
+    objective = WinPredicate("non-k-colorable", k=draw(st.integers(min_value=1, max_value=4)))
+    spec = GameSpec(host=g, board_kind=board_kind, objective=objective)
+    board = spec.board()
+    return spec, draw(st.frozensets(st.sampled_from(board))) if board else frozenset()
+
+
+def non_colorable_by_relabelling(spec, claims) -> bool:
+    """The ``non-k-colorable`` decision on Maker's graph as a Graph of its
+    own: the claimed edges on the host's vertices, or the host's subgraph
+    induced on the claimed vertices, relabelled, searched by the recursive
+    coloring search."""
+    if spec.board_kind == EDGES:
+        claimed = Graph(spec.host.n, claims)
+    else:
+        claimed, _ = induced_subgraph(spec.host, claims)
+    return recursive_k_coloring(claimed, spec.objective.k) is None
+
+
+class TestNonKColorableOnMasks:
+    @settings(max_examples=400, deadline=None)
+    @given(colorability_claims())
+    def test_matches_the_search_on_a_relabelled_graph(self, spec_claims):
+        spec, claims = spec_claims
+        want = non_colorable_by_relabelling(spec, claims)
+        assert mask_win(spec.objective)(*maker_masks(spec, claims)) == want
+        witness = maker_win_witness(spec, claims)
+        assert witness == (
+            ClaimSetWitness(tuple(sorted(claims)), "non-k-colorable", spec.objective.k)
+            if want else None
+        )
+
+    def test_matches_on_seeded_dense_hosts(self):
+        rng = random.Random(22)
+        for seed in range(40):
+            g = gnp(rng.randint(6, 13), 0.6, seed)
+            for board_kind in (EDGES, VERTICES):
+                for k in (2, 3, 4):
+                    spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=k))
+                    claims = frozenset(e for e in spec.board() if rng.random() < 0.7)
+                    won = maker_win_witness(spec, claims) is not None
+                    assert won == non_colorable_by_relabelling(spec, claims)
+
+    def test_no_maker_graph_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(engine, "maker_graph", lambda *args: built.append(args))
+        monkeypatch.setattr(engine, "induced_subgraph", lambda *args: built.append(args))
+        g = Graph.complete(5)
+        for board_kind in (EDGES, VERTICES):
+            spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=3))
+            assert maker_win_witness(spec, spec.board()) is not None
+            assert maker_win_witness(spec, spec.board()[:3]) is None
+        assert built == []
+
+    def test_mask_win_is_none_off_the_mask_decisions(self):
+        assert mask_win(WinPredicate("odd-cycle")) is graphs.has_odd_cycle
+        assert mask_win(WinPredicate("spanning-connected")) is graphs.spans
+        assert mask_win(WinPredicate("k-edge-connected", k=2)) is None
+        assert mask_win(WinPredicate("aux-connect", anchor=frozenset({0}))) is None
 
 
 class TestPlay:

@@ -1,5 +1,5 @@
 """No module of the package imports a private name from another, or a
-name it never uses."""
+name it never uses, and only two functions build a relabelled subgraph."""
 
 import ast
 from pathlib import Path
@@ -74,3 +74,47 @@ def test_an_unused_import_is_found(tmp_path):
         "    return os.path.join(json.dumps(g.n), 'x')\n"
     )
     assert unused_imports(path) == ["mod.py:4 mask_bits", "mod.py:8 Refused"]
+
+
+def calls_of(path: Path, name: str) -> list:
+    """One ``module.function`` per call of ``name`` in ``path``, bare or as
+    an attribute, named by the innermost function around the call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            target = node.func
+            called = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if called == name:
+                found.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_maker_graph_and_the_partition_certificate_relabel():
+    # every other graph question reads a host's neighbour masks under a member mask
+    paths = sorted(PACKAGE.glob("*.py"))
+    found = [hit for path in paths for hit in calls_of(path, "induced_subgraph")]
+    assert found == ["decompose.highly_connected_partition", "engine.maker_graph"]
+
+
+def test_a_new_relabelling_caller_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from . import graphs\n"
+        "from .graphs import induced_subgraph\n"
+        "\n"
+        "ALIAS = induced_subgraph\n"
+        "\n"
+        "def core(g, part):\n"
+        "    def side(s):\n"
+        "        return graphs.induced_subgraph(g, s)[0]\n"
+        "    return induced_subgraph(g, part), side(part)\n"
+    )
+    assert calls_of(path, "induced_subgraph") == ["mod.side", "mod.core"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedStrategy, SolverBeforeChoose, iso_classes, random_graphs
+from makerbreaker import engine, graphs, solver
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -396,8 +397,9 @@ def small_specs(draw, max_elements=8):
 
 
 class TestMaskDecision:
-    """``odd-cycle`` and ``spanning-connected`` are decided on bitmasks; the
-    decision must equal ``maker_win_witness`` on every claim set."""
+    """``odd-cycle``, ``spanning-connected`` and ``non-k-colorable`` are
+    decided on bitmasks; the decision must equal ``maker_win_witness`` on
+    every claim set."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -415,6 +417,36 @@ class TestMaskDecision:
         for mask in [0, full] + [d & full for d in draws]:
             claims = tuple(board[i] for i in range(len(board)) if mask >> i & 1)
             assert decide(mask) == (maker_win_witness(spec, claims) is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        random_graphs(max_n=8),
+        st.sampled_from((EDGES, VERTICES)),
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=0), max_size=12),
+    )
+    def test_non_k_colorable_matches_maker_win_witness(self, g, board_kind, k, draws):
+        spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=k))
+        board = spec.board()
+        full = (1 << len(board)) - 1
+        decide = _mask_decider(spec)
+        for mask in [0, full] + [d & full for d in draws]:
+            claims = tuple(board[i] for i in range(len(board)) if mask >> i & 1)
+            assert decide(mask) == (maker_win_witness(spec, claims) is not None)
+
+    @pytest.mark.parametrize("board_kind", [EDGES, VERTICES])
+    def test_non_k_colorable_solve_builds_no_maker_graph(self, monkeypatch, board_kind):
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 4), (0, 5)])
+        spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=2), breaker_bias=1)
+        want = solve(spec)
+        assert want.winner == solve_reference(spec)
+        calls = []
+        for module in (solver, engine):
+            monkeypatch.setattr(module, "maker_win_witness", lambda *args: calls.append(args))
+        for module in (engine, graphs):
+            monkeypatch.setattr(module, "induced_subgraph", lambda *args: calls.append(args))
+        assert solve(spec) == want
+        assert calls == []
 
     def test_one_vertex_host_is_spanning_connected_with_no_claims(self):
         spec = GameSpec(host=Graph(1), board_kind=EDGES,
