@@ -202,12 +202,13 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
         raise DomainError(f"delta must be in (0,1), got {quoted(str(delta))}")
     n = g.n
     if n == 0 or Fraction(min_degree(g)) < delta * n:
-        raise PreconditionError(f"minimum degree below delta*n = {delta * n}")
+        raise PreconditionError(f"minimum degree below delta*n = {quoted(str(delta * n))}")
     if not force:
         chi = chromatic_number(g)
-        if not Fraction(chi) > Fraction(32) / delta:
+        threshold = Fraction(32) / delta
+        if not Fraction(chi) > threshold:
             raise PreconditionError(
-                f"chromatic number {chi} does not exceed 32/delta = {Fraction(32) / delta}"
+                f"chromatic number {chi} does not exceed 32/delta = {quoted(str(threshold))}"
             )
 
     x1, x2 = unfriendly_partition(g)
@@ -385,7 +386,7 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
         raise DomainError(f"delta must be in (0,1), got {quoted(str(delta))}")
     n = g.n
     if n == 0 or Fraction(min_degree(g)) < delta * n:
-        raise PreconditionError(f"minimum degree below delta*n = {delta * n}")
+        raise PreconditionError(f"minimum degree below delta*n = {quoted(str(delta * n))}")
     rng = random.Random(seed)
     min_side = delta * n
 
@@ -438,7 +439,7 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
                     part_of[v] = j
                 return
         raise PreconditionError(
-            f"vertex {v} has no part holding delta^2*n = {floor} of its neighbors"
+            f"vertex {v} has no part holding delta^2*n = {quoted(str(floor))} of its neighbors"
         )
 
     for v in sorted(moved):
@@ -509,7 +510,7 @@ def extract_chromatic_core(
         raise DomainError(f"b must be a positive integer, got {b}")
     n = g.n
     if n == 0 or Fraction(min_degree(g)) < delta * n:
-        raise PreconditionError(f"minimum degree below delta*n = {delta * n}")
+        raise PreconditionError(f"minimum degree below delta*n = {quoted(str(delta * n))}")
     threshold = Fraction(2 * (b + 1)) / delta
 
     def colorable(vertices, k: int) -> bool:
@@ -518,12 +519,12 @@ def extract_chromatic_core(
     if not force:
         if threshold >= n:
             raise PreconditionError(
-                f"chromatic threshold 2(b+1)/delta = {threshold} is at least n = {n}"
+                f"chromatic threshold 2(b+1)/delta = {quoted(str(threshold))} is at least n = {n}"
             )
         gate = threshold.numerator // threshold.denominator
         if colorable(range(n), gate):
             raise PreconditionError(
-                f"chromatic number does not exceed 2(b+1)/delta = {threshold}"
+                f"chromatic number does not exceed 2(b+1)/delta = {quoted(str(threshold))}"
             )
 
     rp = robust_partition(g, delta, seed=seed)

@@ -299,6 +299,11 @@ def maker_win_witness(spec: GameSpec, maker_claims):
     Maker's graph, on which ``k-edge-connected`` is decided.
     """
     obj = spec.objective
+    if obj.kind == "spanning-connected" and spec.board_kind == EDGES:
+        claims = frozenset(maker_claims)
+        # a spanning tree has n - 1 edges; claims off the board go on to raise
+        if len(claims) < spec.host.n - 1 and spec.board_set.issuperset(claims):
+            return None
     wins = mask_win(obj)
     if wins is not None:
         if not wins(*maker_masks(spec, maker_claims)):
@@ -350,7 +355,7 @@ def play(spec: GameSpec, maker: Strategy, breaker: Strategy, seed: int = 0) -> G
     maker.reset(spec, 2 * seed)
     breaker.reset(spec, 2 * seed + 1)
     pos, witness, rounds = Position.initial(spec), None, 0
-    while witness is None and len(pos.claimed()) < len(spec.board_set):
+    while witness is None and len(pos.maker) + len(pos.breaker) < len(spec.board_set):
         mover = pos.to_move
         proposal = (maker if mover == MAKER else breaker).propose(spec, pos)
         if proposal is None:
@@ -369,7 +374,7 @@ def _outcome(spec: GameSpec, pos: Position, witness, rounds: int) -> GameResult:
     last claim gave ``witness`` or the full board wins, Breaker's when the
     board is full and does not, and otherwise a forfeit by the player to
     move.  A full board is checked only when ``witness`` is None."""
-    if witness is None and len(pos.claimed()) == len(spec.board_set):
+    if witness is None and len(pos.maker) + len(pos.breaker) == len(spec.board_set):
         witness = maker_win_witness(spec, pos.maker)
         if witness is None:
             return GameResult(BREAKER, None, rounds, pos, "exhausted")
@@ -455,7 +460,7 @@ def replay_transcript(spec: GameSpec, text: str) -> GameResult:
     tokens = {element_token(spec, el): el for el in spec.board()}
     pos, witness, rounds = Position.initial(spec), None, 0
     for line in lines[start:stop]:
-        if witness is not None or len(pos.claimed()) == len(spec.board_set):
+        if witness is not None or len(pos.maker) + len(pos.breaker) == len(spec.board_set):
             break  # the game is over; the lines left make the text differ
         tag, _, rest = line.partition(" ")
         if tag not in ("M", "B"):

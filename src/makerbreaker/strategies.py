@@ -20,8 +20,10 @@ adequacy is checked empirically and by the exhaustive verifier on small
 boards.  It sits behind the Strategy interface so a faithful implementation
 can replace it without touching the rest.
 
-Maker's components, 2-coloring and component cuts come from ``mask_search``,
-on ``maker_masks`` or a claim view that reads only each position's claim sets.
+Maker's 2-coloring comes from ``mask_components`` on ``maker_masks``.  On
+edge boards, Maker's components and their cuts come from a claim view carried
+from turn to turn, which reads only each position's claim sets and updates
+the components per new claim.
 The core-backed Makers play in host labels, on the core's crossing graph as
 ``graphs.cross_masks``, the one cut builder; no relabelled copy is made.
 """
@@ -31,6 +33,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,7 +60,6 @@ from .graphs import (
     has_odd_cycle,
     mask_bits,
     mask_components,
-    mask_search,
 )
 
 # -- exact bound calculators -----------------------------------------------------
@@ -157,94 +159,120 @@ def dominates(adj, dom: int, members: int) -> bool:
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _smallest_cut(maker, members: int, avail, limit: int | None = None) -> list:
-    """The smallest sorted list of available edges crossing one component of
-    Maker's graph on the vertex mask ``members``, the first on ties, cut
-    short after ``limit`` edges; [] when Maker's graph is connected there or
-    no such edge crosses.
-
-    ``maker[v]`` and ``avail[v]`` are vertex v's neighbour masks in Maker's
-    graph and among the available (unclaimed pool) edges.  Components come
-    from ``mask_search`` rooted at the lowest member left, so they
-    are met in order of smallest member; each is sized by the popcount of its
-    members' available edges that leave it.
-    """
-    best = best_size = None
-    comps = 0
-    rest = members
-    while rest:
-        inside = rest & -rest
-        v = inside.bit_length() - 1
-        if maker[v] & members:
-            inside = mask_search(maker, members, inside)[0]
-            outside = ~inside
-            size = 0
-            bits = inside
-            while bits:
-                low = bits & -bits
-                size += (avail[low.bit_length() - 1] & outside).bit_count()
-                bits ^= low
-        else:
-            size = avail[v].bit_count()  # a lone vertex: all its edges leave
-        rest &= ~inside
-        comps += 1
-        if size and (best_size is None or size < best_size):
-            best, best_size = inside, size
-    if comps < 2 or best is None:
-        return []
-    # edge (u, v), u < v, crosses when exactly one end is inside; taking u
-    # upwards, then v upwards from u + 1, emits the cut in sorted order
-    cut = []
-    for u, row in enumerate(avail):
-        across = (row & (~best if best >> u & 1 else best)) >> (u + 1)
-        while across:
-            low = across & -across
-            cut.append((u, u + low.bit_length()))
-            if len(cut) == limit:
-                return cut
-            across ^= low
-    return cut
+def _new_claims(seen, pos: Position):
+    """The claims of ``pos``, (Maker's, Breaker's), not in the claim sets
+    ``seen``; None when a claim seen is missing from ``pos``."""
+    seen_maker, seen_breaker = seen
+    new_maker, new_breaker = pos.maker - seen_maker, pos.breaker - seen_breaker
+    kept = len(pos.maker) - len(new_maker), len(pos.breaker) - len(new_breaker)
+    return (new_maker, new_breaker) if kept == (len(seen_maker), len(seen_breaker)) else None
 
 
 class _ClaimView:
-    """Maker's adjacency masks (``maker``) and the unclaimed pool's masks
-    (``avail``) at the claim sets ``seen`` last seen, carried from turn to
-    turn.  It reads only a position's claim sets, never its log.
+    """The unclaimed pool's masks (``avail``) and the components of Maker's
+    graph on the vertex mask ``members``, at the claim sets ``seen`` last
+    seen, carried from turn to turn.  It reads only a position's claim sets,
+    never its log.
+
+    A component is kept under a member of it, ``label[v]`` for member v (None
+    for the others): its member mask in ``comp``, its lowest member in
+    ``low`` and the count of available edges with one end in it in ``leave``.
 
     ``see(pos)`` applies the claims of ``pos.maker`` and ``pos.breaker`` not
     seen yet.  When a claim seen is missing from them (an earlier position,
-    another game), it starts again from no claims.
+    another game, a pick of the view's own that was not played), it starts
+    again from no claims.
     """
 
-    def __init__(self, pool_masks):
-        self.pool_masks = pool_masks
-        self.maker, self.avail = [0] * len(pool_masks), list(pool_masks)
+    def __init__(self, pool_masks, members: int):
+        self.pool_masks, self.members = pool_masks, members
+        self._start()
+
+    def _start(self):
+        self.avail = list(self.pool_masks)
+        self.label = [None] * len(self.avail)
+        self.comp, self.low, self.leave = {}, {}, {}
+        for v in mask_bits(self.members):
+            self.label[v] = self.low[v] = v
+            self.comp[v] = 1 << v
+            self.leave[v] = self.avail[v].bit_count()
         self.seen = frozenset(), frozenset()
 
     def see(self, pos: Position) -> "_ClaimView":
-        seen_maker, seen_breaker = self.seen
-        new_maker, new_breaker = pos.maker - seen_maker, pos.breaker - seen_breaker
-        kept = len(pos.maker) - len(new_maker), len(pos.breaker) - len(new_breaker)
-        if kept != (len(seen_maker), len(seen_breaker)):
-            self.maker, self.avail = [0] * len(self.pool_masks), list(self.pool_masks)
-            new_maker, new_breaker = pos.maker, pos.breaker
-        for e in new_maker:
-            _apply_claim(self.maker, self.avail, e)
-        for e in new_breaker:
-            _apply_claim(None, self.avail, e)
+        new = _new_claims(self.seen, pos)
+        if new is None:
+            self._start()
+            new = pos.maker, pos.breaker
+        for e in new[0]:
+            self.claim(e, True)
+        for e in new[1]:
+            self.claim(e, False)
         self.seen = pos.maker, pos.breaker
         return self
 
+    def take(self, edge):
+        """Maker's claim of ``edge``, made by the view's owner: applied and
+        seen, so that the next position, which holds it, adds nothing."""
+        self.claim(edge, True)
+        self.seen = self.seen[0] | {edge}, self.seen[1]
 
-def _apply_claim(maker, avail, edge):
-    """Take ``edge`` out of the masks ``avail`` and, unless ``maker`` is
-    None, put it into Maker's masks ``maker``."""
-    u, v = edge
-    avail[u] &= ~(1 << v)
-    avail[v] &= ~(1 << u)
-    if maker is not None:
-        maker[u] |= 1 << v
-        maker[v] |= 1 << u
+    def claim(self, edge, by_maker: bool):
+        """Take ``edge`` out of the pool and, when it is Maker's, join the
+        components of its ends."""
+        u, v = edge
+        a, b = self.label[u], self.label[v]
+        if self.avail[u] >> v & 1:
+            self.avail[u] ^= 1 << v
+            self.avail[v] ^= 1 << u
+            if a != b:  # it left the component of each member end
+                if a is not None:
+                    self.leave[a] -= 1
+                if b is not None:
+                    self.leave[b] -= 1
+        if by_maker and a is not None and b is not None and a != b:
+            if self.comp[a].bit_count() < self.comp[b].bit_count():
+                a, b = b, a
+            moved, kept = self.comp.pop(b), self.comp[a]  # the smaller side is relabelled
+            between = 0
+            for w in mask_bits(moved):
+                between += (self.avail[w] & kept).bit_count()
+                self.label[w] = a
+            self.comp[a] = kept | moved
+            self.low[a] = min(self.low[a], self.low.pop(b))
+            self.leave[a] += self.leave.pop(b) - 2 * between
+
+    def smallest_cut(self, limit: int) -> list:
+        """The smallest sorted list of available edges leaving one component,
+        the one with the lowest member on ties, cut short after ``limit``
+        edges; [] when Maker's graph on the members is connected or no
+        available edge leaves a component."""
+        if len(self.comp) < 2:
+            return []
+        best = min(((size, self.low[c], c) for c, size in self.leave.items() if size),
+                   default=None)
+        if best is None:
+            return []
+        inside = self.comp[best[2]]
+        outside = 0  # the far ends of the cut
+        for u in mask_bits(inside):
+            outside |= self.avail[u]
+        outside &= ~inside
+        # edge (u, v), u < v, crosses when exactly one end is inside; taking u
+        # upwards, then v upwards from u + 1, emits the cut in sorted order
+        cut = []
+        rest = inside | outside
+        while rest:
+            bit = rest & -rest
+            u = bit.bit_length() - 1
+            across = (self.avail[u] & (outside if inside & bit else inside)) >> (u + 1)
+            while across:
+                low = across & -across
+                cut.append((u, u + low.bit_length()))
+                if len(cut) == limit:
+                    return cut
+                across ^= low
+            rest ^= bit
+        return cut
 
 
 def _lowest(mask: int) -> int:
@@ -274,30 +302,27 @@ class ConnectivityMaker(Strategy):
     position_pure = True
 
     def __init__(self, g: Graph, pool_masks=None, members=None):
-        self.view = _ClaimView(g.neighbor_masks() if pool_masks is None else pool_masks)
-        self.members = (1 << g.n) - 1 if members is None else members
-
-    def _pick(self, maker, avail) -> tuple | None:
-        best_cut = _smallest_cut(maker, self.members, avail, 1)
-        return best_cut[0] if best_cut else _first_edge(avail)
+        self.view = _ClaimView(
+            g.neighbor_masks() if pool_masks is None else pool_masks,
+            (1 << g.n) - 1 if members is None else members,
+        )
 
     def propose(self, spec: GameSpec, pos: Position):
         if spec.board_kind != EDGES:
             raise DomainError("this maker plays edge games only")
         need = batch_size(spec, pos)
         view = self.view.see(pos)
-        # the turn's own picks go into copies, so the view stays at pos
-        maker, avail = list(view.maker), list(view.avail)
         batch = []
         for _ in range(need):
-            pick = self._pick(maker, avail)
+            cut = view.smallest_cut(1)
+            pick = cut[0] if cut else _first_edge(view.avail)
             if pick is None:
                 rest = spec.board_set - pos.claimed() - set(batch)
                 if not rest:
                     break
                 pick = min(rest)
             batch.append(pick)
-            _apply_claim(maker, avail, pick)
+            view.take(pick)
         return tuple(batch) if len(batch) == need else None
 
 
@@ -305,18 +330,32 @@ class ConnectivityMaker(Strategy):
 
 
 class RandomStrategy(Strategy):
-    """Uniform unclaimed elements; role-agnostic."""
+    """Uniform unclaimed elements; role-agnostic.  The draws are
+    ``rng.sample`` on the unclaimed elements in board order, as
+    ``legal_moves`` lists them; that list is carried from turn to turn of a
+    game on one spec, each new claim deleted by bisection."""
 
     position_pure = False
 
     def __init__(self):
-        self.rng = random.Random(0)
+        self.rng, self.free = random.Random(0), None
 
     def reset(self, spec, seed):
-        self.rng = random.Random(seed)
+        self.rng, self.free = random.Random(seed), None
 
     def propose(self, spec, pos):
-        return tuple(self.rng.sample(legal_moves(spec, pos), batch_size(spec, pos)))
+        free, self.free = self.free, None  # left None if legal_moves raises
+        new = None if free is None or spec is not self.spec else _new_claims(self.seen, pos)
+        for e in () if new is None else (*new[0], *new[1]):
+            i = bisect_left(free, e) if e in spec.board_set else len(free)
+            if i == len(free) or free[i] != e:  # off the board or claimed twice
+                new = None
+                break
+            del free[i]
+        if new is None:
+            free = legal_moves(spec, pos)
+        self.spec, self.free, self.seen = spec, free, (pos.maker, pos.breaker)
+        return tuple(self.rng.sample(free, batch_size(spec, pos)))
 
 
 def _maker_two_coloring(spec: GameSpec, pos: Position):
@@ -390,9 +429,9 @@ class CutAttackBreaker(Strategy):
         host = spec.host
         if spec.board_kind == EDGES:
             if self.host is not host:
-                self.host, self.view = host, _ClaimView(host.neighbor_masks())
-            view = self.view.see(pos)
-            batch = _smallest_cut(view.maker, (1 << host.n) - 1, view.avail, need)
+                self.host = host
+                self.view = _ClaimView(host.neighbor_masks(), (1 << host.n) - 1)
+            batch = self.view.see(pos).smallest_cut(need)
             if len(batch) < need:
                 for e in legal_moves(spec, pos):
                     if len(batch) == need:

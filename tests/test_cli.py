@@ -18,7 +18,7 @@ from makerbreaker.decompose import (
     robust_partition,
 )
 from makerbreaker.engine import GameSpec, WinPredicate, replay_transcript
-from makerbreaker.errors import DomainError
+from makerbreaker.errors import DomainError, PreconditionError
 from makerbreaker.generators import FAMILIES
 from makerbreaker.graphs import Graph, format_graph, frac_ceil, parse_graph
 from makerbreaker.harness import ExperimentConfig, build_strategy, parse_fraction, parse_ident
@@ -27,6 +27,8 @@ from makerbreaker.strategies import bound_report
 
 # a valid Fraction of 4,001 digits, out of (0,1)
 LONG_DELTA = "3" + "9" * 4000 + "/2"
+# just over 1/2, with a 4,001-digit denominator
+NEAR_HALF_DELTA = "1" + "0" * 4000 + "/2" + "0" * 3999 + "1"
 
 
 def run_cli(*argv):
@@ -493,9 +495,13 @@ class TestMalformedNumbers:
              "k must be positive, got -5999"),
             (["decompose", "@triangle", "--mode", "core", "--delta", LONG_DELTA], {},
              "delta must be in (0,1), got '3999"),
+            (["decompose", "@triangle", "--mode", "core", "--delta", NEAR_HALF_DELTA], {},
+             "does not exceed 32/delta = '2000"),
+            (["decompose", "@triangle", "--mode", "key2", "--delta", NEAR_HALF_DELTA], {},
+             "chromatic threshold 2(b+1)/delta = '2000"),
         ],
         ids=["bias", "objective", "maker", "delta", "trials", "b-range", "bfkm-delta",
-             "bfkm-negative-delta", "core-delta"],
+             "bfkm-negative-delta", "core-delta", "core-threshold", "key2-threshold"],
     )
     def test_long_input_is_quoted_short(self, tmp_path, capsys, argv, config, named):
         (tmp_path / "triangle").write_text("p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
@@ -537,6 +543,19 @@ class TestMalformedNumbers:
         with pytest.raises(DomainError) as info:
             call()
         assert len(str(info.value)) < 1024 and named in str(info.value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: robust_partition(Graph.path(3), NEAR_HALF_DELTA),
+            lambda: extract_chromatic_core(Graph.path(3), NEAR_HALF_DELTA, 1),
+        ],
+        ids=["robust", "chromatic"],
+    )
+    def test_degree_floor_is_quoted_short(self, call):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert len(str(info.value)) < 1024 and "below delta*n = '1000" in str(info.value)
 
     def test_unknown_generator_param_is_refused(self, capsys):
         argv = ("generate", "--family", "gnp", "--param", "n=5", "--param", "p=0.5")

@@ -401,6 +401,20 @@ class TestOneMakerGraph:
         spec = edge_spec(Graph(0), objective=WinPredicate("spanning-connected"))
         assert maker_win_witness(spec, ()) is None is two_branch_win_witness(spec, ())
 
+    def test_spanning_connected_below_a_tree_reads_no_masks(self, monkeypatch):
+        spec = edge_spec(Graph.complete(6), objective=WinPredicate("spanning-connected"))
+        calls = []
+        masks = engine.maker_masks
+        monkeypatch.setattr(engine, "maker_masks", lambda *args: calls.append(args) or masks(*args))
+        path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert maker_win_witness(spec, path) is None and not calls
+        assert maker_win_witness(spec, path * 2) is None and not calls  # distinct claims count
+        assert maker_win_witness(spec, path + [(4, 5)]) is not None and len(calls) == 1
+        # a claim off the board takes the mask path, which refuses it
+        with pytest.raises(DomainError):
+            maker_win_witness(spec, [(0, 1), (2, 9)])
+        assert len(calls) == 2
+
     @pytest.mark.parametrize(
         "board_kind, objective, claim",
         [

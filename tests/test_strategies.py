@@ -47,6 +47,9 @@ from makerbreaker.graphs import (
     cut_edges,
     find_odd_cycle,
     induced_subgraph,
+    mask_bits,
+    mask_components,
+    mask_search,
     verify_odd_cycle,
 )
 from makerbreaker.harness import build_strategy
@@ -62,7 +65,6 @@ from makerbreaker.strategies import (
     RandomStrategy,
     _ClaimView,
     _maker_two_coloring,
-    _smallest_cut,
     _spanning_bipartition_search,
     bound_report,
     dominates,
@@ -160,6 +162,56 @@ def smallest_cut_by_component_scan(n, maker_edges, members, edges):
     return best
 
 
+def smallest_cut_by_mask_search(maker, members: int, avail, limit: int | None = None) -> list:
+    """The smallest sorted list of available edges crossing one component of
+    Maker's graph on the vertex mask ``members``, the first on ties, cut
+    short after ``limit`` edges; [] when Maker's graph is connected there or
+    no such edge crosses.  Every component is searched afresh, as the
+    strategies did each turn before the claim view carried them.
+
+    ``maker[v]`` and ``avail[v]`` are vertex v's neighbour masks in Maker's
+    graph and among the available (unclaimed pool) edges.  Components come
+    from ``mask_search`` rooted at the lowest member left, so they
+    are met in order of smallest member; each is sized by the popcount of its
+    members' available edges that leave it.
+    """
+    best = best_size = None
+    comps = 0
+    rest = members
+    while rest:
+        inside = rest & -rest
+        v = inside.bit_length() - 1
+        if maker[v] & members:
+            inside = mask_search(maker, members, inside)[0]
+            outside = ~inside
+            size = 0
+            bits = inside
+            while bits:
+                low = bits & -bits
+                size += (avail[low.bit_length() - 1] & outside).bit_count()
+                bits ^= low
+        else:
+            size = avail[v].bit_count()  # a lone vertex: all its edges leave
+        rest &= ~inside
+        comps += 1
+        if size and (best_size is None or size < best_size):
+            best, best_size = inside, size
+    if comps < 2 or best is None:
+        return []
+    # edge (u, v), u < v, crosses when exactly one end is inside; taking u
+    # upwards, then v upwards from u + 1, emits the cut in sorted order
+    cut = []
+    for u, row in enumerate(avail):
+        across = (row & (~best if best >> u & 1 else best)) >> (u + 1)
+        while across:
+            low = across & -across
+            cut.append((u, u + low.bit_length()))
+            if len(cut) == limit:
+                return cut
+            across ^= low
+    return cut
+
+
 def masks_of(n, edges):
     return list(Graph(n, edges).neighbor_masks())
 
@@ -172,9 +224,9 @@ def member_mask(n, members):
 def cut_instances(draw, with_members):
     """A host, Maker's edges, a pool of host edges (every edge or a strict
     subset), Breaker's edges (disjoint from Maker's, in or out of the pool)
-    and a member set or None.  Returns the arguments of ``_smallest_cut``
-    (Maker's masks, the member mask, the available pool's masks) and those
-    of the component scan."""
+    and a member set or None.  Returns the arguments of
+    ``smallest_cut_by_mask_search`` (Maker's masks, the member mask, the
+    available pool's masks) and those of the component scan."""
     g = draw(random_graphs(max_n=9))
     edges = sorted(g.edges)
     maker = draw(st.sets(st.sampled_from(edges))) if edges else set()
@@ -198,34 +250,59 @@ class TestSmallestCut:
     @given(cut_instances(with_members=False))
     def test_matches_component_scan_on_every_vertex(self, inst):
         args, scan = inst
-        assert _smallest_cut(*args) == smallest_cut_by_component_scan(*scan)
+        assert smallest_cut_by_mask_search(*args) == smallest_cut_by_component_scan(*scan)
 
     @settings(max_examples=200, deadline=None)
     @given(cut_instances(with_members=True), st.integers(min_value=1, max_value=4))
     def test_matches_component_scan_on_a_member_subset(self, inst, limit):
         args, scan = inst
         expected = smallest_cut_by_component_scan(*scan)
-        assert _smallest_cut(*args) == expected
-        assert _smallest_cut(*args, limit) == expected[:limit]
+        assert smallest_cut_by_mask_search(*args) == expected
+        assert smallest_cut_by_mask_search(*args, limit) == expected[:limit]
 
     def test_ties_go_to_the_first_component(self):
         # components {0, 1}, {2, 3}, {4, 5}, each crossed by two edges
         maker = {(0, 1), (2, 3), (4, 5)}
         available = {(1, 2), (3, 4), (0, 5)}
         everyone = member_mask(6, None)
-        cut = _smallest_cut(masks_of(6, maker), everyone, masks_of(6, available))
+        cut = smallest_cut_by_mask_search(masks_of(6, maker), everyone, masks_of(6, available))
         assert cut == [(0, 5), (1, 2)]
         # one more edge out of {0, 1} leaves {2, 3} the only smallest cut
         available.add((0, 4))
-        cut = _smallest_cut(masks_of(6, maker), everyone, masks_of(6, available))
+        cut = smallest_cut_by_mask_search(masks_of(6, maker), everyone, masks_of(6, available))
         assert cut == [(1, 2), (3, 4)]
 
 
 def view_matches_rebuild(view, pool, pos):
-    """The view's masks equal a rebuild from ``pos.maker`` and ``pos.claimed()``."""
-    n = len(view.maker)
-    return view.maker == masks_of(n, pos.maker) and view.avail == masks_of(
-        n, set(pool) - pos.claimed()
+    """The view's available masks and Maker's components, with their lowest
+    members, labels and leaving counts, equal a rebuild from ``pos.maker``
+    and ``pos.claimed()``."""
+    n = len(view.avail)
+    avail = masks_of(n, set(pool) - pos.claimed())
+    comps = [c for c, _, _ in mask_components(masks_of(n, pos.maker), view.members)]
+    rebuilt = [
+        (mask_bits(c)[0], c, sum((avail[v] & ~c).bit_count() for v in mask_bits(c)))
+        for c in comps
+    ]
+    labels = [None] * n
+    for key, c in view.comp.items():
+        for v in mask_bits(c):
+            labels[v] = key
+    carried = sorted((view.low[key], c, view.leave[key]) for key, c in view.comp.items())
+    return view.avail == avail and carried == rebuilt and view.label == labels
+
+
+def with_picks(pos, batch):
+    """``pos`` with Maker's ``batch`` claimed: where a view that picked it stands."""
+    return Position(pos.maker | set(batch), pos.breaker, pos.to_move, pos.log)
+
+
+def proposes_as_fresh(maker, spec, pos) -> bool:
+    """``maker`` proposes at ``pos`` what a new ConnectivityMaker does, and
+    its view then stands at ``pos`` with the batch picked."""
+    batch = maker.propose(spec, pos)
+    return batch == ConnectivityMaker(spec.host).propose(spec, pos) and view_matches_rebuild(
+        maker.view, spec.host.edges, with_picks(pos, batch)
     )
 
 
@@ -240,7 +317,7 @@ class CheckedMaker(Strategy):
 
     def propose(self, spec, pos):
         batch = self.inner.propose(spec, pos)
-        assert view_matches_rebuild(self.inner.view, spec.host.edges, pos)
+        assert view_matches_rebuild(self.inner.view, spec.host.edges, with_picks(pos, batch))
         maker, available = set(pos.maker), set(spec.host.edges - pos.claimed())
         for pick in batch:
             cut = smallest_cut_by_component_scan(spec.host.n, maker, None, available)
@@ -271,7 +348,7 @@ class TestClaimView:
         """Claims played forward, a jump back, a probe and a hand-built
         position with an empty log: the view reads only the claim sets."""
         assume(g.m > 0)
-        view = _ClaimView(g.neighbor_masks())
+        view = _ClaimView(g.neighbor_masks(), member_mask(g.n, None))
         order = data.draw(st.permutations(sorted(g.edges)))
         owners = data.draw(st.lists(st.sampled_from((MAKER, BREAKER)),
                                     min_size=len(order), max_size=len(order)))
@@ -321,13 +398,11 @@ class TestClaimView:
         pos = apply_moves(spec, pos, BREAKER, [(0, 2)])[0]
         maker.propose(spec, pos)
         probe = Position(pos.maker | {(4, 5)}, pos.breaker, pos.to_move, pos.log)
-        assert maker.propose(spec, probe) == ConnectivityMaker(g).propose(spec, probe)
-        assert view_matches_rebuild(maker.view, g.edges, probe)
+        assert proposes_as_fresh(maker, spec, probe)
         # the real position after the probed turn holds the probe's claims
         # and one more
         nxt = apply_moves(spec, pos, MAKER, [(4, 5), (0, 3)])[0]
-        assert maker.propose(spec, nxt) == ConnectivityMaker(g).propose(spec, nxt)
-        assert view_matches_rebuild(maker.view, g.edges, nxt)
+        assert proposes_as_fresh(maker, spec, nxt)
 
     def test_a_log_entry_outside_the_claims_is_rebuilt(self):
         g = Graph.complete(6)
@@ -340,8 +415,7 @@ class TestClaimView:
         # follows the claims
         log = pos.log + ((MAKER, ((1, 2),)), (BREAKER, ((0, 3),)))
         odd = Position(pos.maker | {(3, 4)}, pos.breaker | {(0, 3)}, MAKER, log)
-        assert maker.propose(spec, odd) == ConnectivityMaker(g).propose(spec, odd)
-        assert view_matches_rebuild(maker.view, g.edges, odd)
+        assert proposes_as_fresh(maker, spec, odd)
 
     def test_positions_with_an_empty_log_are_rebuilt(self):
         g = Graph.complete(5)
@@ -350,8 +424,7 @@ class TestClaimView:
         # equal claim counts, no log: only the claim sets tell them apart
         for claims in ({(0, 1), (1, 2)}, {(3, 4), (2, 4)}, {(0, 4), (1, 3)}):
             pos = Position(frozenset(claims), frozenset({(0, 2)}), MAKER)
-            assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
-            assert view_matches_rebuild(maker.view, g.edges, pos)
+            assert proposes_as_fresh(maker, spec, pos)
 
     def test_an_earlier_position_is_rebuilt(self):
         g = Graph.complete(7)
@@ -363,8 +436,7 @@ class TestClaimView:
         makers_turns = [p for p in positions if p.to_move == MAKER][:-1]
         maker = ConnectivityMaker(g)
         for pos in makers_turns[::-1]:
-            assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
-            assert view_matches_rebuild(maker.view, g.edges, pos)
+            assert proposes_as_fresh(maker, spec, pos)
 
     def test_two_games_in_turn_are_rebuilt(self):
         g = Graph.complete(7)
@@ -382,8 +454,7 @@ class TestClaimView:
         maker = ConnectivityMaker(g)
         for turn in range(min(map(len, games)) - 1):
             for pos in (games[0][turn], games[1][turn + 1]):
-                assert maker.propose(spec, pos) == ConnectivityMaker(g).propose(spec, pos)
-                assert view_matches_rebuild(maker.view, g.edges, pos)
+                assert proposes_as_fresh(maker, spec, pos)
 
     def test_cut_attack_is_reused_on_two_hosts(self):
         first, second = Graph.complete(6), Graph.cycle(6)
@@ -394,6 +465,182 @@ class TestClaimView:
             reused = play(spec, ConnectivityMaker(g), breaker, seed=1)
             assert reused.position.log == fresh.position.log
             assert breaker.host is g
+
+
+class TestCarriedCut:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=9), st.data())
+    def test_smallest_cut_matches_the_reference_after_every_step(self, g, data):
+        """Claims by either player, Maker's picks made through the view
+        (played or not), jumps back to an earlier position, and a pool and a
+        member set that may be strict subsets: after every step the carried
+        cut equals the one searched afresh, at limits 1 to 4."""
+        assume(g.m > 0)
+        edges = sorted(g.edges)
+        pool = set(edges)
+        if data.draw(st.booleans()):
+            pool = data.draw(st.sets(st.sampled_from(edges)))
+        members = member_mask(g.n, data.draw(st.none() | st.sets(st.integers(0, g.n - 1))))
+        view = _ClaimView(masks_of(g.n, pool), members)
+        order = data.draw(st.permutations(edges))
+        kinds = st.sampled_from((MAKER, BREAKER, "take", "unplayed", "jump"))
+        steps = data.draw(st.lists(kinds, min_size=len(order), max_size=len(order)))
+        maker = breaker = frozenset()
+        history = [(maker, breaker)]
+        for e, step in zip(order, steps):
+            view.see(Position(maker, breaker, MAKER))
+            shown = maker
+            if step == "jump":
+                maker, breaker = history[data.draw(st.integers(0, len(history) - 1))]
+                shown = maker
+                view.see(Position(maker, breaker, MAKER))
+            elif step in ("take", "unplayed"):
+                view.take(e)  # an unplayed pick is missing from the next position
+                shown = maker | {e}
+                maker = shown if step == "take" else maker
+            elif step == MAKER:
+                maker = shown = maker | {e}
+                view.see(Position(maker, breaker, MAKER))
+            else:
+                breaker = breaker | {e}
+                view.see(Position(maker, breaker, MAKER))
+            history.append((maker, breaker))
+            assert view_matches_rebuild(view, pool, Position(shown, breaker, MAKER))
+            avail = masks_of(g.n, pool - shown - breaker)
+            for limit in range(1, 5):
+                expected = smallest_cut_by_mask_search(masks_of(g.n, shown), members, avail, limit)
+                assert view.smallest_cut(limit) == expected
+
+    def test_ties_go_to_the_lowest_member_not_the_label(self):
+        # {0, 2, 3} is kept under 2, as {0} joined the larger {2, 3};
+        # {1, 4, 5} under 1 and {6} alone: each has two available edges
+        maker = [(2, 3), (0, 2), (1, 4), (4, 5)]
+        available = [(0, 1), (3, 6), (5, 6)]
+        view = _ClaimView(masks_of(7, maker + available), member_mask(7, None))
+        for e in maker:
+            view.take(e)
+        assert view.label[0] == 2 and view.low[2] == 0
+        assert sorted(view.leave.values()) == [2, 2, 2]
+        assert view.smallest_cut(2) == [(0, 1), (3, 6)]
+        reference = smallest_cut_by_mask_search(
+            masks_of(7, maker), member_mask(7, None), masks_of(7, available), 2
+        )
+        assert reference == [(0, 1), (3, 6)]
+
+
+class SampledRandom(Strategy):
+    """A RandomStrategy checked each turn against ``rng.sample`` on
+    ``legal_moves``, as it drew before the free list was carried."""
+
+    def __init__(self):
+        self.inner = RandomStrategy()
+        self.turns = 0
+
+    def reset(self, spec, seed):
+        self.inner.reset(spec, seed)
+        self.rng = random.Random(seed)
+
+    def propose(self, spec, pos):
+        batch = self.inner.propose(spec, pos)
+        assert batch == tuple(self.rng.sample(legal_moves(spec, pos), batch_size(spec, pos)))
+        self.turns += 1
+        return batch
+
+
+class TestRandomStrategy:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        random_graphs(max_n=9),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_draws_equal_sampling_legal_moves_over_whole_games(self, g, a, b, seed):
+        assume(g.m > 0)
+        specs = [edge_spec(g, a, b, objective="spanning-connected"), vertex_spec(g, b)]
+        sampled = SampledRandom()  # one strategy across both specs and both roles
+        for spec in specs:
+            for game_seed in (seed, seed + 1):
+                play(spec, RandomStrategy(), sampled, seed=game_seed)
+                play(spec, sampled, RandomStrategy(), seed=game_seed)
+        play(specs[0], ConnectivityMaker(g), sampled, seed=seed)
+        assert sampled.turns >= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=8), st.integers(min_value=0, max_value=2**16))
+    def test_one_strategy_across_two_interleaved_specs(self, g, seed):
+        """Turns of two games on two specs alternate with no reset between:
+        each turn rebuilds the free list of its own spec."""
+        assume(g.m > 0)
+        sampled = SampledRandom()
+        sampled.reset(None, seed)
+        games = [
+            [spec, Position.initial(spec)]
+            for spec in (edge_spec(g, 2, 1, objective="spanning-connected"), vertex_spec(g, 2))
+        ]
+        while games:
+            for game in list(games):
+                spec, pos = game
+                batch = sampled.propose(spec, pos)
+                game[1], witness = apply_moves(spec, pos, pos.to_move, batch)
+                if witness is not None or len(game[1].claimed()) == len(spec.board_set):
+                    games.remove(game)
+
+    @pytest.mark.parametrize("board_kind", (EDGES, VERTICES))
+    def test_claims_that_overlap_or_leave_the_board_raise(self, board_kind):
+        g = Graph.path(8)
+        spec = edge_spec(g) if board_kind == EDGES else vertex_spec(g)
+        x, y, z, w = spec.board()[:4]
+        off = (0, 2) if board_kind == EDGES else 9
+        bad = [
+            Position(frozenset({x}), frozenset({x}), MAKER),
+            Position(frozenset({x, z}), frozenset({y, z}), MAKER),
+            Position(frozenset({x, off}), frozenset({y}), MAKER),
+            Position(frozenset({x}), frozenset({y, "a"}), MAKER),
+        ]
+        warm = Position(frozenset({x}), frozenset(), BREAKER)
+        good = Position(frozenset({x}), frozenset({w}), BREAKER)  # without y or z
+        for pos in bad:
+            for warmed in (False, True):
+                sampled = SampledRandom()
+                sampled.reset(spec, 0)
+                if warmed:  # the free list is carried from a good position
+                    sampled.propose(spec, warm)
+                with pytest.raises(DomainError):
+                    sampled.inner.propose(spec, pos)
+                sampled.propose(spec, good)  # the draws go on as if it never came
+
+
+class TestMultiPickTurns:
+    """The bench's Maker claims one edge per turn; these games pin the turns
+    that pick several edges through the view, and the special-edge Maker's
+    probe position."""
+
+    # sha256 of the transcripts below, as played before Maker's components
+    # and the free list were carried from turn to turn
+    DIGEST = "d30c56d617bd0283188c5a53e5728408a18097c1c44d078550e95eab80b598c4"
+
+    def test_games_are_unchanged(self):
+        digest = hashlib.sha256()
+        k12 = Graph.complete(12)
+        maker = build_strategy("connectivity", k12)  # one Maker across games
+        for b, breaker_ident in ((3, "random"), (3, "cut-attack"), (9, "cut-attack")):
+            spec = edge_spec(k12, 2, b, objective="spanning-connected")
+            breaker = build_strategy(breaker_ident, k12)
+            for seed in range(6):
+                result = play(spec, maker, breaker, seed=seed)
+                digest.update(format_transcript(spec, result, "connectivity", breaker_ident).encode())
+        g = complete_multipartite([6, 6, 6])
+        for b in (2, 3):
+            spec = edge_spec(g, 2, b)
+            maker = forced_dense_edge_maker(g, Fraction(2, 3))
+            for breaker_ident in ("random", "cut-attack"):
+                breaker = build_strategy(breaker_ident, g)
+                for seed in range(6):
+                    result = play(spec, maker, breaker, seed=seed)
+                    assert maker.stage_trace[:2] == ["I", "II"]
+                    digest.update(format_transcript(spec, result, "dense-edge", breaker_ident).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestDenseEdgeMaker:
