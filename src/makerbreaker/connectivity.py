@@ -6,11 +6,14 @@ the threshold variants stop augmenting early, which keeps the decomposition
 pipeline fast without giving up soundness (a certified "at least t" answer is
 always a real lower bound, never a heuristic one).  The vertex-cut kernels
 read a host's neighbour masks under a member mask, in host labels, as
-``spans`` does; ``vertex_connectivity`` and ``vertex_connectivity_at_least``
-wrap them for a whole ``Graph``.  Each vertex-disjoint s-t flow first counts
-the common neighbours of s and t, one popcount, and stops there when they
-reach the limit.  Otherwise it starts from greedily chosen paths of two and
-three edges, read off the same masks, and when those still fall short the
+``spans`` does, and scan a threshold's many sources against their
+non-neighbours; ``vertex_connectivity_at_least`` wraps them for a whole
+``Graph``.  ``vertex_connectivity`` runs Esfahanian and Hakimi's smaller pair
+set: one minimum-degree vertex against each of its non-neighbours, then the
+non-adjacent pairs among its neighbours.  Each vertex-disjoint s-t flow first
+counts the common neighbours of s and t, one popcount, and stops there when
+they reach the limit.  Otherwise it starts from greedily chosen paths of two
+and three edges, read off the same masks, and when those still fall short the
 split network is built (once per call of the public function) and augmenting
 paths, which may cancel seeded flow, complete them to a maximum flow.
 """
@@ -177,11 +180,14 @@ def _complete(adj, members: int) -> bool:
 def vertex_connectivity(g: Graph) -> int:
     """Standard vertex connectivity; complete graphs give n-1 by convention.
 
-    A minimum separator misses at least one of any min-degree+1 vertices, and
-    every vertex in the far component is a non-neighbor of that one, so
-    scanning those source/target pairs is exhaustive.  A non-complete graph
-    has connectivity at most its minimum degree, so the first flow is capped
-    there and each later one at the best value so far.
+    The pairs are Esfahanian and Hakimi's (1984).  Take v, the lowest vertex
+    of minimum degree.  A minimum separator S that misses v parts v from some
+    non-neighbour.  One that holds v is minimal, so v has neighbours in two
+    components of G - S, a non-adjacent pair inside N(v) that S parts.  So
+    flows from v to each non-neighbour, then between the non-adjacent pairs
+    x < y of N(v), see every minimum separator.  A non-complete graph has
+    connectivity at most its minimum degree, so the first flow is capped
+    there and each later one at the best value so far; the scan stops at 0.
     """
     if g.n < 2:
         raise DomainError("vertex connectivity needs at least 2 vertices")
@@ -189,8 +195,15 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     nbr, members = g.neighbor_masks(), (1 << g.n) - 1
     network = functools.cache(lambda: _vertex_network(nbr, members))
-    best = min(x.bit_count() for x in nbr)
-    for s, t in _pairs(nbr, members, best + 1):  # at best 0, each flow is one popcount
+    degrees = [x.bit_count() for x in nbr]
+    best = min(degrees)
+    v = degrees.index(best)
+    near = nbr[v]
+    pairs = [(v, t) for t in mask_bits(members & ~near & ~(1 << v))]
+    pairs += [(x, y) for x in mask_bits(near) for y in mask_bits(near & ~nbr[x] & -(2 << x))]
+    for s, t in pairs:
+        if best == 0:
+            break
         best, _ = _local_vertex_flow(nbr, network, s, t, best)
     return best
 

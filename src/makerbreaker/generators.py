@@ -14,6 +14,7 @@ or more than ``MAX_PAIRS`` pairs, is refused with ``ResourceLimitError``
 
 from __future__ import annotations
 
+import copy
 import random
 
 from .errors import DomainError, ResourceLimitError, quoted, refuse_unknown, require
@@ -134,13 +135,38 @@ FAMILIES = tuple(FAMILY_PARAMS)
 CHILD_KEYS = ("family", "params", "seed")
 
 
+# The last top-level spec (a deep copy) and the host it built.
+_last: tuple = (None, None)
+
+
 def generate(family: str, params: dict, seed: int = 0) -> Graph:
     """Dispatch by family name; compositions recurse into child generator specs.
 
     A missing, unknown or unconvertible parameter raises DomainError naming
     the key; so do parameters that are not a mapping, a seed that is not an
-    integer, and child specs nested too deeply to walk.
+    integer, and child specs or params nested too deeply to walk.
+
+    The last host is kept with a deep copy of its spec: a call whose family,
+    params (nested child specs included) and seed compare equal to the
+    previous call's gets the same Graph, so a bias sweep, a repeated config,
+    or a set-up and the experiment after it generate one host.  Nested dicts
+    are unhashable, so ``functools.cache`` cannot keep this memo, and a
+    JSON-text key would raise TypeError on the non-JSON params the API takes.
     """
+    global _last
+    key = (family, params, seed)
+    try:
+        if _last[0] != key or type(seed) is not int:  # True == 1, but is no seed
+            _last = (copy.deepcopy(key), _generate(*key))
+    except RecursionError:
+        what = "nests its child specs" if family in ("union", "join") else "has params nested"
+        raise DomainError(f"generator {quoted(family)} {what} too deeply") from None
+    return _last[1]
+
+
+def _generate(family, params, seed) -> Graph:
+    """``generate`` without the memo; union and join children come here too,
+    so they never displace the kept host."""
     context = f"generator {quoted(family)}"
     if not isinstance(params, dict) or type(seed) is not int:
         raise DomainError(f"{context} needs a parameter mapping and an integer seed")
@@ -168,8 +194,5 @@ def generate(family: str, params: dict, seed: int = 0) -> Graph:
         child = param(key, dict)
         refuse_unknown(child, CHILD_KEYS, f"{context} child {key!r} has unknown key(s)")
         name = require(child, "family", context)
-        try:
-            children.append(generate(name, child.get("params", {}), child.get("seed", child_seed)))
-        except RecursionError:
-            raise DomainError(f"{context} nests its child specs too deeply") from None
+        children.append(_generate(name, child.get("params", {}), child.get("seed", child_seed)))
     return disjoint_union(*children) if family == "union" else join(*children)

@@ -9,7 +9,6 @@ byte-for-byte except for the timestamp.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
@@ -264,30 +263,11 @@ def atomic_write(path: str, text: str):
             os.unlink(tmp)
 
 
-_last_host: tuple = (None, None)
-
-
-def _experiment_host(gen: dict) -> Graph:
-    """The host ``gen`` describes.  The previous experiment's host is reused
-    when its family, params (nested child specs included) and seed compare
-    equal, so a bias sweep or a repeated config generates it once.  Nested
-    dicts are unhashable, so ``functools.cache`` cannot keep this memo, and a
-    JSON-text key would raise TypeError on the non-JSON params the API takes.
-    Params nested too deeply to compare or copy raise DomainError."""
-    global _last_host
-    key = (require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
-    try:
-        if _last_host[0] != key:
-            _last_host = (copy.deepcopy(key), generate(*key))
-    except RecursionError:
-        raise DomainError(f"generator {quoted(key[0])} has params nested too deeply") from None
-    return _last_host[1]
-
-
 def run_experiment(config: ExperimentConfig, out: str | None = None) -> ResultDocument:
     """Run all trials with seeds seed_base+i; one trial failing is recorded,
     not fatal.  Strategy identifiers are resolved before any trial runs."""
-    g = _experiment_host(config.generator)
+    gen = config.generator
+    g = generate(require(gen, "family", "generator"), gen.get("params", {}), gen.get("seed", 0))
     spec = config.game_spec(g)
     maker = build_strategy(config.maker, g)
     breaker = build_strategy(config.breaker, g)

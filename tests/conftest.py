@@ -1,17 +1,18 @@
 """Shared graph builders, a coloring check, a scripted strategy, the
 decomposition-backed Makers on forced cores, uniform vertex sampling, the
 small-graph isomorphism-class enumeration, the set-based component search, the
-solver's node loop before its one choice routine, and the connectivity and
-coloring kernels on relabelled subgraphs."""
+solver's node loop before its one choice routine, the connectivity and
+coloring kernels on relabelled subgraphs, and vertex connectivity by the
+min-degree + 1 source scan."""
 
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from makerbreaker.connectivity import _local_vertex_flow
+from makerbreaker.connectivity import _local_vertex_flow, _pairs, _vertex_network
 from makerbreaker.decompose import extract_bipartite_core, extract_chromatic_core
 from makerbreaker.engine import BREAKER, MAKER, Strategy
 from makerbreaker.errors import DomainError
@@ -294,6 +295,20 @@ def vertex_cut_below_on_graph(g: Graph, threshold: int):
             if flow < threshold:
                 return cut_from_residual_by_range(g, residual, adj, s)
     return None
+
+
+def vertex_connectivity_by_source_scan(g: Graph) -> int:
+    """``vertex_connectivity`` as it was before Esfahanian and Hakimi's pair
+    set: each of the lowest min-degree + 1 vertices against all of its
+    non-neighbours, each flow capped at the best value so far."""
+    if g.is_complete():
+        return g.n - 1
+    nbr, members = g.neighbor_masks(), (1 << g.n) - 1
+    network = cache(lambda: _vertex_network(nbr, members))
+    best = min(x.bit_count() for x in nbr)
+    for s, t in _pairs(nbr, members, best + 1):
+        best, _ = _local_vertex_flow(nbr, network, s, t, best)
+    return best
 
 
 def mader_subgraph_on_graph(g: Graph, k):

@@ -12,6 +12,7 @@ from conftest import (
     random_graphs,
     two_triangles_shared_vertex,
     unfriendly_partition_on_graph,
+    vertex_connectivity_by_source_scan,
     vertex_cut_below_on_graph,
     vertex_network_by_edges,
 )
@@ -31,7 +32,14 @@ from makerbreaker.connectivity import (
     vertex_cut_below,
 )
 from makerbreaker.errors import DomainError
-from makerbreaker.generators import disjoint_union, gnp
+from makerbreaker.generators import (
+    complete_multipartite,
+    disjoint_union,
+    gnp,
+    join,
+    odd_cycle_blowup,
+    random_regular,
+)
 from makerbreaker.graphs import (
     Graph,
     connected_components,
@@ -135,6 +143,98 @@ class TestVertexConnectivity:
     def test_connectivity_chain(self, seed, n):
         g = gnp(n, 0.5, seed)
         assert vertex_connectivity(g) <= edge_connectivity(g) <= min_degree(g)
+
+
+@st.composite
+def family_hosts(draw):
+    """A small host of at least two vertices from any generator family; gnp
+    hosts have up to 22 vertices, the others up to 16."""
+    family = draw(st.sampled_from(["gnp", "multipartite", "blowup", "regular", "union", "join"]))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    small = st.integers(min_value=1, max_value=4)
+    if family == "gnp":
+        p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9]))
+        g = gnp(draw(st.integers(min_value=2, max_value=22)), p, seed)
+    elif family == "multipartite":
+        g = complete_multipartite(draw(st.lists(small, min_size=1, max_size=4)))
+    elif family == "blowup":
+        g = odd_cycle_blowup(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 2)))
+    elif family == "regular":
+        n = draw(st.integers(min_value=5, max_value=12))  # the pairing model's rejection
+        d = draw(st.integers(min_value=0, max_value=4).filter(lambda d: n * d % 2 == 0))  # stays rare
+        g = random_regular(n, d, seed)
+    else:
+        parts = [gnp(draw(small) + 1, 0.6, seed + i) for i in range(2)]
+        g = disjoint_union(*parts) if family == "union" else join(*parts)
+    assume(g.n >= 2)
+    return g
+
+
+def two_cliques_sharing_a_vertex(size: int) -> Graph:
+    """K_size on 0..size-1 and on size-1..2*size-2."""
+    edges = [(u, v) for lo in (0, size - 1) for u in range(lo, lo + size) for v in range(u + 1, lo + size)]
+    return Graph(2 * size - 1, edges)
+
+
+def cut_vertex_of_minimum_degree() -> Graph:
+    """Vertex 0, of minimum degree 4, is the one cut vertex: it sees 1, 2 of
+    the clique on 1..5 and 6, 7 of the clique on 6..10.  It is 2-connected
+    to each of its non-neighbours, so only the pairs inside N(0) find the
+    cut {0}."""
+    cliques = [(u, v) for lo in (1, 6) for u in range(lo, lo + 5) for v in range(u + 1, lo + 5)]
+    return Graph(11, cliques + [(0, 1), (0, 2), (0, 6), (0, 7)])
+
+
+class TestMinDegreePairSet:
+    """``vertex_connectivity`` from one minimum-degree vertex, against the
+    min-degree + 1 source scan and networkx."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family_hosts())
+    def test_matches_the_source_scan_and_networkx(self, g):
+        kappa = vertex_connectivity(g)
+        assert kappa == vertex_connectivity_by_source_scan(g) == nx.node_connectivity(to_nx(g))
+
+    @pytest.mark.parametrize(
+        "g, kappa",
+        [
+            (disjoint_union(Graph.cycle(4), Graph.complete(3)), 0),
+            (Graph(5, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]), 0),  # 0 isolated
+            (Graph.complete(6), 5),
+            (Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (2, 4)]), 4),
+            (complete_multipartite([3, 5]), 3),
+            (two_cliques_sharing_a_vertex(4), 1),
+            (Graph.cycle(7), 2),  # every vertex has minimum degree
+            (join(Graph.cycle(5), Graph.empty(2)), 4),  # minimum degree at 0-4, not 5-6
+            (cut_vertex_of_minimum_degree(), 1),
+        ],
+        ids=["disconnected", "isolated", "complete", "complete-minus-edge", "K3,5",
+             "cliques-share-a-vertex", "cycle", "wheel-like", "min-degree-cut-vertex"],
+    )
+    def test_named_cases(self, g, kappa):
+        assert vertex_connectivity(g) == vertex_connectivity_by_source_scan(g) == kappa
+        assert nx.node_connectivity(to_nx(g)) == kappa
+
+    @pytest.mark.parametrize("n, seed", [(48, 7), (24, 7)])
+    def test_flows_stay_within_the_pair_set(self, monkeypatch, n, seed):
+        g = gnp(n, 0.5, seed)
+        nbr = g.neighbor_masks()
+        delta = min_degree(g)
+        v = min(range(n), key=lambda x: (len(g.neighbors(x)), x))
+        near = sorted(g.neighbors(v))
+        inside = sum(1 for i, x in enumerate(near) for y in near[i + 1 :] if not nbr[x] >> y & 1)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2:4])
+            return _local_vertex_flow(*args)
+
+        monkeypatch.setattr(connectivity, "_local_vertex_flow", counting)
+        assert vertex_connectivity(g) == vertex_connectivity_by_source_scan(g) > 0
+        bound = (n - 1 - delta) + inside
+        assert len(calls) <= bound
+        # the min-degree + 1 source scan would run every one of these flows
+        assert bound < sum(n - 1 - len(g.neighbors(s)) for s in range(delta + 1))
 
 
 def unseeded_cut_below(g: Graph, threshold: int):

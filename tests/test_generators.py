@@ -1,3 +1,4 @@
+import copy
 import random
 from types import SimpleNamespace
 
@@ -249,3 +250,33 @@ class TestCompositions:
             spec = {"family": family, "params": {"left": spec, "right": leaf}}
         with pytest.raises(DomainError, match=f"generator {family!r} nests its child specs too deeply"):
             generate(spec["family"], spec["params"], 0)
+
+
+class TestLastHostMemo:
+    SPEC = ("union", {"left": {"family": "gnp", "params": {"n": 5, "p": 0.5}},
+                      "right": {"family": "complete_multipartite", "params": {"sizes": [2, 2]}}})
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(generators, "_last", (None, None))
+
+    def test_an_equal_spec_gets_the_same_graph(self):
+        family, params = self.SPEC
+        g = generate(family, params, 3)
+        assert generate(family, copy.deepcopy(params), 3) is g
+        assert generators._last[1] is g  # the children did not displace it
+
+    def test_a_changed_or_mutated_spec_gets_a_new_graph(self):
+        family, params = self.SPEC
+        params = copy.deepcopy(params)
+        g = generate(family, params, 3)
+        assert generate(family, params, 4) is not g
+        h = generate(family, params, 3)
+        assert h is not g and h.edges == g.edges
+        params["right"]["params"]["sizes"].append(1)
+        assert generate(family, params, 3).n == h.n + 1
+
+    def test_a_bool_seed_is_refused_after_the_equal_int(self):
+        generate("gnp", {"n": 4, "p": 0.5}, 1)
+        with pytest.raises(DomainError, match="integer seed"):
+            generate("gnp", {"n": 4, "p": 0.5}, True)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from makerbreaker import harness
+from makerbreaker import generators, harness
 from makerbreaker.errors import DomainError
 from makerbreaker.harness import (
     STRATEGY_PARAMS,
@@ -196,23 +196,30 @@ class TestConfigTypes:
 
 @pytest.fixture
 def host_log(monkeypatch):
-    """Empty process memos, and a log of every host ``generate`` builds and
-    every host a strategy is built on."""
-    monkeypatch.setattr(harness, "_last_host", (None, None))
+    """Empty process memos, and a log of every host the unmemoized builder
+    makes for a top-level ``generate`` call (union and join children are
+    not logged) and every host a strategy is built on."""
+    monkeypatch.setattr(generators, "_last", (None, None))
     harness._cached_core.cache_clear()
     log = {"generated": [], "built_on": []}
-    generate, build = harness.generate, harness.build_strategy
+    build_host, build = generators._generate, harness.build_strategy
+    open_calls = []
 
-    def logged_generate(*args):
-        g = generate(*args)
-        log["generated"].append(g)
+    def logged_build_host(*args):
+        open_calls.append(args)
+        try:
+            g = build_host(*args)
+        finally:
+            open_calls.pop()
+        if not open_calls:
+            log["generated"].append(g)
         return g
 
     def logged_build(ident, g):
         log["built_on"].append(g)
         return build(ident, g)
 
-    monkeypatch.setattr(harness, "generate", logged_generate)
+    monkeypatch.setattr(generators, "_generate", logged_build_host)
     monkeypatch.setattr(harness, "build_strategy", logged_build)
     return log
 
@@ -242,7 +249,7 @@ class TestHostMemo:
         cfg = multipartite_config(trials=4)
         run_experiment(cfg)
         warm = run_experiment(cfg).canonical_json()
-        monkeypatch.setattr(harness, "_last_host", (None, None))
+        monkeypatch.setattr(generators, "_last", (None, None))
         harness._cached_core.cache_clear()
         assert run_experiment(cfg).canonical_json() == warm
         assert len(host_log["generated"]) == 2
@@ -279,6 +286,14 @@ class TestHostMemo:
         cfg.generator["params"]["right"]["params"]["sizes"].append(1)
         run_experiment(cfg)
         assert [g.n for g in host_log["generated"]] == [8, 9]
+
+    def test_experiment_builds_on_the_host_generate_returned(self, host_log):
+        cfg = multipartite_config(trials=2, maker="random")
+        gen = cfg.generator
+        g = generators.generate(gen["family"], gen["params"], gen["seed"])
+        run_experiment(cfg)
+        assert len(host_log["generated"]) == 1 and host_log["generated"][0] is g
+        assert host_log["built_on"] and all(h is g for h in host_log["built_on"])
 
     def test_sweep_generates_its_host_once(self, host_log):
         docs, _ = sweep_bias(multipartite_config(trials=2), [1, 2, 3])
