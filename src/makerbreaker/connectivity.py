@@ -4,12 +4,14 @@ extraction of highly vertex-connected subgraphs.
 Everything is exact.  Connectivity values come from unit-capacity max-flow;
 the threshold variants stop augmenting early, which keeps the decomposition
 pipeline fast without giving up soundness (a certified "at least t" answer is
-always a real lower bound, never a heuristic one).  The vertex-cut kernels
-read a host's neighbour masks under a member mask, in host labels, as
-``spans`` does, and scan a threshold's many sources against their
-non-neighbours; ``vertex_connectivity_at_least`` wraps them for a whole
-``Graph``.  ``vertex_connectivity`` runs Esfahanian and Hakimi's smaller pair
-set: one minimum-degree vertex against each of its non-neighbours, then the
+always a real lower bound, never a heuristic one).  ``edge_connectivity``
+and the vertex-cut kernels read a host's neighbour masks under a member
+mask, in host labels, as ``spans`` does; the threshold kernels scan a
+threshold's many sources against their non-neighbours.
+``vertex_connectivity_at_least`` and ``vertex_connectivity`` take a whole
+``Graph`` for independent re-verification; no library code calls them.
+``vertex_connectivity`` runs Esfahanian and Hakimi's smaller pair set: one
+minimum-degree vertex against each of its non-neighbours, then the
 non-adjacent pairs among its neighbours.  Each vertex-disjoint s-t flow first
 counts the common neighbours of s and t, one popcount, and stops there when
 they reach the limit.  Otherwise it starts from greedily chosen paths of two
@@ -56,26 +58,24 @@ def _max_flow(cap, adj, source, sink, limit):
     return flow
 
 
-def _edge_network(g: Graph):
-    cap = [dict() for _ in range(g.n)]
-    for u, v in g.edges:
-        cap[u][v] = 1
-        cap[v][u] = 1
-    adj = [sorted(d) for d in cap]
-    return cap, adj
-
-
-def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut via max-flow from vertex 0 to every other vertex."""
-    if g.n < 2:
+def edge_connectivity(adj, members: int) -> int:
+    """Edge connectivity of the graph on the vertex bits ``members`` (vertex
+    v sees ``adj[v] & members``): max-flow from the lowest member to each
+    other member, each capped at the best so far (the minimum degree at
+    first), stopping at 0.  Fewer than 2 members, or a member past ``adj``,
+    raises DomainError."""
+    if members >> len(adj):
+        raise DomainError(f"vertex {members.bit_length() - 1} out of range for n={len(adj)}")
+    order = mask_bits(members)
+    if len(order) < 2:
         raise DomainError("edge connectivity needs at least 2 vertices")
-    base, adj = _edge_network(g)
-    best = min(len(g.neighbors(v)) for v in range(g.n))
-    for target in range(1, g.n):
+    near = {v: mask_bits(adj[v] & members) for v in order}
+    best = min(len(ns) for ns in near.values())
+    for target in order[1:]:
         if best == 0:
             break
-        cap = [dict(d) for d in base]
-        best = min(best, _max_flow(cap, adj, 0, target, best))
+        cap = {v: dict.fromkeys(ns, 1) for v, ns in near.items()}
+        best = min(best, _max_flow(cap, near, order[0], target, best))
     return best
 
 
@@ -188,6 +188,7 @@ def vertex_connectivity(g: Graph) -> int:
     x < y of N(v), see every minimum separator.  A non-complete graph has
     connectivity at most its minimum degree, so the first flow is capped
     there and each later one at the best value so far; the scan stops at 0.
+    Kept for re-verification; no library code calls it.
     """
     if g.n < 2:
         raise DomainError("vertex connectivity needs at least 2 vertices")
@@ -227,6 +228,8 @@ def vertex_cut_below(adj, members: int, threshold: int):
 
 
 def vertex_connectivity_at_least(g: Graph, threshold: int) -> bool:
+    """Whether g is ``threshold``-vertex-connected (K_n is (n-1)-connected);
+    kept for re-verification, no library code calls it."""
     if g.n < 2:
         raise DomainError("vertex connectivity needs at least 2 vertices")
     if g.is_complete():

@@ -25,11 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import chromatic_number, k_coloring
-from .connectivity import (
-    mader_subgraph,
-    unfriendly_partition,
-    vertex_connectivity_at_least,
-)
+from .connectivity import mader_subgraph, unfriendly_partition, vertex_cut_below
 from .errors import DomainError, PreconditionError, quoted
 from .graphs import (
     Graph,
@@ -37,7 +33,6 @@ from .graphs import (
     first_edge_inside,
     frac_ceil,
     has_odd_cycle,
-    induced_subgraph,
     mask_bits,
     min_degree,
 )
@@ -108,8 +103,9 @@ def core_graph(g: Graph, core: BipartiteCore) -> tuple[Graph, tuple]:
     """The bipartite crossing graph (a+b, edges between a and b), relabeled,
     for checks that need a ``Graph`` of its own, such as its connectivity.
 
-    The Makers play in host labels, on ``graphs.cross_masks`` of the core,
-    and never call this.
+    No library code calls this: the Makers play in host labels, on
+    ``graphs.cross_masks`` of the core.  It is kept for independent
+    re-verification.
     """
     order = tuple(sorted(core.a | core.b))
     index = {old: new for new, old in enumerate(order)}
@@ -129,7 +125,7 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
     ceil(k/8)-connected subgraph.  The remainder always has the density the
     seeding step needs, so exhaustion without covering everything would be an
     implementation bug and raises.  Parts and the remainder are masks in h's
-    labels, so no seeding round copies h.
+    labels, so neither a seeding round nor a part's certificate copies h.
     """
     if k <= 0:
         raise DomainError(f"k must be positive, got {quoted(k)}")
@@ -165,9 +161,7 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
 
     guarantees = []
     for part in parts:
-        sub, _ = induced_subgraph(h, mask_bits(part))
-        ok = sub.n == 1 or vertex_connectivity_at_least(sub, conn_target)
-        if not ok:
+        if not _part_certified(nbr, part, conn_target):
             raise RuntimeError("a produced part failed its connectivity certificate")
         guarantees.append(
             PartGuarantee(
@@ -182,6 +176,16 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
         guarantees=tuple(guarantees),
         certified_connectivity=conn_target,
     )
+
+
+def _part_certified(nbr, part: int, target: int) -> bool:
+    """Whether the graph on the vertex bits ``part`` is ``target``-vertex-
+    connected (K_1 passes): a complete part by its degree count, as K_s is
+    (s-1)-connected, any other by ``vertex_cut_below``."""
+    size = part.bit_count()
+    if all((nbr[v] & part).bit_count() == size - 1 for v in mask_bits(part)):
+        return size == 1 or size - 1 >= target
+    return vertex_cut_below(nbr, part, target) is None
 
 
 # -- bipartite core with a witness edge ----------------------------------------

@@ -11,11 +11,13 @@ again, which the turn's early end rules out.  A strategy that cannot (or will
 not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
 
-``odd-cycle``, ``spanning-connected`` and ``non-k-colorable`` each have one
-win decision on ``maker_masks``, given by ``mask_win``.  The engine's win
-check and the solver decide them with it alone; a witness is built only once
-the decision is a win.  ``aux-connect`` is decided on the same masks by
-``spans`` and then a triangle search.
+Every monotone objective (``odd-cycle``, ``spanning-connected``,
+``non-k-colorable`` and ``k-edge-connected``) has one win decision on
+``maker_masks``, given by ``mask_win``.  The engine's win check and the
+solver decide them with it alone; a witness is built only once the decision
+is a win, on the same masks and in host labels.  ``aux-connect`` is decided
+on the same masks by ``spans`` and then a triangle search.  No relabelled
+copy of Maker's graph is built.
 
 ``_outcome`` is the one place a game's result is worked out: ``play`` and
 ``replay_transcript`` stop at Maker's winning claim, a full board or a
@@ -30,16 +32,7 @@ from functools import cached_property
 from .coloring import k_coloring
 from .connectivity import edge_connectivity
 from .errors import DomainError, IllegalMoveError, parse_int, quoted
-from .graphs import (
-    Graph,
-    OddCycleWitness,
-    find_odd_cycle,
-    has_odd_cycle,
-    induced_subgraph,
-    is_connected,
-    mask_bits,
-    spans,
-)
+from .graphs import Graph, OddCycleWitness, has_odd_cycle, mask_bits, odd_cycle_on, spans
 
 MAKER = "maker"
 BREAKER = "breaker"
@@ -246,24 +239,19 @@ def _triangle(adj, verts: int):
     return None
 
 
-def maker_graph(spec: GameSpec, claims) -> tuple:
-    """Maker's graph on ``claims``, as (graph, to_host).
-
-    On an edge board the graph has the host's vertices and the claimed
-    edges, and to_host is None; on a vertex board it is the host's subgraph
-    induced on the claimed vertices, relabeled, with to_host[new] = old.
-    """
-    if spec.board_kind == EDGES:
-        return Graph(spec.host.n, claims), None
-    return induced_subgraph(spec.host, claims)
-
-
 def mask_win(objective: WinPredicate):
     """The win decision of ``objective`` as a function of (adj, verts), on
     Maker's graph whose vertex v of the bits ``verts`` sees ``adj[v] & verts``;
-    None for ``aux-connect`` and ``k-edge-connected``."""
+    None for ``aux-connect``, the one objective that is not monotone.
+
+    ``k-edge-connected`` needs two vertices and edge connectivity at least
+    k; as k >= 1, that makes the graph connected with minimum degree >= k."""
     if objective.kind == "non-k-colorable":
         return lambda adj, verts: k_coloring(adj, verts, objective.k) is None
+    if objective.kind == "k-edge-connected":
+        return lambda adj, verts: (
+            verts.bit_count() >= 2 and edge_connectivity(adj, verts) >= objective.k
+        )
     return {"odd-cycle": has_odd_cycle, "spanning-connected": spans}.get(objective.kind)
 
 
@@ -294,9 +282,9 @@ def maker_masks(spec: GameSpec, claims) -> tuple:
 def maker_win_witness(spec: GameSpec, maker_claims):
     """The witness if Maker's claims satisfy the objective, else None.
 
-    Every objective but ``aux-connect`` and ``k-edge-connected`` is decided
-    by ``mask_win`` on ``maker_masks``; on a win the odd cycle is found on
-    Maker's graph, on which ``k-edge-connected`` is decided.
+    Every objective but ``aux-connect`` is decided by ``mask_win`` on
+    ``maker_masks``; on an ``odd-cycle`` win the cycle is found on the same
+    masks, in host labels.
     """
     obj = spec.objective
     if obj.kind == "spanning-connected" and spec.board_kind == EDGES:
@@ -306,28 +294,18 @@ def maker_win_witness(spec: GameSpec, maker_claims):
             return None
     wins = mask_win(obj)
     if wins is not None:
-        if not wins(*maker_masks(spec, maker_claims)):
+        adj, verts = maker_masks(spec, maker_claims)
+        if not wins(adj, verts):
             return None
-        if obj.kind != "odd-cycle":
-            return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k)
-        g, to_host = maker_graph(spec, maker_claims)
-        cycle = find_odd_cycle(g)
-        return cycle if to_host is None else cycle.relabeled(to_host)
-    if obj.kind == "aux-connect":
-        union = frozenset(maker_claims) | obj.anchor
-        adj, verts = maker_masks(spec, union)
-        if spans(adj, verts):
-            return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
-        tri = _triangle(adj, verts)
-        return None if tri is None else OddCycleWitness(tri)
-    g, _ = maker_graph(spec, maker_claims)
-    won = (
-        g.n >= 2
-        and is_connected(g)
-        and min(g.degree(v) for v in range(g.n)) >= obj.k
-        and edge_connectivity(g) >= obj.k
-    )
-    return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k) if won else None
+        if obj.kind == "odd-cycle":
+            return odd_cycle_on(adj, verts)
+        return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k)
+    union = frozenset(maker_claims) | obj.anchor  # aux-connect
+    adj, verts = maker_masks(spec, union)
+    if spans(adj, verts):
+        return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
+    tri = _triangle(adj, verts)
+    return None if tri is None else OddCycleWitness(tri)
 
 
 class Strategy:

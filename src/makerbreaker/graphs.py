@@ -1,10 +1,11 @@
 """Simple undirected graphs on dense integer labels and the basic primitives.
 
 Vertices are always 0..n-1.  Graphs are immutable after construction and safe
-to share; every operation here is a pure function of its inputs.  Only
-``engine.maker_graph`` and the part certificate of
-``decompose.highly_connected_partition`` derive a smaller graph, by
-``induced_subgraph``, with a relabeling map back to the parent.
+to share; every operation here is a pure function of its inputs.  Library
+code never builds a relabelled copy of part of a graph: every question about
+a part reads the host's neighbour masks under a member mask and answers in
+the host's labels.  ``induced_subgraph`` and ``is_connected`` keep their
+``Graph`` forms for independent re-verification; no library code calls them.
 
 Besides neighbor sets, a graph hands out its adjacency as bitmasks
 (``neighbor_masks``, built once and kept).  The cut kernels -- the balanced
@@ -19,7 +20,8 @@ the host's own labels, which the core-backed Makers play on directly.
 component, connectivity, bipartiteness and 2-coloring question; every yes/no
 one is ``has_odd_cycle`` or ``spans`` on a vertex mask, for Maker's graph and
 a host's part alike; k-colorability is ``coloring.k_coloring`` on one.
-``find_odd_cycle`` only builds the odd cycle of a witness.
+``odd_cycle_on`` only builds the odd cycle of a witness, on the same masks;
+``find_odd_cycle`` runs it on a whole ``Graph``.
 
 A graph has at most ``MAX_VERTICES`` vertices; a larger one is refused with
 ``ResourceLimitError`` before anything is allocated.
@@ -159,9 +161,6 @@ class OddCycleWitness:
     def __len__(self):
         return len(self.vertices)
 
-    def relabeled(self, mapping) -> "OddCycleWitness":
-        return OddCycleWitness(tuple(mapping[v] for v in self.vertices))
-
 
 def verify_odd_cycle(g: Graph, witness: OddCycleWitness) -> bool:
     """Independent check: odd length >= 3, distinct vertices, all edges present."""
@@ -190,6 +189,7 @@ def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple]:
     """Subgraph on ``members``; returns (subgraph, to_parent) with to_parent[new] = old.
 
     Each member's edges to later members are read off its neighbor mask.
+    Kept for re-verification; no library code calls it.
     """
     order = tuple(sorted(check_vertex_set(g, members)))
     index = {old: new for new, old in enumerate(order)}
@@ -224,10 +224,16 @@ def find_odd_cycle(g: Graph):
     Exactly one of the two is returned: a witness when some component is not
     bipartite, otherwise a list of 0/1 colors indexed by vertex.
     """
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
+    return odd_cycle_on(g.neighbor_masks(), (1 << g.n) - 1)
+
+
+def odd_cycle_on(adj, verts: int):
+    """``find_odd_cycle`` on the graph whose vertex v of the bits ``verts``
+    sees ``adj[v] & verts``, in adj's labels (colors are -1 off ``verts``).
+    Roots and neighbors go in increasing order, so an order-preserving
+    relabeling runs the same search and finds the same cycle."""
+    color, parent, depth = [-1] * len(adj), [-1] * len(adj), [0] * len(adj)
+    for root in mask_bits(verts):
         if color[root] != -1:
             continue
         color[root] = 0
@@ -235,13 +241,13 @@ def find_odd_cycle(g: Graph):
         while queue:
             nxt = []
             for u in queue:
-                for v in sorted(g.neighbors(u)):
+                for v in mask_bits(adj[u] & verts):
                     if color[v] == -1:
                         color[v] = 1 - color[u]
                         parent[v] = u
                         depth[v] = depth[u] + 1
                         nxt.append(v)
-                    elif color[v] == color[u] and v != parent[u]:
+                    elif color[v] == color[u]:
                         return _tree_cycle(u, v, parent, depth)
             queue = nxt
     return color
@@ -335,6 +341,7 @@ def connected_components(g: Graph, members=None) -> list[frozenset]:
 
 
 def is_connected(g: Graph) -> bool:
+    """Whether g is connected; kept for re-verification, no library code calls it."""
     return g.n <= 1 or spans(g.neighbor_masks(), (1 << g.n) - 1)
 
 

@@ -17,11 +17,11 @@ On ``aux-connect`` Maker wins on the turn when some non-empty set of at most
 bias unclaimed elements wins; the principal line's last Maker turn is then
 the first such set, fewest elements first.
 
-Claim sets are bitmasks over the board's element indices.  ``odd-cycle``,
-``spanning-connected`` and ``non-k-colorable`` (on edge and vertex boards)
-are decided straight from the mask by the engine's ``mask_win``, the same
-decision the engine's win check makes, on neighbour masks the solver builds
-per claim mask; only ``k-edge-connected`` and ``aux-connect`` call
+Claim sets are bitmasks over the board's element indices.  Every monotone
+objective (``odd-cycle``, ``spanning-connected``, ``non-k-colorable`` and
+``k-edge-connected``) is decided straight from the mask by the engine's
+``mask_win``, the same decision the engine's win check makes, on neighbour
+masks the solver builds per claim mask; only ``aux-connect`` calls
 ``maker_win_witness`` on the claimed elements.  A board over its cap is
 refused by the host's size, before the board is built; the verifier's walk
 recurses once per turn, and ``VERIFY_BOARD_CAP`` keeps it off ``RecursionError``.
@@ -80,7 +80,7 @@ def _mask_decider(spec: GameSpec):
     built per mask: on an edge board adj comes from each claimed edge's
     endpoints and verts is every host vertex; on a vertex board (whose
     element i is vertex i) adj is the host's and verts is the mask.
-    ``k-edge-connected`` and ``aux-connect`` call ``maker_win_witness``.
+    Only ``aux-connect`` calls ``maker_win_witness``.
     """
     board = spec.board()
     wins = mask_win(spec.objective)

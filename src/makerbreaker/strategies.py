@@ -511,18 +511,16 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
     if n < 2 or g.m == 0:
         return None
 
-    nbr = g.neighbor_masks()
+    nbr, everyone = g.neighbor_masks(), (1 << n) - 1
 
     def side_zero(ones_mask):
         return frozenset(i for i in range(n) if not ones_mask >> i & 1)
 
-    def cross_floor(ones_mask):  # the fewest neighbours a vertex has across
-        return min((x & (~ones_mask if ones_mask >> v & 1 else ones_mask)).bit_count()
-                   for v, x in enumerate(nbr))
+    def crossing(ones_mask):  # each vertex's neighbours across the bipartition
+        return [x & (~ones_mask if ones_mask >> v & 1 else ones_mask) for v, x in enumerate(nbr)]
 
-    def achieved(ones_mask):
-        cg = Graph(n, [(u, v) for u, v in g.edges if (ones_mask >> u ^ ones_mask >> v) & 1])
-        return edge_connectivity(cg)
+    def cross_floor(cross):  # the fewest neighbours a vertex has across
+        return min(map(int.bit_count, cross))
 
     if any(g.degree(v) == 0 for v in range(n)):
         return None
@@ -531,9 +529,10 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
         # the least lambda a mask must reach: k_prime, or beating the best so far
         best, need = None, max(k_prime or 0, 1)
         for mask in gray_code_bipartitions(g):
-            if cross_floor(mask) < need:  # lambda is at most the cross floor
+            cross = crossing(mask)
+            if cross_floor(cross) < need:  # lambda is at most the cross floor
                 continue
-            lam = achieved(mask)
+            lam = edge_connectivity(cross, everyone)
             if lam >= need:
                 if k_prime is not None:
                     return side_zero(mask), lam
@@ -550,7 +549,8 @@ def _spanning_bipartition_search(g: Graph, k_prime, rng):
             side[v] ^= 1
         temp *= 0.999
     mask = sum(1 << v for v in range(n) if side[v])
-    lam = cross_floor(mask) and achieved(mask)
+    cross = crossing(mask)
+    lam = cross_floor(cross) and edge_connectivity(cross, everyone)
     if lam == 0 or (k_prime is not None and lam < k_prime):
         return None
     return side_zero(mask), lam

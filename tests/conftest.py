@@ -2,8 +2,9 @@
 decomposition-backed Makers on forced cores, uniform vertex sampling, the
 small-graph isomorphism-class enumeration, the set-based component search, the
 solver's node loop before its one choice routine, the connectivity and
-coloring kernels on relabelled subgraphs, and vertex connectivity by the
-min-degree + 1 source scan."""
+coloring kernels on relabelled subgraphs, Maker's graph and the odd-cycle
+witness on a relabelled copy, edge connectivity of a whole ``Graph``, and
+vertex connectivity by the min-degree + 1 source scan."""
 
 from collections import deque
 from fractions import Fraction
@@ -12,11 +13,23 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from makerbreaker.connectivity import _local_vertex_flow, _pairs, _vertex_network
+from makerbreaker.connectivity import (
+    _local_vertex_flow,
+    _pairs,
+    _vertex_network,
+    edge_connectivity,
+)
 from makerbreaker.decompose import extract_bipartite_core, extract_chromatic_core
-from makerbreaker.engine import BREAKER, MAKER, Strategy
+from makerbreaker.engine import BREAKER, EDGES, MAKER, Strategy
 from makerbreaker.errors import DomainError
-from makerbreaker.graphs import Graph, connected_components, frac_ceil, induced_subgraph
+from makerbreaker.graphs import (
+    Graph,
+    OddCycleWitness,
+    connected_components,
+    find_odd_cycle,
+    frac_ceil,
+    induced_subgraph,
+)
 from makerbreaker.solver import _mask_elements, _Solver
 from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
 
@@ -27,6 +40,31 @@ def verify_coloring(g: Graph, coloring, k: int | None = None) -> bool:
     if k is not None and any(not (0 <= c < k) for c in coloring):
         return False
     return all(coloring[u] != coloring[v] for u, v in g.edges)
+
+
+def graph_edge_connectivity(g: Graph) -> int:
+    """``edge_connectivity`` of the whole of g, on g's own neighbour masks."""
+    return edge_connectivity(g.neighbor_masks(), (1 << g.n) - 1)
+
+
+def maker_graph(spec, claims) -> tuple:
+    """Maker's graph on ``claims`` as a ``Graph`` of its own, (graph, to_host):
+    on an edge board the host's vertices and the claimed edges, with to_host
+    None; on a vertex board the host's subgraph induced on the claimed
+    vertices, relabelled, with to_host[new] = old."""
+    if spec.board_kind == EDGES:
+        return Graph(spec.host.n, claims), None
+    return induced_subgraph(spec.host, claims)
+
+
+def odd_cycle_by_relabelling(g: Graph, members):
+    """``find_odd_cycle`` on g's subgraph induced on ``members``, relabelled,
+    with a witness mapped back to g's labels (a coloring stays relabelled)."""
+    sub, to_host = induced_subgraph(g, members)
+    found = find_odd_cycle(sub)
+    if isinstance(found, OddCycleWitness):
+        return OddCycleWitness(tuple(to_host[v] for v in found.vertices))
+    return found
 
 
 def petersen() -> Graph:

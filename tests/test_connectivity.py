@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cut_from_residual_by_range,
+    graph_edge_connectivity,
     mader_subgraph_on_graph,
     random_graphs,
     two_triangles_shared_vertex,
@@ -73,27 +74,60 @@ def mader(g: Graph, k):
 
 class TestEdgeConnectivity:
     def test_examples(self):
-        assert edge_connectivity(Graph.complete(4)) == 3
-        assert edge_connectivity(Graph.cycle(5)) == 2
-        assert edge_connectivity(Graph.path(4)) == 1
+        assert graph_edge_connectivity(Graph.complete(4)) == 3
+        assert graph_edge_connectivity(Graph.cycle(5)) == 2
+        assert graph_edge_connectivity(Graph.path(4)) == 1
 
-    def test_too_small(self):
-        with pytest.raises(DomainError):
-            edge_connectivity(Graph(1))
+    @pytest.mark.parametrize("members", [0, 0b1, 0b100])
+    def test_too_small(self, members):
+        with pytest.raises(DomainError, match="at least 2 vertices"):
+            edge_connectivity(Graph.complete(3).neighbor_masks(), members)
+
+    @pytest.mark.parametrize("members", [0b1001, 0b1000, 1 << 40 | 0b11])
+    def test_a_member_past_adj(self, members):
+        with pytest.raises(DomainError, match="out of range for n=3"):
+            edge_connectivity(Graph.complete(3).neighbor_masks(), members)
 
     def test_disconnected_is_zero(self):
-        assert edge_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+        assert graph_edge_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
 
     def test_against_networkx(self):
         for seed in range(12):
             g = gnp(10, 0.4, seed)
-            assert edge_connectivity(g) == nx.edge_connectivity(to_nx(g))
+            assert graph_edge_connectivity(g) == nx.edge_connectivity(to_nx(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=9), st.data())
+    def test_members_against_networkx_on_the_induced_subgraph(self, g, data):
+        assume(g.n >= 2)
+        members = data.draw(
+            st.frozensets(st.integers(min_value=0, max_value=g.n - 1), min_size=2)
+        )
+        sub, _ = induced_subgraph(g, members)
+        got = edge_connectivity(g.neighbor_masks(), sum(1 << v for v in members))
+        assert got == nx.edge_connectivity(to_nx(sub))
+
+    @pytest.mark.parametrize(
+        "members, want",
+        [
+            ({1, 2, 3, 4}, 2),  # vertex 0 left out: the 4-cycle 1-2-3-4
+            ({1, 2, 5, 6}, 0),  # two edges apart
+            ({1, 2, 3, 4, 7}, 0),  # an isolated member
+            ({0, 1, 2, 3, 4}, 3),
+        ],
+    )
+    def test_members_leaving_out_vertex_0(self, members, want):
+        # a wheel on 0 with rim 1-2-3-4, and a separate edge 5-6, vertex 7 alone
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1), (5, 6)])
+        sub, _ = induced_subgraph(g, members)
+        got = edge_connectivity(g.neighbor_masks(), sum(1 << v for v in members))
+        assert got == want == nx.edge_connectivity(to_nx(sub))
 
     def test_random_bipartition_upper_bound(self):
         rng = random.Random(7)
         for seed in range(4):
             g = gnp(14, 0.5, seed)
-            lam = edge_connectivity(g)
+            lam = graph_edge_connectivity(g)
             for _ in range(200):
                 size = rng.randint(1, g.n - 1)
                 side = set(rng.sample(range(g.n), size))
@@ -142,7 +176,7 @@ class TestVertexConnectivity:
     @given(st.integers(min_value=0, max_value=60), st.integers(min_value=4, max_value=10))
     def test_connectivity_chain(self, seed, n):
         g = gnp(n, 0.5, seed)
-        assert vertex_connectivity(g) <= edge_connectivity(g) <= min_degree(g)
+        assert vertex_connectivity(g) <= graph_edge_connectivity(g) <= min_degree(g)
 
 
 @st.composite

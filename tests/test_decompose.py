@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gray_code_side_lists, mader_subgraph_on_graph
+from conftest import gray_code_side_lists, mader_subgraph_on_graph, random_graphs
 
-from makerbreaker import decompose
+from makerbreaker import decompose, graphs
 from makerbreaker.coloring import chromatic_number, is_k_colorable
-from makerbreaker.connectivity import vertex_connectivity
+from makerbreaker.connectivity import vertex_connectivity, vertex_connectivity_at_least
 from makerbreaker.decompose import (
+    _part_certified,
     EXACT_CUT_LIMIT,
     _balanced_cut_exact,
     _normalize_sides,
@@ -34,6 +35,7 @@ from makerbreaker.graphs import (
     find_odd_cycle,
     frac_ceil,
     induced_subgraph,
+    mask_bits,
     min_degree,
 )
 
@@ -137,6 +139,58 @@ class TestHighlyConnectedPartition:
             return
         want = highly_connected_partition_by_relabelling(g, k)
         assert highly_connected_partition(g, k).parts == want
+
+
+def certified_by_relabelling(g, members, target) -> bool:
+    """The part certificate on a relabelled copy of the part, as it was."""
+    sub, _ = induced_subgraph(g, members)
+    return sub.n == 1 or vertex_connectivity_at_least(sub, target)
+
+
+class TestPartCertificate:
+    """The part certificate on host masks against the relabelled copy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
+    def test_matches_the_relabelled_certificate(self, g, data):
+        members = data.draw(
+            st.frozensets(st.integers(min_value=0, max_value=g.n - 1), min_size=1)
+        )
+        target = data.draw(st.integers(min_value=1, max_value=6))
+        part = sum(1 << v for v in members)
+        got = _part_certified(g.neighbor_masks(), part, target)
+        assert got == certified_by_relabelling(g, members, target)
+
+    def test_every_part_of_seeded_gnp_hosts(self):
+        for seed in range(12):
+            g = gnp(20 + seed, 0.5, seed)
+            k = min_degree(g)
+            for part in highly_connected_partition(g, k).parts:
+                mask = sum(1 << v for v in part)
+                for target in range(1, 6):
+                    assert _part_certified(g.neighbor_masks(), mask, target) == (
+                        certified_by_relabelling(g, part, target))
+
+    def test_a_complete_host_needs_no_vertex_cut(self, monkeypatch):
+        monkeypatch.setattr(decompose, "vertex_cut_below", None)
+        p = highly_connected_partition(Graph.complete(20), 19)
+        assert p.parts == (frozenset(range(20)),) and p.certified_connectivity == 2
+
+    @pytest.mark.parametrize(
+        "g, k",
+        [
+            (disjoint_union(Graph.complete(10), Graph.complete(10)), 9),
+            # two K_34 sharing vertex 33: a cut vertex, certificate target 2
+            (Graph(67, [(u, v) for side in (range(34), range(33, 67))
+                        for u in side for v in side if u < v]), 33),
+        ],
+        ids=["two-cliques", "cut-vertex"],
+    )
+    def test_a_weak_part_fails_its_certificate(self, monkeypatch, g, k):
+        # a Mader search that hands back the whole remainder, weak as it is
+        monkeypatch.setattr(decompose, "mader_subgraph", lambda adj, members, k: mask_bits(members))
+        with pytest.raises(RuntimeError, match="a produced part failed its connectivity certificate"):
+            highly_connected_partition(g, k)
 
 
 class TestExtractBipartiteCore:
@@ -458,7 +512,7 @@ class TestExtractChromaticCore:
         self, monkeypatch, parts, size, b, delta, side, h_min, digest
     ):
         # the sides as the relabelling pipeline found them, by sha256 of the text below
-        monkeypatch.setattr(decompose, "induced_subgraph", None)  # no relabelled copy
+        monkeypatch.setattr(graphs, "induced_subgraph", None)  # no relabelled copy
         core = extract_chromatic_core(complete_multipartite([size] * parts), delta, b, force=True)
         text = f"{sorted(core.a)} {sorted(core.b)} {core.h_min_degree} {core.chi_floor}"
         assert (len(core.a), len(core.b), core.h_min_degree, core.chi_floor) == (

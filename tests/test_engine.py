@@ -4,10 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedStrategy, random_graphs, recursive_k_coloring
+from conftest import (
+    ScriptedStrategy,
+    graph_edge_connectivity,
+    maker_graph,
+    odd_cycle_by_relabelling,
+    random_graphs,
+    recursive_k_coloring,
+)
 from makerbreaker import engine, graphs
 from makerbreaker.coloring import is_k_colorable
-from makerbreaker.connectivity import edge_connectivity
 from makerbreaker.engine import (
     BREAKER,
     EDGES,
@@ -21,7 +27,6 @@ from makerbreaker.engine import (
     apply_moves,
     format_transcript,
     legal_moves,
-    maker_graph,
     maker_masks,
     maker_win_witness,
     mask_win,
@@ -305,8 +310,9 @@ def _triangle(g: Graph):
 
 
 def two_branch_win_witness(spec, maker_claims):
-    """The win check as it was written before ``maker_graph``: one branch per
-    board kind, each with its own objective dispatch."""
+    """The win check as it was written before one Maker graph: one branch per
+    board kind, each with its own objective dispatch, on a ``Graph`` of
+    Maker's claims."""
     obj = spec.objective
     if spec.board_kind == EDGES:
         claimed = Graph(spec.host.n, maker_claims)
@@ -326,15 +332,14 @@ def two_branch_win_witness(spec, maker_claims):
                 return None
             if min(claimed.degree(v) for v in range(claimed.n)) < obj.k:
                 return None
-            if edge_connectivity(claimed) >= obj.k:
+            if graph_edge_connectivity(claimed) >= obj.k:
                 return ClaimSetWitness(tuple(sorted(maker_claims)), "k-edge-connected", obj.k)
             return None
     else:
         claims = frozenset(maker_claims)
         if obj.kind == "odd-cycle":
-            sub, to_parent = induced_subgraph(spec.host, claims)
-            res = find_odd_cycle(sub)
-            return res.relabeled(to_parent) if isinstance(res, OddCycleWitness) else None
+            res = odd_cycle_by_relabelling(spec.host, claims)
+            return res if isinstance(res, OddCycleWitness) else None
         if obj.kind == "non-k-colorable":
             sub, _ = induced_subgraph(spec.host, claims)
             if is_k_colorable(sub, obj.k) is None:
@@ -457,6 +462,19 @@ class TestOneMakerGraph:
         adj, verts = maker_masks(vertex_spec(g), {0, 2})
         assert adj is g.neighbor_masks() and verts == 0b101
 
+    @pytest.mark.parametrize(
+        "board_kind, objective",
+        [(EDGES, WinPredicate("odd-cycle")), (VERTICES, WinPredicate("odd-cycle")),
+         (EDGES, WinPredicate("k-edge-connected", k=2))],
+    )
+    def test_a_win_builds_no_relabelled_copy(self, monkeypatch, board_kind, objective):
+        built = []
+        monkeypatch.setattr(graphs, "induced_subgraph", lambda *args: built.append(args))
+        assert not hasattr(engine, "induced_subgraph") and not hasattr(engine, "maker_graph")
+        spec = GameSpec(Graph.complete(5), board_kind, objective)
+        assert maker_win_witness(spec, spec.board()) is not None
+        assert built == []
+
     def test_maker_graph_on_both_boards(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         sub, to_host = maker_graph(edge_spec(g), {(0, 1), (3, 4)})
@@ -515,8 +533,7 @@ class TestNonKColorableOnMasks:
 
     def test_no_maker_graph_is_built(self, monkeypatch):
         built = []
-        monkeypatch.setattr(engine, "maker_graph", lambda *args: built.append(args))
-        monkeypatch.setattr(engine, "induced_subgraph", lambda *args: built.append(args))
+        monkeypatch.setattr(graphs, "induced_subgraph", lambda *args: built.append(args))
         g = Graph.complete(5)
         for board_kind in (EDGES, VERTICES):
             spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=3))
@@ -527,8 +544,12 @@ class TestNonKColorableOnMasks:
     def test_mask_win_is_none_off_the_mask_decisions(self):
         assert mask_win(WinPredicate("odd-cycle")) is graphs.has_odd_cycle
         assert mask_win(WinPredicate("spanning-connected")) is graphs.spans
-        assert mask_win(WinPredicate("k-edge-connected", k=2)) is None
         assert mask_win(WinPredicate("aux-connect", anchor=frozenset({0}))) is None
+        # k-edge-connected: two vertices and lambda >= k; C_4 has lambda 2
+        c4, everyone = Graph.cycle(4).neighbor_masks(), 0b1111
+        decide = {k: mask_win(WinPredicate("k-edge-connected", k=k)) for k in (1, 2, 3)}
+        assert decide[1](c4, everyone) and decide[2](c4, everyone)
+        assert not decide[3](c4, everyone) and not decide[1](c4, 0b1)
 
 
 class TestPlay:

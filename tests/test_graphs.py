@@ -10,6 +10,7 @@ from conftest import (
     all_labeled_graphs,
     components_by_set_search,
     gray_code_side_lists,
+    odd_cycle_by_relabelling,
     random_graphs,
     star,
 )
@@ -29,8 +30,10 @@ from makerbreaker.graphs import (
     induced_subgraph,
     is_connected,
     mask_bits,
+    mask_components,
     mask_search,
     min_degree,
+    odd_cycle_on,
     parse_graph,
     spans,
     verify_odd_cycle,
@@ -208,6 +211,36 @@ class TestOddCycle:
                 assert verify_odd_cycle(g, res)
             else:
                 assert all(res[u] != res[v] for u, v in g.edges)
+
+
+class TestOddCycleOnMasks:
+    """The witness kernel on a member mask, against ``find_odd_cycle`` on the
+    relabelled induced subgraph."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
+    def test_matches_the_search_on_the_relabelled_subgraph(self, g, data):
+        members = data.draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1)))
+        adj, verts = g.neighbor_masks(), sum(1 << v for v in members)
+        found, want = odd_cycle_on(adj, verts), odd_cycle_by_relabelling(g, members)
+        if isinstance(want, OddCycleWitness):
+            assert found == want and set(found.vertices) <= members
+            return
+        odd = sum(bits for _, bits, _ in mask_components(adj, verts))
+        assert found == [odd >> v & 1 if v in members else -1 for v in range(g.n)]
+        assert [found[v] for v in sorted(members)] == want
+
+    def test_whole_graph_is_find_odd_cycle(self):
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 4)])
+        assert odd_cycle_on(g.neighbor_masks(), (1 << g.n) - 1) == find_odd_cycle(g)
+        assert find_odd_cycle(g) == OddCycleWitness((5, 4, 6))  # as the Graph BFS found it
+
+    def test_the_witness_is_in_host_labels(self):
+        # the 5-cycle 1-3-5-7-9 inside a path 0-1-...-9 closed by the edge 1-9
+        g = Graph(10, [(i, i + 1) for i in range(9)] + [(1, 3), (3, 5), (5, 7), (7, 9), (9, 1)])
+        found = odd_cycle_on(g.neighbor_masks(), sum(1 << v for v in (1, 3, 5, 7, 9)))
+        assert found == odd_cycle_by_relabelling(g, {1, 3, 5, 7, 9})
+        assert found == OddCycleWitness((5, 3, 1, 9, 7)) and verify_odd_cycle(g, found)
 
 
 class TestConnectedComponents:

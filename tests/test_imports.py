@@ -97,11 +97,13 @@ def calls_of(path: Path, name: str) -> list:
     return found
 
 
-def test_only_the_maker_graph_and_the_partition_certificate_relabel():
-    # every other graph question reads a host's neighbour masks under a member mask
+def test_no_library_function_relabels():
+    # every graph question reads a host's neighbour masks under a member mask;
+    # the Graph forms stay for re-verification outside the library
     paths = sorted(PACKAGE.glob("*.py"))
-    found = [hit for path in paths for hit in calls_of(path, "induced_subgraph")]
-    assert found == ["decompose.highly_connected_partition", "engine.maker_graph"]
+    relabelling = ("induced_subgraph", "core_graph", "vertex_connectivity_at_least")
+    found = [hit for path in paths for name in relabelling for hit in calls_of(path, name)]
+    assert found == []
 
 
 def test_a_new_relabelling_caller_is_found(tmp_path):

@@ -397,9 +397,9 @@ def small_specs(draw, max_elements=8):
 
 
 class TestMaskDecision:
-    """``odd-cycle``, ``spanning-connected`` and ``non-k-colorable`` are
-    decided on bitmasks; the decision must equal ``maker_win_witness`` on
-    every claim set."""
+    """Every monotone objective (``odd-cycle``, ``spanning-connected``,
+    ``non-k-colorable`` and ``k-edge-connected``) is decided on bitmasks;
+    the decision must equal ``maker_win_witness`` on every claim set."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -421,12 +421,14 @@ class TestMaskDecision:
     @settings(max_examples=300, deadline=None)
     @given(
         random_graphs(max_n=8),
-        st.sampled_from((EDGES, VERTICES)),
+        st.sampled_from(((EDGES, "non-k-colorable"), (VERTICES, "non-k-colorable"),
+                         (EDGES, "k-edge-connected"))),
         st.integers(min_value=1, max_value=4),
         st.lists(st.integers(min_value=0), max_size=12),
     )
-    def test_non_k_colorable_matches_maker_win_witness(self, g, board_kind, k, draws):
-        spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=k))
+    def test_objectives_with_k_match_maker_win_witness(self, g, board_and_kind, k, draws):
+        board_kind, kind = board_and_kind
+        spec = GameSpec(g, board_kind, WinPredicate(kind, k=k))
         board = spec.board()
         full = (1 << len(board)) - 1
         decide = _mask_decider(spec)
@@ -434,17 +436,21 @@ class TestMaskDecision:
             claims = tuple(board[i] for i in range(len(board)) if mask >> i & 1)
             assert decide(mask) == (maker_win_witness(spec, claims) is not None)
 
-    @pytest.mark.parametrize("board_kind", [EDGES, VERTICES])
-    def test_non_k_colorable_solve_builds_no_maker_graph(self, monkeypatch, board_kind):
+    @pytest.mark.parametrize(
+        "board_kind, objective",
+        [(EDGES, WinPredicate("non-k-colorable", k=2)),
+         (VERTICES, WinPredicate("non-k-colorable", k=2)),
+         (EDGES, WinPredicate("k-edge-connected", k=2))],
+    )
+    def test_monotone_solve_builds_no_maker_graph(self, monkeypatch, board_kind, objective):
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 4), (0, 5)])
-        spec = GameSpec(g, board_kind, WinPredicate("non-k-colorable", k=2), breaker_bias=1)
+        spec = GameSpec(g, board_kind, objective, breaker_bias=1)
         want = solve(spec)
         assert want.winner == solve_reference(spec)
         calls = []
         for module in (solver, engine):
             monkeypatch.setattr(module, "maker_win_witness", lambda *args: calls.append(args))
-        for module in (engine, graphs):
-            monkeypatch.setattr(module, "induced_subgraph", lambda *args: calls.append(args))
+        monkeypatch.setattr(graphs, "induced_subgraph", lambda *args: calls.append(args))
         assert solve(spec) == want
         assert calls == []
 

@@ -13,11 +13,12 @@ from conftest import (
     components_by_set_search,
     forced_dense_edge_maker,
     forced_dense_vertex_maker,
+    graph_edge_connectivity,
     gray_code_side_lists,
+    maker_graph,
     random_graphs,
     sample_uniform_vertices,
 )
-from makerbreaker.connectivity import edge_connectivity
 from makerbreaker.decompose import EXACT_CUT_LIMIT
 
 from makerbreaker.decompose import BipartiteCore, extract_bipartite_core
@@ -34,7 +35,6 @@ from makerbreaker.engine import (
     batch_size,
     format_transcript,
     legal_moves,
-    maker_graph,
     maker_win_witness,
     play,
 )
@@ -705,7 +705,7 @@ def spanning_bipartition_search_by_side_lists(g, k_prime, rng):
         cg = Graph(n, [e for e in g.edges if in_a[e[0]] != in_a[e[1]]])
         if any(cg.degree(v) == 0 for v in range(n)):
             return 0
-        return edge_connectivity(cg)
+        return graph_edge_connectivity(cg)
 
     if any(g.degree(v) == 0 for v in range(n)):
         return None
@@ -759,9 +759,11 @@ class TestSpanningBipartitionSearch:
 
         calls = []
 
-        def counted(g):
-            calls.append(g)
-            return edge_connectivity(g)
+        flow = strategies.edge_connectivity
+
+        def counted(adj, members):
+            calls.append(members)
+            return flow(adj, members)
 
         monkeypatch.setattr(strategies, "edge_connectivity", counted)
         g = gnp(14, 0.6, 1)
