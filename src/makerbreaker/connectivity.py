@@ -10,6 +10,8 @@ mask, in host labels, as ``spans`` does; the threshold kernels scan a
 threshold's many sources against their non-neighbours.
 ``vertex_connectivity_at_least`` and ``vertex_connectivity`` take a whole
 ``Graph`` for independent re-verification; no library code calls them.
+``unfriendly_partition`` keeps each member's neighbours among the members as
+a mask and counts them by popcount.
 ``vertex_connectivity`` runs Esfahanian and Hakimi's smaller pair set: one
 minimum-degree vertex against each of its non-neighbours, then the
 non-adjacent pairs among its neighbours.  Each vertex-disjoint s-t flow first
@@ -243,27 +245,27 @@ def unfriendly_partition(g: Graph, members=None) -> tuple[frozenset, frozenset]:
     the other side; a member out of range raises DomainError.  Local search
     from the parity of each member's rank in sorted order: flipping a
     violating vertex strictly increases the cut, so the loop ends within |E|
-    flips.  Lowest violating vertex first, for determinism.
+    flips.  Lowest violating vertex first, for determinism.  A member's
+    neighbours among the members are ``nbr[v] & inside``, counted by popcount.
     """
-    inside = check_vertex_set(g, range(g.n) if members is None else members)
-    order = sorted(inside)
+    order = sorted(check_vertex_set(g, range(g.n) if members is None else members))
+    inside = sum(1 << v for v in order)
     ones = sum(1 << v for v in order[1::2])
-    zeros = sum(1 << v for v in order[::2])
     nbr = g.neighbor_masks()
-    side, cross, near = [0] * g.n, [0] * g.n, [()] * g.n
+    side, cross, near = [0] * g.n, [0] * g.n, [0] * g.n
     for v in order:
         side[v] = ones >> v & 1
-        cross[v] = (nbr[v] & (zeros if side[v] else ones)).bit_count()
-        near[v] = g.neighbors(v) & inside
-    violating = {v for v in order if 2 * cross[v] < len(near[v])}
+        near[v] = nbr[v] & inside
+        cross[v] = (near[v] & (inside & ~ones if side[v] else ones)).bit_count()
+    violating = {v for v in order if 2 * cross[v] < near[v].bit_count()}
     while violating:
         v = min(violating)
         side[v] ^= 1
-        cross[v] = len(near[v]) - cross[v]
+        cross[v] = near[v].bit_count() - cross[v]
         violating.discard(v)
-        for u in near[v]:
+        for u in mask_bits(near[v]):
             cross[u] += 1 if side[u] != side[v] else -1
-            if 2 * cross[u] < len(near[u]):
+            if 2 * cross[u] < near[u].bit_count():
                 violating.add(u)
             else:
                 violating.discard(u)

@@ -16,6 +16,13 @@ can re-verify independently:
 All threshold comparisons are exact: fractional bounds use Fraction or, in
 the inner loops, cross-multiplied integers, and the irrational bounds
 n^(3/2), n^(3/4) are compared through integer powers.
+
+Every pipeline works in the host's labels on neighbour masks: parts, sides
+and the moved set are int masks and a degree into a part is one popcount.
+``highly_connected_partition`` is a thin wrapper over its mask form, which
+``extract_bipartite_core`` runs on ``graphs.cross_masks`` of its
+bipartition, so no crossing ``Graph`` is built; ``core_graph`` is the one
+function here that builds a ``Graph``, for re-verification.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .connectivity import mader_subgraph, unfriendly_partition, vertex_cut_below
 from .errors import DomainError, PreconditionError, quoted
 from .graphs import (
     Graph,
+    cross_masks,
     cut_edges,
     first_edge_inside,
     frac_ceil,
@@ -117,7 +125,14 @@ def core_graph(g: Graph, core: BipartiteCore) -> tuple[Graph, tuple]:
 
 
 def highly_connected_partition(h: Graph, k: int) -> Partition:
-    """Partition a graph of minimum degree >= k into certified connected parts.
+    """Partition a graph of minimum degree >= k into certified connected parts:
+    ``_highly_connected_partition_on`` on h's neighbour masks."""
+    return _highly_connected_partition_on(h.neighbor_masks(), k)
+
+
+def _highly_connected_partition_on(nbr, k: int) -> Partition:
+    """``highly_connected_partition`` of the graph whose vertex v, for v below
+    ``len(nbr)``, sees the bits ``nbr[v]``, in nbr's labels.
 
     Two alternating phases: absorb outside vertices that have enough neighbors
     inside an existing part (which preserves the part's connectivity), and
@@ -125,18 +140,22 @@ def highly_connected_partition(h: Graph, k: int) -> Partition:
     ceil(k/8)-connected subgraph.  The remainder always has the density the
     seeding step needs, so exhaustion without covering everything would be an
     implementation bug and raises.  Parts and the remainder are masks in h's
-    labels, so neither a seeding round nor a part's certificate copies h.
+    labels, so neither a seeding round nor a part's certificate copies the
+    graph.
     """
     if k <= 0:
         raise DomainError(f"k must be positive, got {quoted(k)}")
-    if min_degree(h) < k:
-        raise DomainError(f"minimum degree {min_degree(h)} below k={quoted(k)}")
-    conn_target = frac_ceil(Fraction(k * k, 16 * h.n))
+    n = len(nbr)
+    if n == 0:
+        raise DomainError("min_degree of the empty graph is undefined")
+    low = min(x.bit_count() for x in nbr)
+    if low < k:
+        raise DomainError(f"minimum degree {low} below k={quoted(k)}")
+    conn_target = frac_ceil(Fraction(k * k, 16 * n))
     size_floor = Fraction(k, 8)
 
-    nbr = h.neighbor_masks()
     parts: list[int] = []
-    unassigned = (1 << h.n) - 1
+    unassigned = (1 << n) - 1
     while unassigned:
         progress = True
         while progress and unassigned:
@@ -198,6 +217,8 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
     Pipeline: cut-maximal bipartition, drop the intra-side edges, partition
     the crossing graph into connected parts, then pick a part whose host
     subgraph is not 2-colorable and orient its sides so A spans an edge.
+    The crossing graph is ``cross_masks`` of the bipartition, in host labels,
+    and the partition runs on those masks directly.
     ``force`` skips the chromatic precondition so small-graph pipelines and
     error paths stay testable.
     """
@@ -216,9 +237,8 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
             )
 
     x1, x2 = unfriendly_partition(g)
-    crossing = Graph(n, cut_edges(g, x1, x2))
-    k = frac_ceil(delta * n / 2)
-    partition = highly_connected_partition(crossing, k)
+    cross = cross_masks(g, x1, x2)
+    partition = _highly_connected_partition_on(cross, frac_ceil(delta * n / 2))
 
     adj = g.neighbor_masks()
     chosen = next(
@@ -240,7 +260,9 @@ def extract_bipartite_core(g: Graph, delta, *, force: bool = False) -> Bipartite
     cert = partition.certified_connectivity
     if cert < frac_ceil(delta * delta * n / 64):
         raise RuntimeError("connectivity certificate fell below the pipeline floor")
-    h_min = min(g.degree_into(v, b if v in a else a) for v in a | b)
+    # the part's crossing neighbours of a member are its neighbours on the other side
+    inside = sum(1 << v for v in chosen)
+    h_min = min((cross[v] & inside).bit_count() for v in chosen)
     return BipartiteCore(
         a=frozenset(a),
         b=frozenset(b),
@@ -312,56 +334,51 @@ def _balanced_cut_exact(g: Graph, members, min_side: Fraction, n: int):
 
 
 def _balanced_cut_search(g: Graph, members, min_side: Fraction, n: int, rng):
-    """Local-search restarts that accept the first balanced cut below n^(3/2)."""
+    """Local-search restarts that accept the first balanced cut below n^(3/2).
+    Each restart draws side A as ``rng.sample`` of the sorted members; side A
+    is a mask in g's labels and degrees are popcounts of neighbour masks."""
     order = sorted(members)
     m = len(order)
     lo = frac_ceil(min_side)
+    nbr = g.neighbor_masks()
+    everyone = sum(1 << v for v in order)
+    total = {v: (nbr[v] & everyone).bit_count() for v in order}
     best_seen = None
+
+    def record(c):  # keep the best cut seen; whether c is accepted
+        nonlocal best_seen
+        if best_seen is None or c < best_seen:
+            best_seen = c
+        return c * c < n**3
+
     for _ in range(DEFAULT_KL_RESTARTS):
         size_a = rng.randint(lo, m - lo)
-        a = set(rng.sample(order, size_a))
-        inside = {v: g.degree_into(v, a) for v in order}
-        total = {v: g.degree_into(v, members) for v in order}
-        cut = sum(total[v] - inside[v] for v in a)
-
-        def record(c):
-            nonlocal best_seen
-            if best_seen is None or c < best_seen:
-                best_seen = c
-
-        def accepted(c):
-            return c * c < n**3
-
-        record(cut)
-        if accepted(cut):
-            return _normalize_sides(order, a), best_seen
+        a = sum(1 << v for v in rng.sample(order, size_a))
+        inside = {v: (nbr[v] & a).bit_count() for v in order}
+        cut = sum(total[v] - inside[v] for v in mask_bits(a))
+        if record(cut):
+            return _normalize_sides(order, mask_bits(a)), best_seen
         improved = True
         while improved:
             improved = False
             for v in order:
-                in_a = v in a
+                in_a = a >> v & 1
                 d_own = inside[v] if in_a else total[v] - inside[v]
-                d_other = total[v] - d_own
-                delta_cut = d_own - d_other
+                delta_cut = 2 * d_own - total[v]
                 if delta_cut >= 0:
                     continue
                 new_size = size_a + (-1 if in_a else 1)
                 if new_size < lo or m - new_size < lo:
                     continue
-                if in_a:
-                    a.discard(v)
-                else:
-                    a.add(v)
+                a ^= 1 << v
                 size_a = new_size
                 sign = -1 if in_a else 1
-                for u in g.neighbors(v):
-                    if u in inside:
-                        inside[u] += sign
+                for u in mask_bits(nbr[v] & everyone):
+                    inside[u] += sign
                 cut += delta_cut
-                record(cut)
                 improved = True
-                if accepted(cut):
-                    return _normalize_sides(order, a), best_seen
+                if record(cut):
+                    return _normalize_sides(order, mask_bits(a)), best_seen
     return None, best_seen
 
 
@@ -393,9 +410,14 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
         raise PreconditionError(f"minimum degree below delta*n = {quoted(str(delta * n))}")
     rng = random.Random(seed)
     min_side = delta * n
+    nbr = g.neighbor_masks()
 
-    parts: list[set] = [set(range(n))]
-    moved: set = set()
+    def degree_in(v, part):
+        return (nbr[v] & part).bit_count()
+
+    # parts and moved are masks in g's labels
+    parts: list[int] = [(1 << n) - 1]
+    moved = 0
     splits = 0
     final_best: list = []
 
@@ -403,23 +425,23 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
         split_done = False
         final_best = []
         for i, part in enumerate(parts):
-            if Fraction(2) * min_side > len(part):
+            if Fraction(2) * min_side > part.bit_count():
                 final_best.append(None)
                 continue
-            if len(part) <= EXACT_CUT_LIMIT:
-                found, best = _balanced_cut_exact(g, part, min_side, n)
+            members = mask_bits(part)
+            if len(members) <= EXACT_CUT_LIMIT:
+                found, best = _balanced_cut_exact(g, members, min_side, n)
             else:
-                found, best = _balanced_cut_search(g, part, min_side, n, rng)
+                found, best = _balanced_cut_search(g, members, min_side, n, rng)
             if found is None:
                 final_best.append(best)
                 continue
-            a, b = found
-            for v in part:
-                own = a if v in a else b
-                loss = g.degree_into(v, part) - g.degree_into(v, own)
+            a, b = (sum(1 << v for v in side) for side in found)
+            for v in members:
+                loss = degree_in(v, part) - degree_in(v, a if a >> v & 1 else b)
                 if loss > 0 and loss**4 > n**3:
-                    moved.add(v)
-            parts[i : i + 1] = [set(a), set(b)]
+                    moved |= 1 << v
+            parts[i : i + 1] = [a, b]
             splits += 1
             split_done = True
             break
@@ -429,53 +451,54 @@ def robust_partition(g: Graph, delta, seed: int = 0) -> RobustPartition:
     floor = delta * delta * n
     # d >= floor, compared as d * floor.denominator >= floor.numerator
     floor_num, floor_den = floor.numerator, floor.denominator
-    part_of = {}
+    part_of = [0] * n
     for i, part in enumerate(parts):
-        for v in part:
+        for v in mask_bits(part):
             part_of[v] = i
+
+    def short(v):  # below the floor in its own part
+        return degree_in(v, parts[part_of[v]]) * floor_den < floor_num
 
     def relocate(v):
         for j, pt in enumerate(parts):
-            if g.degree_into(v, pt) * floor_den >= floor_num:
+            if degree_in(v, pt) * floor_den >= floor_num:
                 if j != part_of[v]:
-                    parts[part_of[v]].discard(v)
-                    pt.add(v)
+                    parts[part_of[v]] ^= 1 << v
+                    parts[j] |= 1 << v
                     part_of[v] = j
                 return
         raise PreconditionError(
             f"vertex {v} has no part holding delta^2*n = {quoted(str(floor))} of its neighbors"
         )
 
-    for v in sorted(moved):
+    for v in mask_bits(moved):
         relocate(v)
     while True:
-        violators = sorted(
-            v for v in range(n) if g.degree_into(v, parts[part_of[v]]) * floor_den < floor_num
-        )
+        violators = [v for v in range(n) if short(v)]
         if not violators:
             break
         for v in violators:
-            if g.degree_into(v, parts[part_of[v]]) * floor_den < floor_num:
+            if short(v):
                 relocate(v)
 
     t_bound = frac_ceil(1 / delta)
     kept = [(i, p) for i, p in enumerate(parts) if p]
     stats = []
     for i, part in kept:
-        degrees = [g.degree_into(v, part) for v in sorted(part)]
+        degrees = [degree_in(v, part) for v in mask_bits(part)]
         low = sum(1 for d in degrees if below_degree_floor(d, delta * n, t_bound, n))
         best = final_best[i] if i < len(final_best) else None
         stats.append(
             PartStats(
-                size=len(part),
+                size=len(degrees),
                 min_internal_degree=min(degrees),
                 low_degree_count=low,
                 sparsest_balanced_cut=best,
             )
         )
     return RobustPartition(
-        parts=tuple(frozenset(p) for _, p in kept),
-        moved=frozenset(moved),
+        parts=tuple(frozenset(mask_bits(p)) for _, p in kept),
+        moved=frozenset(mask_bits(moved)),
         split_count=splits,
         part_stats=tuple(stats),
     )

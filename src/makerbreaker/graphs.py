@@ -8,11 +8,15 @@ the host's labels.  ``induced_subgraph`` and ``is_connected`` keep their
 ``Graph`` forms for independent re-verification; no library code calls them.
 
 Besides neighbor sets, a graph hands out its adjacency as bitmasks
-(``neighbor_masks``, built once and kept).  The cut kernels -- the balanced
-cuts of ``decompose`` and the component cuts of ``strategies`` -- count
-crossing edges with one popcount per vertex instead of walking edges one at
-a time, and the short paths that seed vertex flows are read off them.  The
-Gray-code walk here only enumerates bipartitions as masks.  ``cross_masks``
+(``neighbor_masks``, built once and kept).  They take n^2 bits, so a graph
+that needs more than ``MASK_BIT_BUDGET`` is refused with
+``ResourceLimitError`` instead: every mask kernel, and so every component,
+odd-cycle and subgraph question, is bounded on long sparse hosts.  The cut
+kernels -- the balanced cuts of ``decompose`` and the component cuts of
+``strategies`` -- count crossing edges with one popcount per vertex instead
+of walking edges one at a time, and the short paths that seed vertex flows
+are read off them.  The Gray-code walk here only enumerates bipartitions as
+masks.  ``cross_masks``
 is the one cut builder: the crossing graph between two sides, as masks in
 the host's own labels, which the core-backed Makers play on directly.
 
@@ -21,7 +25,8 @@ component, connectivity, bipartiteness and 2-coloring question; every yes/no
 one is ``has_odd_cycle`` or ``spans`` on a vertex mask, for Maker's graph and
 a host's part alike; k-colorability is ``coloring.k_coloring`` on one.
 ``odd_cycle_on`` only builds the odd cycle of a witness, on the same masks;
-``find_odd_cycle`` runs it on a whole ``Graph``.
+``find_odd_cycle`` runs it on a whole ``Graph``, and ``first_edge_inside``
+reads the lowest edge of a vertex set off the same masks.
 
 A graph has at most ``MAX_VERTICES`` vertices; a larger one is refused with
 ``ResourceLimitError`` before anything is allocated.
@@ -36,6 +41,8 @@ from fractions import Fraction
 from .errors import DomainError, ResourceLimitError, quoted
 
 MAX_VERTICES = 100_000
+# The most bits (n^2 for n vertices) ``neighbor_masks`` builds: 4,096 vertices.
+MASK_BIT_BUDGET = 1 << 24
 
 
 def frac_ceil(x) -> int:
@@ -92,8 +99,15 @@ class Graph:
 
     def neighbor_masks(self) -> tuple:
         """Per vertex v, an int whose bit u is set when u is a neighbor of v;
-        computed on first use and kept."""
+        computed on first use and kept.  Above ``MASK_BIT_BUDGET`` bits (n^2)
+        it raises ResourceLimitError carrying n, m and the budget."""
         if self._masks is None:
+            if self.n * self.n > MASK_BIT_BUDGET:
+                raise ResourceLimitError(
+                    f"neighbour masks of {self.n} vertices need {self.n * self.n} bits, "
+                    f"over the budget of {MASK_BIT_BUDGET}",
+                    {"n": self.n, "m": self.m, "budget": MASK_BIT_BUDGET},
+                )
             self._masks = tuple(sum(1 << u for u in nbrs) for nbrs in self._adj)
         return self._masks
 
@@ -329,27 +343,23 @@ def mask_bits(mask: int) -> list:
     return out
 
 
-def connected_components(g: Graph, members=None) -> list[frozenset]:
-    """Components of the subgraph of g induced on ``members`` (default: every
-    vertex), as frozensets ordered by smallest member; a member out of range
-    raises DomainError."""
-    if members is None:
-        verts = (1 << g.n) - 1
-    else:
-        verts = sum(1 << v for v in check_vertex_set(g, members))
-    return [frozenset(mask_bits(c)) for c, _, _ in mask_components(g.neighbor_masks(), verts)]
-
-
 def is_connected(g: Graph) -> bool:
     """Whether g is connected; kept for re-verification, no library code calls it."""
     return g.n <= 1 or spans(g.neighbor_masks(), (1 << g.n) - 1)
 
 
 def first_edge_inside(g: Graph, members):
-    """The smallest edge of g with both ends in ``members``, or None; a
-    member out of range raises DomainError."""
-    s = check_vertex_set(g, members)
-    return min((e for e in g.edges if e[0] in s and e[1] in s), default=None)
+    """The smallest edge of g with both ends in ``members``, or None: the
+    lowest member u with a neighbour among the members, and the lowest such
+    neighbour, which is above u (a lower one would have been found first).
+    A member out of range raises DomainError."""
+    inside = sum(1 << v for v in check_vertex_set(g, members))
+    nbr = g.neighbor_masks()
+    for u in mask_bits(inside):
+        near = nbr[u] & inside
+        if near:
+            return u, (near & -near).bit_length() - 1
+    return None
 
 
 def gray_code_bipartitions(g: Graph):

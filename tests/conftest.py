@@ -1,11 +1,14 @@
 """Shared graph builders, a coloring check, a scripted strategy, the
 decomposition-backed Makers on forced cores, uniform vertex sampling, the
-small-graph isomorphism-class enumeration, the set-based component search, the
+small-graph isomorphism-class enumeration, components and the set-based
+component search, the decompositions and cut-attack's ranking on neighbour
+sets, the
 solver's node loop before its one choice routine, the connectivity and
 coloring kernels on relabelled subgraphs, Maker's graph and the odd-cycle
 witness on a relabelled copy, edge connectivity of a whole ``Graph``, and
 vertex connectivity by the min-degree + 1 source scan."""
 
+import random
 from collections import deque
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -19,16 +22,33 @@ from makerbreaker.connectivity import (
     _vertex_network,
     edge_connectivity,
 )
-from makerbreaker.decompose import extract_bipartite_core, extract_chromatic_core
-from makerbreaker.engine import BREAKER, EDGES, MAKER, Strategy
-from makerbreaker.errors import DomainError
+from makerbreaker.decompose import (
+    DEFAULT_KL_RESTARTS,
+    EXACT_CUT_LIMIT,
+    BipartiteCore,
+    PartStats,
+    RobustPartition,
+    _balanced_cut_exact,
+    _normalize_sides,
+    below_degree_floor,
+    extract_bipartite_core,
+    extract_chromatic_core,
+    highly_connected_partition,
+)
+from makerbreaker.engine import BREAKER, EDGES, MAKER, Strategy, batch_size, legal_moves
+from makerbreaker.errors import DomainError, PreconditionError, quoted
 from makerbreaker.graphs import (
     Graph,
     OddCycleWitness,
-    connected_components,
+    check_vertex_set,
+    cut_edges,
     find_odd_cycle,
     frac_ceil,
+    has_odd_cycle,
     induced_subgraph,
+    mask_bits,
+    mask_components,
+    min_degree,
 )
 from makerbreaker.solver import _mask_elements, _Solver
 from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
@@ -119,8 +139,21 @@ def gray_code_side_lists(g: Graph):
         yield side, cross, ones, cut
 
 
+def connected_components(g: Graph, members=None) -> list[frozenset]:
+    """Components of the subgraph of g induced on ``members`` (default: every
+    vertex), as frozensets ordered by smallest member, from ``mask_components``
+    on g's neighbour masks; a member out of range raises DomainError.  It was
+    ``graphs.connected_components`` until its last library caller, the
+    cut-attack ranking, moved onto the masks themselves."""
+    if members is None:
+        verts = (1 << g.n) - 1
+    else:
+        verts = sum(1 << v for v in check_vertex_set(g, members))
+    return [frozenset(mask_bits(c)) for c, _, _ in mask_components(g.neighbor_masks(), verts)]
+
+
 def components_by_set_search(g: Graph, members=None) -> list:
-    """``graphs.connected_components`` as it was before the mask search: a
+    """``connected_components`` as it was before the mask search: a
     breadth-first search over neighbor sets, with the vertices outside
     ``members`` marked seen from the start."""
     if members is None:
@@ -479,3 +512,202 @@ def unfriendly_partition_on_graph(g: Graph) -> tuple[frozenset, frozenset]:
     x1 = frozenset(v for v in range(g.n) if side[v] == 0)
     x2 = frozenset(v for v in range(g.n) if side[v] == 1)
     return x1, x2
+
+
+# The decompositions and cut-attack's vertex ranking as they were on neighbour
+# sets, kept as references for the forms that read a host's neighbour masks.
+
+
+def first_edge_inside_by_edge_scan(g: Graph, members):
+    """``first_edge_inside`` as it was: the least edge of g with both ends in
+    ``members``, by a scan over every edge of g."""
+    s = check_vertex_set(g, members)
+    return min((e for e in g.edges if e[0] in s and e[1] in s), default=None)
+
+
+def cut_attack_by_touched_scan(spec, pos) -> tuple:
+    """``CutAttackBreaker.propose`` on a vertex board as it was: every free
+    vertex ranked by ``touched``, the number of Maker components among its
+    host neighbours, then by (-degree, vertex)."""
+    host = spec.host
+    free = legal_moves(spec, pos)
+    comp_of = {}
+    for i, comp in enumerate(connected_components(host, pos.maker)):
+        for v in comp:
+            comp_of[v] = i
+
+    def touched(w):
+        return len({comp_of[x] for x in host.neighbors(w) if x in comp_of})
+
+    ranked = sorted(free, key=lambda w: (-touched(w), -host.degree(w), w))
+    return tuple(ranked[: batch_size(spec, pos)])
+
+
+def unfriendly_partition_by_sets(g: Graph, members=None) -> tuple[frozenset, frozenset]:
+    """``unfriendly_partition`` as it was: each member's neighbours among the
+    members as a set, walked one at a time."""
+    inside = check_vertex_set(g, range(g.n) if members is None else members)
+    order = sorted(inside)
+    ones = sum(1 << v for v in order[1::2])
+    zeros = sum(1 << v for v in order[::2])
+    nbr = g.neighbor_masks()
+    side, cross, near = [0] * g.n, [0] * g.n, [()] * g.n
+    for v in order:
+        side[v] = ones >> v & 1
+        cross[v] = (nbr[v] & (zeros if side[v] else ones)).bit_count()
+        near[v] = g.neighbors(v) & inside
+    violating = {v for v in order if 2 * cross[v] < len(near[v])}
+    while violating:
+        v = min(violating)
+        side[v] ^= 1
+        cross[v] = len(near[v]) - cross[v]
+        violating.discard(v)
+        for u in near[v]:
+            cross[u] += 1 if side[u] != side[v] else -1
+            if 2 * cross[u] < len(near[u]):
+                violating.add(u)
+            else:
+                violating.discard(u)
+    return frozenset(v for v in order if not side[v]), frozenset(v for v in order if side[v])
+
+
+def extract_bipartite_core_by_crossing_graph(g: Graph, delta) -> BipartiteCore:
+    """``extract_bipartite_core(g, delta, force=True)`` as it was: the
+    crossing graph built as a ``Graph`` of its own and partitioned with
+    ``highly_connected_partition``, degrees by ``degree_into`` and the
+    witness edge by an edge scan."""
+    delta = Fraction(delta)
+    n = g.n
+    if n == 0 or Fraction(min_degree(g)) < delta * n:
+        raise PreconditionError(f"minimum degree below delta*n = {quoted(str(delta * n))}")
+    x1, x2 = unfriendly_partition_by_sets(g)
+    crossing = Graph(n, cut_edges(g, x1, x2))
+    partition = highly_connected_partition(crossing, frac_ceil(delta * n / 2))
+    adj = g.neighbor_masks()
+    chosen = next(
+        (p for p in partition.parts if has_odd_cycle(adj, sum(1 << v for v in p))), None
+    )
+    if chosen is None:
+        raise PreconditionError(
+            "every part is 2-colorable; the input did not satisfy the hypotheses"
+        )
+    a, b = chosen & x1, chosen & x2
+    witness = first_edge_inside_by_edge_scan(g, a)
+    if witness is None:
+        a, b = b, a
+        witness = first_edge_inside_by_edge_scan(g, a)
+    h_min = min(g.degree_into(v, b if v in a else a) for v in a | b)
+    return BipartiteCore(a, b, witness, partition.certified_connectivity, None, h_min)
+
+
+def balanced_cut_search_by_sets(g: Graph, members, min_side, n: int, rng):
+    """``_balanced_cut_search`` as it was: side A a set, degrees by
+    ``degree_into``, the same ``rng`` draws."""
+    order = sorted(members)
+    m = len(order)
+    lo = frac_ceil(min_side)
+    best_seen = None
+    for _ in range(DEFAULT_KL_RESTARTS):
+        size_a = rng.randint(lo, m - lo)
+        a = set(rng.sample(order, size_a))
+        inside = {v: g.degree_into(v, a) for v in order}
+        total = {v: g.degree_into(v, members) for v in order}
+        cut = sum(total[v] - inside[v] for v in a)
+        if best_seen is None or cut < best_seen:
+            best_seen = cut
+        if cut * cut < n**3:
+            return _normalize_sides(order, a), best_seen
+        improved = True
+        while improved:
+            improved = False
+            for v in order:
+                in_a = v in a
+                d_own = inside[v] if in_a else total[v] - inside[v]
+                delta_cut = d_own - (total[v] - d_own)
+                new_size = size_a + (-1 if in_a else 1)
+                if delta_cut >= 0 or new_size < lo or m - new_size < lo:
+                    continue
+                if in_a:
+                    a.discard(v)
+                else:
+                    a.add(v)
+                size_a = new_size
+                for u in g.neighbors(v):
+                    if u in inside:
+                        inside[u] += -1 if in_a else 1
+                cut += delta_cut
+                best_seen = min(best_seen, cut)
+                improved = True
+                if cut * cut < n**3:
+                    return _normalize_sides(order, a), best_seen
+    return None, best_seen
+
+
+def robust_partition_by_sets(g: Graph, delta, seed: int = 0) -> RobustPartition:
+    """``robust_partition`` as it was: parts and the moved set as sets,
+    degrees by ``degree_into``, the same ``rng`` draws."""
+    delta = Fraction(delta)
+    n = g.n
+    if n == 0 or Fraction(min_degree(g)) < delta * n:
+        raise PreconditionError(f"minimum degree below delta*n = {quoted(str(delta * n))}")
+    rng = random.Random(seed)
+    min_side = delta * n
+    parts, moved, splits, final_best = [set(range(n))], set(), 0, []
+    split_done = True
+    while split_done:
+        split_done = False
+        final_best = []
+        for i, part in enumerate(parts):
+            if 2 * min_side > len(part):
+                final_best.append(None)
+                continue
+            if len(part) <= EXACT_CUT_LIMIT:
+                found, best = _balanced_cut_exact(g, part, min_side, n)
+            else:
+                found, best = balanced_cut_search_by_sets(g, part, min_side, n, rng)
+            if found is None:
+                final_best.append(best)
+                continue
+            a, b = found
+            for v in part:
+                loss = g.degree_into(v, part) - g.degree_into(v, a if v in a else b)
+                if loss > 0 and loss**4 > n**3:
+                    moved.add(v)
+            parts[i : i + 1] = [set(a), set(b)]
+            splits += 1
+            split_done = True
+            break
+    floor = delta * delta * n
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+
+    def relocate(v):
+        for j, pt in enumerate(parts):
+            if g.degree_into(v, pt) >= floor:
+                parts[part_of[v]].discard(v)
+                pt.add(v)
+                part_of[v] = j
+                return
+        raise PreconditionError(
+            f"vertex {v} has no part holding delta^2*n = {quoted(str(floor))} of its neighbors"
+        )
+
+    for v in sorted(moved):
+        relocate(v)
+    while True:
+        violators = [v for v in range(n) if g.degree_into(v, parts[part_of[v]]) < floor]
+        if not violators:
+            break
+        for v in violators:
+            if g.degree_into(v, parts[part_of[v]]) < floor:
+                relocate(v)
+    t_bound = frac_ceil(1 / delta)
+    kept = [(i, p) for i, p in enumerate(parts) if p]
+    stats = []
+    for i, part in kept:
+        degrees = [g.degree_into(v, part) for v in sorted(part)]
+        low = sum(1 for d in degrees if below_degree_floor(d, delta * n, t_bound, n))
+        best = final_best[i] if i < len(final_best) else None
+        stats.append(PartStats(len(part), min(degrees), low, best))
+    return RobustPartition(
+        tuple(frozenset(p) for _, p in kept), frozenset(moved), splits, tuple(stats)
+    )

@@ -290,6 +290,15 @@ class TestSolveVerify:
         assert run_cli("solve", str(tripartite_file)) == 1
         assert "exceeds the solve cap" in capsys.readouterr().err
 
+    def test_mask_budget_error(self, tmp_path, capsys):
+        # a 4,097-vertex path needs more neighbour-mask bits than the budget
+        path = tmp_path / "long.graph"
+        path.write_text(format_graph(Graph.path(4_097)))
+        assert run_cli("decompose", str(path), "--mode", "bfkm", "--delta", "1/5000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "4097 vertices need 16785409 bits" in err
+        assert "over the budget of 16777216" in err
+
     @pytest.mark.parametrize("n", [100_000_000_000, 3_000_000])
     def test_vertex_cap_error(self, tmp_path, capsys, n):
         path = tmp_path / "huge.graph"

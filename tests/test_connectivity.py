@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    connected_components,
     cut_from_residual_by_range,
     graph_edge_connectivity,
     mader_subgraph_on_graph,
     random_graphs,
     two_triangles_shared_vertex,
+    unfriendly_partition_by_sets,
     unfriendly_partition_on_graph,
     vertex_connectivity_by_source_scan,
     vertex_cut_below_on_graph,
@@ -43,7 +45,6 @@ from makerbreaker.generators import (
 )
 from makerbreaker.graphs import (
     Graph,
-    connected_components,
     frac_ceil,
     induced_subgraph,
     min_degree,
@@ -563,6 +564,18 @@ class TestUnfriendlyPartition:
             g = gnp(24 + seed % 25, 0.5, seed)
             want = unfriendly_partition_on_graph(g)
             assert unfriendly_partition(g) == unfriendly_partition(g, range(g.n)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=20), st.data())
+    def test_matches_the_set_form(self, g, data):
+        members = data.draw(st.frozensets(st.integers(0, g.n - 1)) | st.none())
+        assert unfriendly_partition(g, members) == unfriendly_partition_by_sets(g, members)
+
+    def test_matches_the_set_form_on_dense_hosts(self):
+        for seed in range(20):
+            g = gnp(30 + seed, 0.6, seed)
+            members = frozenset(v for v in range(g.n) if (v * seed) % 7 != 3)
+            assert unfriendly_partition(g, members) == unfriendly_partition_by_sets(g, members)
 
     def test_a_member_out_of_range_is_refused(self):
         for members in ({0, 5}, {-1, 2}):

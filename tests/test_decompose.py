@@ -1,11 +1,19 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gray_code_side_lists, mader_subgraph_on_graph, random_graphs
+from conftest import (
+    balanced_cut_search_by_sets,
+    extract_bipartite_core_by_crossing_graph,
+    gray_code_side_lists,
+    mader_subgraph_on_graph,
+    random_graphs,
+    robust_partition_by_sets,
+)
 
 from makerbreaker import decompose, graphs
 from makerbreaker.coloring import chromatic_number, is_k_colorable
@@ -14,6 +22,7 @@ from makerbreaker.decompose import (
     _part_certified,
     EXACT_CUT_LIMIT,
     _balanced_cut_exact,
+    _balanced_cut_search,
     _normalize_sides,
     below_degree_floor,
     core_graph,
@@ -115,8 +124,12 @@ class TestHighlyConnectedPartition:
         reverify_partition(Graph.cycle(4), p)
 
     def test_precondition(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="minimum degree 2 below k=3"):
             highly_connected_partition(Graph.cycle(5), 3)
+        with pytest.raises(DomainError, match="k must be positive"):
+            highly_connected_partition(Graph.cycle(5), 0)
+        with pytest.raises(DomainError, match="min_degree of the empty graph"):
+            highly_connected_partition(Graph(0), 1)
 
     def test_gnp_corpus_certificates(self):
         for seed in range(8):
@@ -282,6 +295,81 @@ class TestRobustPartition:
         a = robust_partition(g, delta, seed=5)
         b = robust_partition(g, delta, seed=5)
         assert a.parts == b.parts and a.moved == b.moved
+
+
+@st.composite
+def dense_hosts(draw, max_n=48):
+    """A gnp host of 8 to ``max_n`` vertices at a random density, or a
+    complete multipartite host, with delta drawn from (0, min degree / n]
+    or one step above it, below 1."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=8, max_value=max_n))
+        g = gnp(n, draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])), seed)
+    else:
+        sizes = draw(st.lists(st.integers(min_value=2, max_value=9), min_size=2, max_size=5))
+        g = complete_multipartite(sizes)
+    low = max(min_degree(g), 1)
+    numerator = draw(st.integers(min_value=1, max_value=min(low + 1, g.n - 1)))
+    return g, Fraction(numerator, g.n)
+
+
+def outcome(run):
+    """A call's result, or its error's type and message."""
+    try:
+        return run()
+    except (PreconditionError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMaskDecompositionsMatchTheSetForms:
+    """robust_partition and extract_bipartite_core against the set-based
+    forms they replaced, kept in conftest: parts, moved, split counts, part
+    stats and cores equal, and the same precondition errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_hosts(), st.integers(min_value=0, max_value=50))
+    def test_robust_partition(self, host, seed):
+        g, delta = host
+        got = outcome(lambda: robust_partition(g, delta, seed=seed))
+        assert got == outcome(lambda: robust_partition_by_sets(g, delta, seed=seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_hosts())
+    def test_extract_bipartite_core(self, host):
+        g, delta = host
+        got = outcome(lambda: extract_bipartite_core(g, delta, force=True))
+        assert got == outcome(lambda: extract_bipartite_core_by_crossing_graph(g, delta))
+
+    def test_parts_above_the_exact_limit_take_the_seeded_search(self):
+        # two sparse halves of 24 vertices: the first split is on 48 > EXACT_CUT_LIMIT
+        # vertices, so it comes from _balanced_cut_search and its rng draws
+        g = disjoint_union(gnp(24, 0.6, 1), gnp(24, 0.6, 2))
+        delta = Fraction(min_degree(g), g.n)
+        for seed in range(4):
+            rp = robust_partition(g, delta, seed=seed)
+            assert rp == robust_partition_by_sets(g, delta, seed=seed)
+            assert rp.split_count >= 1 and g.n > EXACT_CUT_LIMIT
+
+    def test_search_draws_the_same_sides(self):
+        g = gnp(40, 0.5, 7)
+        members = [v for v in range(g.n) if v % 5]
+        for seed in range(5):
+            got = _balanced_cut_search(g, members, Fraction(8), g.n, random.Random(seed))
+            old = balanced_cut_search_by_sets(g, set(members), Fraction(8), g.n,
+                                              random.Random(seed))
+            assert got == old
+
+    def test_both_precondition_errors(self):
+        # minimum degree below delta*n, for both decompositions
+        cycle = Graph.cycle(8)
+        for run in (lambda: robust_partition(cycle, Fraction(1, 2)),
+                    lambda: extract_bipartite_core(cycle, Fraction(1, 2), force=True)):
+            with pytest.raises(PreconditionError, match="minimum degree below"):
+                run()
+        # a bipartite host leaves every part 2-colorable
+        with pytest.raises(PreconditionError, match="every part is 2-colorable"):
+            extract_bipartite_core(complete_multipartite([8, 8]), Fraction(1, 2), force=True)
 
 
 def balanced_cut_exact_by_induced_subgraph(g, members, min_side, n):

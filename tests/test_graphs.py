@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import (
     all_labeled_graphs,
     components_by_set_search,
+    connected_components,
+    first_edge_inside_by_edge_scan,
     gray_code_side_lists,
     odd_cycle_by_relabelling,
     random_graphs,
@@ -16,10 +18,10 @@ from conftest import (
 )
 from makerbreaker.errors import DomainError, ResourceLimitError
 from makerbreaker.graphs import (
+    MASK_BIT_BUDGET,
     MAX_VERTICES,
     Graph,
     OddCycleWitness,
-    connected_components,
     cross_masks,
     cut_edges,
     find_odd_cycle,
@@ -308,11 +310,10 @@ class TestMaskDecisions:
         assert spans(g.neighbor_masks(), verts) == (bool(members) and nx.is_connected(h))
 
     @settings(max_examples=300, deadline=None)
-    @given(random_graphs(max_n=10), st.data())
+    @given(random_graphs(max_n=24), st.data())
     def test_first_edge_inside_is_the_least_inside_edge(self, g, data):
         members = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-        inside = sorted((u, v) for u, v in g.edges if u in members and v in members)
-        assert first_edge_inside(g, members) == (inside[0] if inside else None)
+        assert first_edge_inside(g, members) == first_edge_inside_by_edge_scan(g, members)
         assert first_edge_inside(g, frozenset(members)) == first_edge_inside(g, members)
 
     def test_first_edge_inside_checks_its_members(self):
@@ -417,3 +418,26 @@ class TestTextFormat:
         want = hashlib.sha256(format_graph(g).encode("ascii")).hexdigest()[:16]
         assert g.fingerprint() == want
         assert g.fingerprint() == want  # the kept value, on the second call
+
+
+class TestMaskBitBudget:
+    """``neighbor_masks`` takes n^2 bits and refuses a host above the budget."""
+
+    def test_the_budget_admits_the_scaling_hosts(self):
+        assert 4_000**2 <= MASK_BIT_BUDGET < 4_097**2
+
+    def test_at_the_budget(self):
+        n = 4_096
+        assert n * n == MASK_BIT_BUDGET
+        g = Graph.path(n)
+        assert is_connected(g) and g.neighbor_masks()[n - 1] == 1 << n - 2
+
+    def test_one_past_the_budget(self):
+        n = 4_097
+        g = Graph.path(n)
+        for ask in (g.neighbor_masks, lambda: is_connected(g), lambda: find_odd_cycle(g),
+                    lambda: induced_subgraph(g, {0, 1})):
+            with pytest.raises(ResourceLimitError, match="over the budget") as exc:
+                ask()
+            assert exc.value.stats == {"n": n, "m": n - 1, "budget": MASK_BIT_BUDGET}
+        assert g.degree(1) == 2 and g.neighbors(n - 1) == {n - 2}  # the sets stay usable

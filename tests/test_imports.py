@@ -1,5 +1,6 @@
 """No module of the package imports a private name from another, or a
-name it never uses, and only two functions build a relabelled subgraph."""
+name it never uses, no library function builds a relabelled subgraph, and
+the mask decompositions read no neighbour sets."""
 
 import ast
 from pathlib import Path
@@ -120,3 +121,56 @@ def test_a_new_relabelling_caller_is_found(tmp_path):
         "    return induced_subgraph(g, part), side(part)\n"
     )
     assert calls_of(path, "induced_subgraph") == ["mod.side", "mod.core"]
+
+
+def functions_within(path: Path, names) -> set:
+    """``module.function`` for each function of ``path`` named in ``names``
+    and every function defined inside one of them, as ``calls_of`` names
+    them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, kinds) and node.name in names:
+            found.update(f"{path.stem}.{inner.name}" for inner in ast.walk(node)
+                         if isinstance(inner, kinds))
+    return found
+
+
+MASK_DECOMPOSITIONS = {
+    "decompose.py": ("robust_partition", "_balanced_cut_search", "extract_bipartite_core"),
+    "connectivity.py": ("unfriendly_partition",),
+}
+
+
+def test_the_mask_decompositions_read_no_neighbour_sets():
+    # parts, sides and degrees are masks and popcounts, so neither a set
+    # intersection per vertex nor a crossing edge list is built
+    for name, functions in MASK_DECOMPOSITIONS.items():
+        path = PACKAGE / name
+        scope = functions_within(path, functions)
+        assert scope >= {f"{path.stem}.{f}" for f in functions}
+        for called in ("degree_into", "cut_edges", "neighbors"):
+            assert [hit for hit in calls_of(path, called) if hit in scope] == []
+
+
+def test_only_core_graph_builds_a_graph_in_decompose():
+    assert calls_of(PACKAGE / "decompose.py", "Graph") == ["decompose.core_graph"]
+
+
+def test_nested_helpers_are_in_scope(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def outer(g):\n"
+        "    def helper(v):\n"
+        "        def deeper():\n"
+        "            return g.degree_into(v, ())\n"
+        "        return deeper()\n"
+        "    return helper(0)\n"
+        "\n"
+        "def other(g):\n"
+        "    return g.degree_into(0, ())\n"
+    )
+    scope = functions_within(path, ("outer",))
+    assert scope == {"mod.outer", "mod.helper", "mod.deeper"}
+    assert [hit for hit in calls_of(path, "degree_into") if hit in scope] == ["mod.deeper"]

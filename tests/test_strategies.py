@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     components_by_set_search,
+    connected_components,
+    cut_attack_by_touched_scan,
     forced_dense_edge_maker,
     forced_dense_vertex_maker,
     graph_edge_connectivity,
@@ -43,7 +45,6 @@ from makerbreaker.generators import complete_multipartite, gnp, odd_cycle_blowup
 from makerbreaker.graphs import (
     Graph,
     OddCycleWitness,
-    connected_components,
     cut_edges,
     find_odd_cycle,
     induced_subgraph,
@@ -1186,6 +1187,18 @@ class TestBreakers:
         pos = Position(maker=frozenset({0, 1, 4}), breaker=frozenset(), to_move=BREAKER)
         assert CutAttackBreaker().propose(vertex_spec(g), pos) == (3,)
 
+    def test_cut_attack_ranking_reads_no_neighbour_set(self, monkeypatch):
+        g = complete_multipartite([4, 4, 4])
+        pos = Position(maker=frozenset({0, 1, 4, 9}), breaker=frozenset({2}), to_move=BREAKER)
+        spec = vertex_spec(g, b=3)
+        want = cut_attack_by_touched_scan(spec, pos)
+
+        def refuse(self, v):
+            raise AssertionError("a neighbour set was read")
+
+        monkeypatch.setattr(Graph, "neighbors", refuse)
+        assert CutAttackBreaker().propose(spec, pos) == want
+
     def test_guard_flags_vertices_closing_an_odd_cycle(self):
         # Maker's path 0-1-2 colors 0 and 2 alike: 3 sees 0 and 1 (opposite
         # colors, one component) and would close a triangle; 4 sees 0 and 2
@@ -1476,3 +1489,56 @@ class TestDenseVertexStagesThreeAndFour:
                     stages |= set(maker.stage_trace)
         assert stages == {"I", "II", "III", "IV"}
         assert digest.hexdigest() == self.DIGEST
+
+
+@st.composite
+def cut_attack_positions(draw):
+    """Breaker to move on a vertex board of a gnp host (up to 40 vertices,
+    any density) or a complete multipartite one, bias 1-4, with random
+    disjoint Maker and Breaker vertex sets; the free count is drawn too, so
+    it falls below the bias (the last, short turn) or reaches 0."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=40))
+        g = gnp(n, draw(st.floats(min_value=0.0, max_value=1.0)), seed)
+    else:
+        g = complete_multipartite(
+            draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=6))
+        )
+    order = draw(st.permutations(range(g.n)))
+    free = draw(st.integers(min_value=0, max_value=g.n))
+    maker_count = draw(st.integers(min_value=0, max_value=g.n - free))
+    maker = frozenset(order[free : free + maker_count])
+    breaker = frozenset(order[free + maker_count :])
+    spec = vertex_spec(g, b=draw(st.integers(min_value=1, max_value=4)))
+    return spec, Position(maker=maker, breaker=breaker, to_move=BREAKER)
+
+
+class TestCutAttackRanking:
+    """The mask ranking against the ``touched`` scan it replaced, kept in
+    conftest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cut_attack_positions())
+    def test_matches_the_touched_scan(self, spec_pos):
+        spec, pos = spec_pos
+        assert CutAttackBreaker().propose(spec, pos) == cut_attack_by_touched_scan(spec, pos)
+
+    def test_one_breaker_across_hosts_and_turns(self):
+        # the (-degree, vertex) order is kept per host and made anew on a new one
+        rng = random.Random(5)
+        breaker = CutAttackBreaker()
+        hosts = [gnp(30, 0.3, 1), complete_multipartite([5, 5, 5, 5]), gnp(30, 0.3, 1)]
+        for g in hosts * 3:
+            spec = vertex_spec(g, b=rng.randint(1, 4))
+            order = rng.sample(range(g.n), g.n)
+            k = rng.randint(0, g.n // 2)
+            pos = Position(frozenset(order[:k]), frozenset(order[k : 2 * k]), BREAKER)
+            assert breaker.propose(spec, pos) == cut_attack_by_touched_scan(spec, pos)
+
+    def test_overlap_and_off_board_claims_are_refused(self):
+        spec = vertex_spec(Graph.cycle(5))
+        for maker, breaker in (({0, 1}, {1}), ({0, 7}, set())):
+            pos = Position(frozenset(maker), frozenset(breaker), BREAKER)
+            with pytest.raises(DomainError):
+                CutAttackBreaker().propose(spec, pos)
