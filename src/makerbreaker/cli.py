@@ -22,7 +22,7 @@ from .decompose import (
 from .engine import GameSpec, WinPredicate, element_token
 from .errors import DomainError, ResourceLimitError, parse_int, quoted
 from .generators import FAMILIES, generate
-from .graphs import format_graph, frac_ceil, parse_graph
+from .graphs import MAX_VERTICES, format_graph, frac_ceil, parse_graph
 from .harness import (
     DECOMPOSE_VERSION,
     ExperimentConfig,
@@ -64,7 +64,13 @@ def _parse_params(pairs):
         elif key == "sizes":
             if "x" in value:
                 m, _, r = value.partition("x")
-                params[key] = [parse_int(m, where)] * parse_int(r, where)
+                size, count = parse_int(m, where), parse_int(r, where)
+                if count > MAX_VERTICES:  # refused before the list is built
+                    raise ResourceLimitError(
+                        f"{where} asks for {count} parts, over the cap of {MAX_VERTICES}",
+                        {"parts": count, "cap": MAX_VERTICES},
+                    )
+                params[key] = [size] * count
             else:
                 params[key] = [parse_int(s, where) for s in value.split("-")]
         else:

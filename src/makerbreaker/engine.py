@@ -5,19 +5,17 @@ claims ``a`` elements per turn, Breaker ``b``; the final turn of the board may
 be short.  ``apply_moves`` is the one place a turn is checked and applied:
 Maker's win is detected after every individual claim and ends the turn there,
 so witnesses always reflect the earliest winning prefix.  Every winning
-predicate but ``aux-connect`` is monotone in Maker's claim set; on
+predicate but ``aux-connect`` is monotone (``WinPredicate.monotone``); on
 ``aux-connect`` a later claim of the same batch could disconnect the union
 again, which the turn's early end rules out.  A strategy that cannot (or will
 not) produce a legal batch forfeits; the forfeit convention applies to both
 players.
 
-Every monotone objective (``odd-cycle``, ``spanning-connected``,
-``non-k-colorable`` and ``k-edge-connected``) has one win decision on
-``maker_masks``, given by ``mask_win``.  The engine's win check and the
-solver decide them with it alone; a witness is built only once the decision
-is a win, on the same masks and in host labels.  ``aux-connect`` is decided
-on the same masks by ``spans`` and then a triangle search.  No relabelled
-copy of Maker's graph is built.
+Claims reach Maker's graph as a mask over board indices: ``claim_bits`` is
+the one conversion and refuses a claim that is not a board element, and
+``maker_masks`` the one builder.  ``mask_win`` is every objective's win
+decision on those masks, for the engine's win check and the solver alike; a
+witness is built only after a win, on the same masks and in host labels.
 
 ``_outcome`` is the one place a game's result is worked out: ``play`` and
 ``replay_transcript`` stop at Maker's winning claim, a full board or a
@@ -26,6 +24,7 @@ forfeit, and hand it the position, the witness and the round count.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +63,11 @@ class WinPredicate:
                 raise DomainError("aux-connect needs an anchor vertex set")
         elif self.anchor is not None:
             raise DomainError(f"{quoted(self.kind)} takes no anchor")
+
+    @property
+    def monotone(self) -> bool:
+        """Whether every superset of a winning claim set wins; not on ``aux-connect``."""
+        return self.kind != "aux-connect"
 
     def token(self) -> str:
         if self.kind == "non-k-colorable":
@@ -114,6 +118,9 @@ class GameSpec:
             raise DomainError(
                 f"objective {quoted(self.objective.kind)} is not playable on {self.board_kind}"
             )
+        anchor, n = self.objective.anchor, self.host.n
+        if anchor is not None and not all(type(v) is int and 0 <= v < n for v in anchor):
+            raise DomainError(f"aux-connect anchor {quoted(anchor)} is not a set of host vertices")
 
     # Built on first use and kept, so that building a spec stays cheap.
     @cached_property
@@ -125,6 +132,16 @@ class GameSpec:
     @cached_property
     def board_set(self) -> frozenset:
         return frozenset(self._board)
+
+    @cached_property
+    def index(self) -> dict:
+        """Board element -> board index."""
+        return {el: i for i, el in enumerate(self._board)}
+
+    @cached_property
+    def end_bits(self) -> tuple:
+        """On an edge board, (u, v, 1 << u, 1 << v) per board index."""
+        return tuple((u, v, 1 << u, 1 << v) for u, v in self._board)
 
     def board(self) -> tuple:
         return self._board
@@ -241,71 +258,89 @@ def _triangle(adj, verts: int):
 
 def mask_win(objective: WinPredicate):
     """The win decision of ``objective`` as a function of (adj, verts), on
-    Maker's graph whose vertex v of the bits ``verts`` sees ``adj[v] & verts``;
-    None for ``aux-connect``, the one objective that is not monotone.
+    Maker's graph whose vertex v of the bits ``verts`` sees ``adj[v] & verts``.
 
     ``k-edge-connected`` needs two vertices and edge connectivity at least
-    k; as k >= 1, that makes the graph connected with minimum degree >= k."""
+    k; as k >= 1, that makes the graph connected with minimum degree >= k.
+    ``aux-connect`` needs ``verts`` and the anchor connected or a triangle."""
     if objective.kind == "non-k-colorable":
         return lambda adj, verts: k_coloring(adj, verts, objective.k) is None
     if objective.kind == "k-edge-connected":
         return lambda adj, verts: (
             verts.bit_count() >= 2 and edge_connectivity(adj, verts) >= objective.k
         )
-    return {"odd-cycle": has_odd_cycle, "spanning-connected": spans}.get(objective.kind)
+    if objective.kind == "aux-connect":
+        anchor = sum(1 << v for v in objective.anchor)
+        return lambda adj, verts: (
+            spans(adj, verts | anchor) or _triangle(adj, verts | anchor) is not None
+        )
+    return {"odd-cycle": has_odd_cycle, "spanning-connected": spans}[objective.kind]
 
 
-def maker_masks(spec: GameSpec, claims) -> tuple:
-    """Maker's graph on ``claims`` as ``mask_search`` reads it, (adj, verts):
-    on an edge board, each claimed edge's endpoint bits (either end first)
-    and every host vertex; on a vertex board, the host's masks and the claim
-    mask.  A loop or a claim out of range raises DomainError."""
-    n = spec.host.n
-    if spec.board_kind == EDGES:
-        adj = [0] * n
-        for u, v in claims:
-            if u > v:
-                u, v = v, u
-            if not 0 <= u < v < n:
-                raise DomainError(f"claim {(u, v)} is a loop or out of range for n={n}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj, (1 << n) - 1
-    verts = 0
-    for v in claims:
-        if not 0 <= v < n:
-            raise DomainError(f"claim {v} out of range for n={n}")
-        verts |= 1 << v
-    return spec.host.neighbor_masks(), verts
+def claim_bits(spec: GameSpec, claims) -> int:
+    """The mask over board indices of ``claims``, an edge either end first; a
+    claim that is not a board element, hashable or not, raises DomainError."""
+    index, bits = spec.index, 0
+    for el in claims:
+        try:
+            i = index.get(el)
+            if i is None and spec.board_kind == EDGES:
+                i = index.get(el[::-1])
+        except TypeError:  # unhashable, or not a pair
+            i = None
+        if i is None:
+            raise DomainError(f"claim {quoted(el)} is not an element of the board")
+        bits |= 1 << i
+    return bits
+
+
+def claim_elements(spec: GameSpec, bits: int) -> tuple:
+    """The board elements of the mask ``bits``, in board order."""
+    board = spec.board()
+    return tuple(board[i] for i in mask_bits(bits))
+
+
+def maker_masks(spec: GameSpec, bits: int) -> tuple:
+    """Maker's graph on the claim mask ``bits`` as ``mask_search`` reads it,
+    (adj, verts): on an edge board, each claimed edge's endpoint bits and every
+    host vertex; on a vertex board (index i is vertex i), host masks and ``bits``."""
+    if spec.board_kind != EDGES:
+        return spec.host.neighbor_masks(), bits
+    n, ends = spec.host.n, spec.end_bits
+    adj = [0] * n
+    while bits:  # from the top bit down: one big-int operation fewer per bit
+        i = bits.bit_length() - 1
+        u, v, bu, bv = ends[i]
+        adj[u] |= bv
+        adj[v] |= bu
+        bits ^= 1 << i
+    return adj, (1 << n) - 1
 
 
 def maker_win_witness(spec: GameSpec, maker_claims):
-    """The witness if Maker's claims satisfy the objective, else None.
-
-    Every objective but ``aux-connect`` is decided by ``mask_win`` on
-    ``maker_masks``; on an ``odd-cycle`` win the cycle is found on the same
-    masks, in host labels.
-    """
+    """The witness if Maker's claims satisfy the objective, else None:
+    ``mask_win`` on ``maker_masks`` of ``claim_bits``, with a win's witness
+    found on the same masks, in host labels, and claim sets in board order."""
     obj = spec.objective
     if obj.kind == "spanning-connected" and spec.board_kind == EDGES:
-        claims = frozenset(maker_claims)
-        # a spanning tree has n - 1 edges; claims off the board go on to raise
-        if len(claims) < spec.host.n - 1 and spec.board_set.issuperset(claims):
-            return None
-    wins = mask_win(obj)
-    if wins is not None:
-        adj, verts = maker_masks(spec, maker_claims)
-        if not wins(adj, verts):
-            return None
-        if obj.kind == "odd-cycle":
-            return odd_cycle_on(adj, verts)
-        return ClaimSetWitness(tuple(sorted(maker_claims)), obj.kind, obj.k)
-    union = frozenset(maker_claims) | obj.anchor  # aux-connect
-    adj, verts = maker_masks(spec, union)
-    if spans(adj, verts):
-        return ClaimSetWitness(tuple(sorted(union)), "aux-connected")
-    tri = _triangle(adj, verts)
-    return None if tri is None else OddCycleWitness(tri)
+        # a spanning tree has n - 1 edges; claims off the board, hashable or
+        # not, go on to the conversion, which refuses them
+        with suppress(TypeError):
+            maker_claims = frozenset(maker_claims)
+            if len(maker_claims) < spec.host.n - 1 and spec.board_set.issuperset(maker_claims):
+                return None
+    bits = claim_bits(spec, maker_claims)
+    adj, verts = maker_masks(spec, bits)
+    if not mask_win(obj)(adj, verts):
+        return None
+    if obj.kind == "odd-cycle":
+        return odd_cycle_on(adj, verts)
+    if obj.kind != "aux-connect":
+        return ClaimSetWitness(claim_elements(spec, bits), obj.kind, obj.k)
+    union = verts | claim_bits(spec, obj.anchor)
+    if spans(adj, union):
+        return ClaimSetWitness(claim_elements(spec, union), "aux-connected")
+    return OddCycleWitness(_triangle(adj, union))
 
 
 class Strategy:

@@ -6,10 +6,10 @@ the claim order is irrelevant, which is a provable state reduction.  Positions
 are memoized on (maker claims, breaker claims, mover); there is no
 graph-automorphism reduction.  Two prunes are always on: the maker-win early
 cutoff and the futility prune (Maker plus all unclaimed elements failing the
-objective), which is off for ``aux-connect``: that predicate is not monotone,
-since a claimed vertex can disconnect the union.  The others are, so the
-prune changes no verdict, only the node count; ``solve_reference`` checks
-that.
+objective), which is off for ``aux-connect``: that predicate is not monotone
+(``WinPredicate.monotone``), since a claimed vertex can disconnect the
+union.  The others are, so the prune changes no verdict, only the node
+count; ``solve_reference`` checks that.
 
 A Maker turn ends at its first winning claim (``engine.apply_moves``).  On a
 monotone objective a batch therefore wins exactly when it wins as a whole.
@@ -17,12 +17,10 @@ On ``aux-connect`` Maker wins on the turn when some non-empty set of at most
 bias unclaimed elements wins; the principal line's last Maker turn is then
 the first such set, fewest elements first.
 
-Claim sets are bitmasks over the board's element indices.  Every monotone
-objective (``odd-cycle``, ``spanning-connected``, ``non-k-colorable`` and
-``k-edge-connected``) is decided straight from the mask by the engine's
-``mask_win``, the same decision the engine's win check makes, on neighbour
-masks the solver builds per claim mask; only ``aux-connect`` calls
-``maker_win_witness`` on the claimed elements.  A board over its cap is
+Claim sets are masks over board indices, decided by the engine's
+``mask_win`` on its ``maker_masks`` as the engine's win check decides them;
+``solve_reference`` and ``verify_maker_strategy`` call ``maker_win_witness``
+on claimed elements instead, as independent checks.  A board over its cap is
 refused by the host's size, before the board is built; the verifier's walk
 recurses once per turn, and ``VERIFY_BOARD_CAP`` keeps it off ``RecursionError``.
 
@@ -43,7 +41,9 @@ from .engine import (
     Position,
     apply_moves,
     batch_size,
+    claim_elements,
     legal_moves,
+    maker_masks,
     maker_win_witness,
     mask_win,
 )
@@ -62,60 +62,16 @@ class SolveVerdict:
     nodes_expanded: int
 
 
-def _monotone(spec: GameSpec) -> bool:
-    """Whether a superset of a winning claim set always wins.  ``aux-connect``
-    is the one objective that is not: a claimed vertex can disconnect the
-    union."""
-    return spec.objective.kind != "aux-connect"
-
-
-def _mask_elements(board, mask):
-    return tuple(board[i] for i in range(len(board)) if mask >> i & 1)
-
-
-def _mask_decider(spec: GameSpec):
-    """A function of Maker's claim mask that says whether the claims win.
-
-    An objective with a ``mask_win`` is decided by it on Maker's graph
-    built per mask: on an edge board adj comes from each claimed edge's
-    endpoints and verts is every host vertex; on a vertex board (whose
-    element i is vertex i) adj is the host's and verts is the mask.
-    Only ``aux-connect`` calls ``maker_win_witness``.
-    """
-    board = spec.board()
-    wins = mask_win(spec.objective)
-    if wins is None:
-        return lambda mask: maker_win_witness(spec, _mask_elements(board, mask)) is not None
-    if spec.board_kind != EDGES:
-        host_adj = spec.host.neighbor_masks()
-        return lambda mask: wins(host_adj, mask)
-    n = spec.host.n
-    ends = tuple((u, v, 1 << u, 1 << v) for u, v in board)
-    everyone = (1 << n) - 1
-
-    def decide(mask):
-        adj = [0] * n
-        while mask:
-            low = mask & -mask
-            u, v, bu, bv = ends[low.bit_length() - 1]
-            adj[u] |= bv
-            adj[v] |= bu
-            mask ^= low
-        return wins(adj, everyone)
-
-    return decide
-
-
 class _Solver:
     def __init__(self, spec: GameSpec):
         self.spec = spec
-        self.board = spec.board()
-        self.bits = tuple(1 << i for i in range(len(self.board)))
-        self.full = (1 << len(self.board)) - 1
-        self.decide = _mask_decider(spec)
+        self.bits = tuple(1 << i for i in range(len(spec.board())))
+        self.full = (1 << len(self.bits)) - 1
+        wins = mask_win(spec.objective)
+        self.decide = lambda mask: wins(*maker_masks(spec, mask))
         # off an objective that is not monotone, Maker holding every unclaimed
         # element proves nothing, and a batch can win on a claim it then undoes
-        self.monotone = _monotone(spec)
+        self.monotone = spec.objective.monotone
         self.memo = {}
         self.eval_cache = {}
         self.nodes = 0
@@ -180,7 +136,7 @@ class _Solver:
             chosen = self.choose(m, b, mover)
             if chosen is None:
                 chosen = next(self.batches(unclaimed, self.spec.bias_of(mover)))
-            line.append((mover, _mask_elements(self.board, chosen)))
+            line.append((mover, claim_elements(self.spec, chosen)))
             if mover == MAKER:
                 m |= chosen
                 if self.eval_win(m):
@@ -221,7 +177,6 @@ def solve_reference(spec: GameSpec) -> str:
     turn.  Boards above ``REFERENCE_BOARD_CAP`` elements are refused."""
     _check_board(spec, REFERENCE_BOARD_CAP, "reference")
     board = spec.board()
-    monotone = _monotone(spec)
 
     def recurse(maker_set, breaker_set, mover):
         unclaimed = [e for e in board if e not in maker_set and e not in breaker_set]
@@ -230,7 +185,7 @@ def solve_reference(spec: GameSpec) -> str:
         need = min(spec.bias_of(mover), len(unclaimed))
         if mover == MAKER:
             # sets smaller than a full batch; full batches are tried below
-            if not monotone and any(
+            if not spec.objective.monotone and any(
                 maker_win_witness(spec, maker_set | set(batch)) is not None
                 for size in range(1, need)
                 for batch in combinations(unclaimed, size)

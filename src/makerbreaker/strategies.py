@@ -20,10 +20,10 @@ adequacy is checked empirically and by the exhaustive verifier on small
 boards.  It sits behind the Strategy interface so a faithful implementation
 can replace it without touching the rest.
 
-Maker's 2-coloring comes from ``mask_components`` on ``maker_masks``.  On
-edge boards, Maker's components and their cuts come from a claim view carried
-from turn to turn, which reads only each position's claim sets and updates
-the components per new claim.
+Maker's 2-coloring comes from ``mask_components`` on ``maker_masks``, on the
+claim mask ``claim_bits`` converts.  On edge boards, Maker's components and
+their cuts come from a claim view carried from turn to turn, which reads
+only each position's claim sets and updates the components per new claim.
 The core-backed Makers play in host labels, on the core's crossing graph as
 ``graphs.cross_masks``, the one cut builder; no relabelled copy is made.
 
@@ -55,6 +55,7 @@ from .engine import (
     Position,
     Strategy,
     batch_size,
+    claim_bits,
     legal_moves,
     maker_masks,
 )
@@ -373,7 +374,8 @@ def _maker_two_coloring(spec: GameSpec, pos: Position):
     of its own.  Components are numbered by smallest vertex, and color 1 is
     odd distance from that vertex."""
     labels = {}
-    for comp, (seen, odd, clash) in enumerate(mask_components(*maker_masks(spec, pos.maker))):
+    masks = maker_masks(spec, claim_bits(spec, pos.maker))
+    for comp, (seen, odd, clash) in enumerate(mask_components(*masks)):
         if clash:
             return None
         for v in mask_bits(seen):
@@ -458,7 +460,7 @@ class CutAttackBreaker(Strategy):
         free = sum(1 << v for v in legal_moves(spec, pos))
         if self.order is None:
             self.order = sorted(range(host.n), key=lambda v: (-host.degree(v), v))
-        adj, maker = maker_masks(spec, pos.maker)
+        adj, maker = maker_masks(spec, claim_bits(spec, pos.maker))
         levels = []  # levels[k]: the free vertices next to more than k components
         for comp, _, _ in mask_components(adj, maker):
             near = 0

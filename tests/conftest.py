@@ -35,7 +35,15 @@ from makerbreaker.decompose import (
     extract_chromatic_core,
     highly_connected_partition,
 )
-from makerbreaker.engine import BREAKER, EDGES, MAKER, Strategy, batch_size, legal_moves
+from makerbreaker.engine import (
+    BREAKER,
+    EDGES,
+    MAKER,
+    Strategy,
+    batch_size,
+    claim_elements,
+    legal_moves,
+)
 from makerbreaker.errors import DomainError, PreconditionError, quoted
 from makerbreaker.graphs import (
     Graph,
@@ -50,7 +58,7 @@ from makerbreaker.graphs import (
     mask_components,
     min_degree,
 )
-from makerbreaker.solver import _mask_elements, _Solver
+from makerbreaker.solver import _Solver
 from makerbreaker.strategies import DenseEdgeMaker, DenseVertexMaker
 
 
@@ -302,7 +310,7 @@ class SolverBeforeChoose(_Solver):
                         break
             if chosen is None:
                 chosen = next(self.batches(unclaimed, bias))
-            line.append((mover, _mask_elements(self.board, chosen)))
+            line.append((mover, claim_elements(self.spec, chosen)))
             if mover == MAKER:
                 m |= chosen
                 if self.eval_win(m):

@@ -3,13 +3,14 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graphs
-from makerbreaker import coloring
+from makerbreaker import cli, coloring
 from makerbreaker.cli import main
 from makerbreaker.decompose import (
     extract_bipartite_core,
@@ -20,7 +21,7 @@ from makerbreaker.decompose import (
 from makerbreaker.engine import GameSpec, WinPredicate, replay_transcript
 from makerbreaker.errors import DomainError, PreconditionError
 from makerbreaker.generators import FAMILIES
-from makerbreaker.graphs import Graph, format_graph, frac_ceil, parse_graph
+from makerbreaker.graphs import MAX_VERTICES, Graph, format_graph, frac_ceil, parse_graph
 from makerbreaker.harness import ExperimentConfig, build_strategy, parse_fraction, parse_ident
 from makerbreaker.strategies import bound_report
 
@@ -71,6 +72,22 @@ class TestGenerate:
                        "--param", "sizes=2-3-4") == 0
         out = capsys.readouterr().out
         assert out.startswith("p 9 ")
+
+    @pytest.mark.parametrize("count", [MAX_VERTICES + 1, 10**20])
+    def test_sizes_count_past_the_vertex_cap_builds_no_list(self, capsys, monkeypatch, count):
+        # refused before the list of parts or the graph is built
+        monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("generate was called"))
+        tracemalloc.start()
+        try:
+            code = run_cli("generate", "--family", "complete_multipartite",
+                           "--param", f"sizes=1x{count}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 200_000  # a list of MAX_VERTICES + 1 parts is 800 kB
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --param 'sizes=1x{count}' asks for {count} parts")
+        assert f"cap of {MAX_VERTICES}" in err
 
 
 class TestDecompose:

@@ -25,6 +25,8 @@ from makerbreaker.engine import (
     Strategy,
     WinPredicate,
     apply_moves,
+    claim_bits,
+    claim_elements,
     format_transcript,
     legal_moves,
     maker_masks,
@@ -402,6 +404,70 @@ class TestOneMakerGraph:
         spec = GameSpec(g, VERTICES, WinPredicate("aux-connect", anchor=anchor))
         assert maker_win_witness(spec, claims) == two_branch_win_witness(spec, claims)
 
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10), st.data())
+    def test_aux_connect_mask_win_matches_the_subgraph_check(self, g, data):
+        vertices = st.frozensets(st.integers(min_value=0, max_value=g.n - 1))
+        anchor, claims = data.draw(vertices), data.draw(vertices)
+        spec = GameSpec(g, VERTICES, WinPredicate("aux-connect", anchor=anchor))
+        won = mask_win(spec.objective)(*maker_masks(spec, claim_bits(spec, claims)))
+        assert won == (two_branch_win_witness(spec, claims) is not None)
+
+    @pytest.mark.parametrize("anchor", [{4}, {0, -1}, {"a"}, {1.5}, {(0, 1)}])
+    def test_an_anchor_off_the_host_is_refused_by_the_spec(self, anchor):
+        objective = WinPredicate("aux-connect", anchor=frozenset(anchor))
+        with pytest.raises(DomainError, match="not a set of host vertices"):
+            GameSpec(Graph.path(4), VERTICES, objective)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=8), st.data())
+    def test_a_pair_off_the_host_is_refused_for_every_objective(self, g, data):
+        non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        assume(non_edges)
+        pair = data.draw(st.sampled_from(non_edges))
+        pair = pair[::-1] if data.draw(st.booleans()) else pair
+        claims = data.draw(st.lists(st.sampled_from(sorted(g.edges)))) if g.m else []
+        claims.insert(data.draw(st.integers(min_value=0, max_value=len(claims))), pair)
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        for objective in (WinPredicate("odd-cycle"), WinPredicate("non-k-colorable", k=k),
+                          WinPredicate("spanning-connected"),
+                          WinPredicate("k-edge-connected", k=k)):
+            with pytest.raises(DomainError, match="not an element of the board"):
+                maker_win_witness(GameSpec(g, EDGES, objective), claims)
+        for objective in (WinPredicate("odd-cycle"), WinPredicate("non-k-colorable", k=k),
+                          WinPredicate("aux-connect", anchor=frozenset())):
+            with pytest.raises(DomainError, match="not an element of the board"):
+                maker_win_witness(GameSpec(g, VERTICES, objective), [0, pair])
+
+    @pytest.mark.parametrize(
+        "objective, claims",
+        [("odd-cycle", [(0, 1), (1, 2), (0, 2)]),
+         ("spanning-connected", [(0, 1), (1, 2), (0, 3)]),
+         ("k-edge-connected", [(0, 1), (1, 2), (2, 3), (0, 3)])],
+    )
+    def test_a_cycle_through_a_non_edge_is_no_win(self, objective, claims):
+        k = 1 if objective == "k-edge-connected" else None
+        spec = edge_spec(Graph.path(4), objective=WinPredicate(objective, k=k))
+        with pytest.raises(DomainError, match="not an element of the board"):
+            maker_win_witness(spec, claims)
+
+    @settings(max_examples=400, deadline=None)
+    @given(objective_specs())
+    def test_every_witness_verifies_against_the_host(self, spec_claims):
+        spec, claims = spec_claims
+        witness = maker_win_witness(spec, claims)
+        obj = spec.objective
+        held = claims | obj.anchor if obj.kind == "aux-connect" else claims
+        if isinstance(witness, OddCycleWitness):
+            assert verify_odd_cycle(spec.host, witness)
+            if spec.board_kind == EDGES:
+                assert verify_odd_cycle(Graph(spec.host.n, claims), witness)
+            else:
+                assert set(witness.vertices) <= held
+        elif witness is not None:
+            assert spec.board_set.issuperset(witness.elements)
+            assert witness.elements == tuple(sorted(held))
+
     def test_empty_host_is_not_spanned(self):
         spec = edge_spec(Graph(0), objective=WinPredicate("spanning-connected"))
         assert maker_win_witness(spec, ()) is None is two_branch_win_witness(spec, ())
@@ -409,16 +475,18 @@ class TestOneMakerGraph:
     def test_spanning_connected_below_a_tree_reads_no_masks(self, monkeypatch):
         spec = edge_spec(Graph.complete(6), objective=WinPredicate("spanning-connected"))
         calls = []
-        masks = engine.maker_masks
-        monkeypatch.setattr(engine, "maker_masks", lambda *args: calls.append(args) or masks(*args))
+        bits = engine.claim_bits
+        monkeypatch.setattr(engine, "claim_bits", lambda *args: calls.append(args) or bits(*args))
         path = [(0, 1), (1, 2), (2, 3), (3, 4)]
         assert maker_win_witness(spec, path) is None and not calls
         assert maker_win_witness(spec, path * 2) is None and not calls  # distinct claims count
         assert maker_win_witness(spec, path + [(4, 5)]) is not None and len(calls) == 1
-        # a claim off the board takes the mask path, which refuses it
-        with pytest.raises(DomainError):
-            maker_win_witness(spec, [(0, 1), (2, 9)])
-        assert len(calls) == 2
+        # a claim off the board, hashable or not, goes to the conversion, which refuses it
+        for claims in ([(0, 1), (2, 9)], [(0, 1), [2, 3]]):
+            with pytest.raises(DomainError):
+                maker_win_witness(spec, claims)
+        assert len(calls) == 3
+        assert maker_win_witness(spec, iter(path + [(4, 5)])) is not None  # read once
 
     @pytest.mark.parametrize(
         "board_kind, objective, claim",
@@ -442,25 +510,37 @@ class TestOneMakerGraph:
         spec = edge_spec(Graph.complete(4), objective=WinPredicate(objective))
         assert maker_win_witness(spec, {(2, 0)}) is None
 
-    def test_maker_masks_take_a_reversed_edge_in_its_normal_order(self):
+    def test_claim_bits_take_a_reversed_edge_in_its_normal_order(self):
         spec = edge_spec(Graph.complete(4))
-        assert maker_masks(spec, {(2, 0), (1, 3)}) == maker_masks(spec, {(0, 2), (3, 1)})
-        assert maker_masks(spec, {(2, 0)}) == ([0b100, 0, 0b1, 0], 0b1111)
+        assert claim_bits(spec, {(2, 0), (1, 3)}) == claim_bits(spec, {(0, 2), (3, 1)})
+        assert claim_bits(spec, [(2, 0), (0, 2)]) == claim_bits(spec, {(0, 2)}) == 0b10
+        assert maker_masks(spec, claim_bits(spec, {(2, 0)})) == ([0b100, 0, 0b1, 0], 0b1111)
 
     @pytest.mark.parametrize(
         "board_kind, claim",
-        [(EDGES, c) for c in ((1, 1), (0, 4), (4, 0), (-1, 2), (2, -1))]
-        + [(VERTICES, c) for c in (-1, 4)],
+        [(EDGES, c) for c in ((1, 1), (0, 4), (4, 0), (-1, 2), (2, -1), (0, 2), (2, 0),
+                              (0, 1, 2), 0, "ab", [0, 1], None)]
+        + [(VERTICES, c) for c in (-1, 4, (0, 1), [0], "a", None)],
     )
-    def test_maker_masks_refuse_a_loop_or_a_claim_out_of_range(self, board_kind, claim):
-        spec = GameSpec(Graph.complete(4), board_kind, WinPredicate("odd-cycle"))
-        with pytest.raises(DomainError):
-            maker_masks(spec, {claim})
+    def test_claim_bits_refuse_a_claim_off_the_board(self, board_kind, claim):
+        # the host is the path 0-1-2-3, so (0, 2) is in range but no edge
+        spec = GameSpec(Graph.path(4), board_kind, WinPredicate("odd-cycle"))
+        with pytest.raises(DomainError, match="not an element of the board"):
+            claim_bits(spec, [claim])
 
     def test_maker_masks_on_a_vertex_board(self):
         g = Graph.path(4)
-        adj, verts = maker_masks(vertex_spec(g), {0, 2})
+        spec = vertex_spec(g)
+        adj, verts = maker_masks(spec, claim_bits(spec, {0, 2}))
         assert adj is g.neighbor_masks() and verts == 0b101
+
+    def test_claim_elements_read_the_mask_back_in_board_order(self):
+        g = Graph(5, [(3, 4), (0, 1), (1, 3), (0, 4)])
+        for spec in (edge_spec(g), vertex_spec(g)):
+            board = spec.board()
+            claims = [board[i] for i in (3, 0, 2)]
+            assert claim_elements(spec, claim_bits(spec, claims)) == tuple(sorted(claims))
+            assert claim_elements(spec, 0) == ()
 
     @pytest.mark.parametrize(
         "board_kind, objective",
@@ -513,7 +593,7 @@ class TestNonKColorableOnMasks:
     def test_matches_the_search_on_a_relabelled_graph(self, spec_claims):
         spec, claims = spec_claims
         want = non_colorable_by_relabelling(spec, claims)
-        assert mask_win(spec.objective)(*maker_masks(spec, claims)) == want
+        assert mask_win(spec.objective)(*maker_masks(spec, claim_bits(spec, claims))) == want
         witness = maker_win_witness(spec, claims)
         assert witness == (
             ClaimSetWitness(tuple(sorted(claims)), "non-k-colorable", spec.objective.k)
@@ -541,10 +621,18 @@ class TestNonKColorableOnMasks:
             assert maker_win_witness(spec, spec.board()[:3]) is None
         assert built == []
 
-    def test_mask_win_is_none_off_the_mask_decisions(self):
+    def test_mask_win_decides_every_objective(self):
         assert mask_win(WinPredicate("odd-cycle")) is graphs.has_odd_cycle
         assert mask_win(WinPredicate("spanning-connected")) is graphs.spans
-        assert mask_win(WinPredicate("aux-connect", anchor=frozenset({0}))) is None
+        # aux-connect: the anchor {0} joins the claims; on the path 0-1-2-3
+        # {0, 1} is connected, {0, 2} is neither connected nor a triangle
+        connects = mask_win(WinPredicate("aux-connect", anchor=frozenset({0})))
+        path = Graph.path(4).neighbor_masks()
+        assert connects(path, 0b10) and not connects(path, 0b100)
+        # a triangle and the anchor {3} apart from it
+        triangle_apart = Graph(4, [(0, 1), (1, 2), (0, 2)]).neighbor_masks()
+        connects = mask_win(WinPredicate("aux-connect", anchor=frozenset({3})))
+        assert connects(triangle_apart, 0b111) and not connects(triangle_apart, 0b11)
         # k-edge-connected: two vertices and lambda >= k; C_4 has lambda 2
         c4, everyone = Graph.cycle(4).neighbor_masks(), 0b1111
         decide = {k: mask_win(WinPredicate("k-edge-connected", k=k)) for k in (1, 2, 3)}

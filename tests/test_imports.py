@@ -1,6 +1,7 @@
 """No module of the package imports a private name from another, or a
-name it never uses, no library function builds a relabelled subgraph, and
-the mask decompositions read no neighbour sets."""
+name it never uses, no library function builds a relabelled subgraph, the
+mask decompositions read no neighbour sets, and only the engine builds
+Maker's graph from claims."""
 
 import ast
 from pathlib import Path
@@ -77,25 +78,40 @@ def test_an_unused_import_is_found(tmp_path):
     assert unused_imports(path) == ["mod.py:4 mask_bits", "mod.py:8 Refused"]
 
 
-def calls_of(path: Path, name: str) -> list:
-    """One ``module.function`` per call of ``name`` in ``path``, bare or as
-    an attribute, named by the innermost function around the call."""
+def uses_of(path: Path, hit) -> list:
+    """One ``module.function`` per node of ``path`` for which ``hit`` holds,
+    named by the innermost function around the node."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            target = node.func
-            called = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            if called == name:
-                found.append(f"{path.stem}.{where}")
+        if hit(node):
+            found.append(f"{path.stem}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, "<module>")
     return found
+
+
+def calls_of(path: Path, name: str) -> list:
+    """One ``module.function`` per call of ``name`` in ``path``, bare or as
+    an attribute, named by the innermost function around the call."""
+
+    def called(node):
+        target = node.func if isinstance(node, ast.Call) else None
+        if isinstance(target, ast.Attribute):
+            return target.attr == name
+        return getattr(target, "id", None) == name
+
+    return uses_of(path, called)
+
+
+def reads_of(path: Path, attribute: str) -> list:
+    """One ``module.function`` per read of ``.attribute`` in ``path``."""
+    return uses_of(path, lambda node: isinstance(node, ast.Attribute) and node.attr == attribute)
 
 
 def test_no_library_function_relabels():
@@ -174,3 +190,33 @@ def test_nested_helpers_are_in_scope(tmp_path):
     scope = functions_within(path, ("outer",))
     assert scope == {"mod.outer", "mod.helper", "mod.deeper"}
     assert [hit for hit in calls_of(path, "degree_into") if hit in scope] == ["mod.deeper"]
+
+
+def test_only_the_engine_reads_the_endpoint_bit_table():
+    # engine.maker_masks is the one builder of Maker's graph on an edge board
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in reads_of(path, "end_bits")]
+    assert found and {hit.partition(".")[0] for hit in found} == {"engine"}
+
+
+def test_the_solver_calls_the_win_witness_only_in_its_independent_checks():
+    # solve decides on masks; the reference solver and the verifier check
+    # claimed elements through the engine's win check
+    path = PACKAGE / "solver.py"
+    found = calls_of(path, "maker_win_witness")
+    assert found and set(found) <= functions_within(
+        path, ("solve_reference", "verify_maker_strategy")
+    )
+
+
+def test_a_new_reader_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def decide(spec, mask):\n"
+        "    ends = spec.end_bits\n"
+        "    def witness():\n"
+        "        return maker_win_witness(spec, mask)\n"
+        "    return ends, witness()\n"
+    )
+    assert reads_of(path, "end_bits") == ["mod.decide"]
+    assert calls_of(path, "maker_win_witness") == ["mod.witness"]
+    assert not set(calls_of(path, "maker_win_witness")) <= functions_within(path, ("other",))

@@ -31,7 +31,7 @@ from makerbreaker.solver import (
     SOLVE_BOARD_CAP,
     VERIFY_BOARD_CAP,
     SolveVerdict,
-    _mask_decider,
+    _Solver,
     solve,
     solve_reference,
     verify_maker_strategy,
@@ -397,9 +397,9 @@ def small_specs(draw, max_elements=8):
 
 
 class TestMaskDecision:
-    """Every monotone objective (``odd-cycle``, ``spanning-connected``,
-    ``non-k-colorable`` and ``k-edge-connected``) is decided on bitmasks;
-    the decision must equal ``maker_win_witness`` on every claim set."""
+    """Every objective is decided on bitmasks by the solver's ``decide``,
+    ``mask_win`` on ``maker_masks``; the decision must equal
+    ``maker_win_witness`` on every claim set."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -413,7 +413,7 @@ class TestMaskDecision:
         spec = GameSpec(host=g, board_kind=board_kind, objective=WinPredicate(kind))
         board = spec.board()
         full = (1 << len(board)) - 1
-        decide = _mask_decider(spec)
+        decide = _Solver(spec).decide
         for mask in [0, full] + [d & full for d in draws]:
             claims = tuple(board[i] for i in range(len(board)) if mask >> i & 1)
             assert decide(mask) == (maker_win_witness(spec, claims) is not None)
@@ -431,18 +431,30 @@ class TestMaskDecision:
         spec = GameSpec(g, board_kind, WinPredicate(kind, k=k))
         board = spec.board()
         full = (1 << len(board)) - 1
-        decide = _mask_decider(spec)
+        decide = _Solver(spec).decide
         for mask in [0, full] + [d & full for d in draws]:
             claims = tuple(board[i] for i in range(len(board)) if mask >> i & 1)
+            assert decide(mask) == (maker_win_witness(spec, claims) is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=8), st.data())
+    def test_aux_connect_matches_maker_win_witness(self, g, data):
+        anchor = data.draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1)))
+        spec = GameSpec(g, VERTICES, WinPredicate("aux-connect", anchor=anchor))
+        decide = _Solver(spec).decide
+        draws = data.draw(st.lists(st.integers(min_value=0), max_size=12))
+        for mask in [0, (1 << g.n) - 1] + [d & ((1 << g.n) - 1) for d in draws]:
+            claims = tuple(v for v in range(g.n) if mask >> v & 1)
             assert decide(mask) == (maker_win_witness(spec, claims) is not None)
 
     @pytest.mark.parametrize(
         "board_kind, objective",
         [(EDGES, WinPredicate("non-k-colorable", k=2)),
          (VERTICES, WinPredicate("non-k-colorable", k=2)),
-         (EDGES, WinPredicate("k-edge-connected", k=2))],
+         (EDGES, WinPredicate("k-edge-connected", k=2)),
+         (VERTICES, WinPredicate("aux-connect", anchor=frozenset({0, 3})))],
     )
-    def test_monotone_solve_builds_no_maker_graph(self, monkeypatch, board_kind, objective):
+    def test_solve_builds_no_maker_graph(self, monkeypatch, board_kind, objective):
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 4), (0, 5)])
         spec = GameSpec(g, board_kind, objective, breaker_bias=1)
         want = solve(spec)
@@ -457,14 +469,14 @@ class TestMaskDecision:
     def test_one_vertex_host_is_spanning_connected_with_no_claims(self):
         spec = GameSpec(host=Graph(1), board_kind=EDGES,
                         objective=WinPredicate("spanning-connected"))
-        assert _mask_decider(spec)(0) and maker_win_witness(spec, ()) is not None
+        assert _Solver(spec).decide(0) and maker_win_witness(spec, ()) is not None
 
     def test_even_cycle_with_a_pendant_triangle(self):
         # the triangle sits two layers away from the search root
         g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 4)])
         for board_kind in (EDGES, VERTICES):
             spec = GameSpec(host=g, board_kind=board_kind, objective=WinPredicate("odd-cycle"))
-            decide = _mask_decider(spec)
+            decide = _Solver(spec).decide
             full = (1 << len(spec.board())) - 1
             assert decide(full)
             without = full & ~(1 << spec.board().index((5, 6) if board_kind == EDGES else 6))
